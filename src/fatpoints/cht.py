@@ -106,6 +106,32 @@ def bound_check(z: FatPointScheme, lines, t: int) -> BoundReport:
     return BoundReport(t, f, F, exact, f == F)
 
 
+def hilbert_upper(x, m: int):
+    """t -> the least F_v(t) over the peeling strategies that fit X.
+
+    Each strategy of ``peeling_sequence`` that applies to the
+    configuration and reduces mX completely contributes its reduction
+    vector; the returned function gives the minimum of their upper
+    bounds at t, a proven upper bound on H_mX(t), or None when no
+    strategy gives a complete reduction.
+    """
+    z = _kconfig.fatten(x, m)
+    vectors = []
+    for strategy in (REPEAT_DESCENDING, STAR, AUGMENTED):
+        try:
+            lines = peeling_sequence(x, m, strategy)
+        except StrategyInapplicable:
+            continue
+        v = reduction_vector(z, lines)
+        if v.complete:
+            vectors.append(v)
+
+    def upper(t: int) -> int | None:
+        return min((F_upper(v, t) for v in vectors), default=None)
+
+    return upper
+
+
 def peeling_sequence(x, m: int, strategy: str, seed: int = 0) -> list[ProjLine]:
     """A line sequence whose reduction of mX is complete.
 

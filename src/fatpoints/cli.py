@@ -31,11 +31,12 @@ from .scheme import (
 from .geom import triple_to_json
 
 
-def _coord_bound(args) -> int:
+def _coord_bound(args, default: int = 50) -> int:
     if getattr(args, "coord_bound", None) is not None:
         return args.coord_bound
     env = os.environ.get("KCONFIG_COORD_BOUND")
-    return int(env) if env else 50
+    return int(env) if env else default
+
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
@@ -177,7 +178,9 @@ def _parse_sweep(text: str) -> list[int]:
 
 
 def cmd_family(args) -> int:
-    report = verify.hilbert_family(args.s, args.m, args.seed, args.coord_bound or 20)
+    report = verify.hilbert_family(
+        args.s, args.m, args.seed, _coord_bound(args, default=20)
+    )
     lines = [
         f"r={mem.r} H_mX: " + " ".join(str(v) for v in mem.fat_values)
         for mem in report.members
@@ -309,7 +312,7 @@ def main(argv=None) -> int:
         parser.error("verify needs --m or --m-sweep")
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, kconfig.GenerationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

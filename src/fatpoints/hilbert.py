@@ -17,10 +17,13 @@ returned here is exact.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from . import linalg
+from .geom import line_through
 from .scheme import FatPointScheme
 
 
@@ -77,13 +80,17 @@ def conditions_matrix(z: FatPointScheme, t: int) -> list[list[int]]:
     return rows
 
 
-def hilbert_value(z: FatPointScheme, t: int) -> int:
-    """H_Z(t) = dim R_t - dim (I_Z)_t, as an exact matrix rank."""
+def hilbert_value(z: FatPointScheme, t: int, upper: int | None = None) -> int:
+    """H_Z(t) = dim R_t - dim (I_Z)_t, as an exact matrix rank.
+
+    ``upper`` is an optional proven upper bound on H_Z(t); it lets the
+    rank be pinned by one elimination mod p (see :func:`linalg.rank`).
+    """
     if t < 0:
         return 0
     if z.is_empty():
         return 0
-    return linalg.rank(conditions_matrix(z, t))
+    return linalg.rank(conditions_matrix(z, t), upper=upper)
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,13 @@ class HilbertTable:
         return body
 
 
-def hilbert_table(z: FatPointScheme, t_max: int) -> HilbertTable:
+def hilbert_table(
+    z: FatPointScheme,
+    t_max: int,
+    upper: Callable[[int], int | None] | None = None,
+) -> HilbertTable:
+    """H(0..t_max); ``upper``, if given, maps t to a proven upper bound
+    on H(t) (or None) and is passed on to :func:`hilbert_value`."""
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     deg = z.degree()
@@ -119,7 +132,7 @@ def hilbert_table(z: FatPointScheme, t_max: int) -> HilbertTable:
         if values and values[-1] == deg:
             values.append(deg)  # monotone and capped: no rank needed
         else:
-            values.append(hilbert_value(z, t))
+            values.append(hilbert_value(z, t, upper(t) if upper else None))
         if stabilized is None and values[-1] == deg:
             stabilized = t
     deltas = tuple(v - u for v, u in zip(values, [0] + values[:-1]))
@@ -133,44 +146,67 @@ def delta(table: HilbertTable, t: int) -> int:
     return table.deltas[t]
 
 
+def regularity_floor(z: FatPointScheme) -> int:
+    """A proven lower bound on the regularity index: max(max_mult, w) - 1.
+
+    w is the largest total multiplicity on a line through two support
+    points.  If H_Z(t) = deg Z then every subscheme of Z imposes
+    independent conditions in degree t too.  A point of multiplicity m
+    needs t >= m - 1, and Z meets a line of weight w in a degree-w
+    subscheme of the line, whose Hilbert function min(t + 1, w) first
+    reaches w at t = w - 1.
+    """
+    best = max(m for _, m in z.entries)
+    seen = set()
+    for (p, _), (q, _) in combinations(z.entries, 2):
+        line = line_through(p, q)
+        if line not in seen:
+            seen.add(line)
+            best = max(best, z.line_degree(line))
+    return best - 1
+
+
 def regularity_index(z: FatPointScheme) -> int:
     """Least t with H_Z(t) = deg(Z).
 
-    H_Z is nondecreasing, so the stabilization point can be bracketed by
-    doubling probes and then binary-searched.  H(t) = deg exactly when
-    the conditions matrix has full row rank, which a nonzero maximal
-    minor mod p certifies outright; a negative probe is heuristic, so the
-    boundary is re-verified with exact ranks and corrected downward on
-    the (never observed) chance a probe understated.  Small schemes scan
-    upward directly.
+    The search starts at the floor L of :func:`regularity_floor`, which
+    proves H(L - 1) < deg, so no degree below L is ever ranked.  H(t) =
+    deg exactly when the conditions matrix has full row rank, which a
+    nonzero maximal minor mod p certifies outright: a certified probe at
+    L returns L at once.  Otherwise H_Z, being nondecreasing, is
+    bracketed above L by doubling probes and binary-searched.  A negative
+    probe is heuristic, so the boundary is re-verified with exact ranks
+    and corrected downward, never below L, on the (never observed)
+    chance a probe understated.  Small schemes scan upward from L with
+    exact values.
     """
     if z.is_empty():
         raise EmptyScheme("the empty scheme has no regularity index")
     deg = z.degree()
     if len(z.entries) == 1:
         return z.entries[0][1] - 1  # single fat point: classical
+    floor = regularity_floor(z)
     if deg <= 36:
-        t = 0
+        t = floor
         while hilbert_value(z, t) < deg:
             t += 1
         return t
 
-    max_mult = max(m for _, m in z.entries)
     total = sum(m for _, m in z.entries)
 
     def reaches_deg(t: int) -> bool:
-        if t < max_mult - 1:
-            return False  # fewer condition rows than deg
         return linalg.has_full_row_rank(conditions_matrix(z, t))
 
-    hi = 1
+    if reaches_deg(floor):
+        return floor
+    lo = hi = floor + 1
     while not reaches_deg(hi):
         if hi >= 2 * total:  # beyond any stabilization bound: go exact
             while hilbert_value(z, hi) < deg:
                 hi += 1
             break
-        hi *= 2
-    lo = 0
+        lo = hi + 1
+        hi = floor + 2 * (hi - floor)
     while lo < hi:
         mid = (lo + hi) // 2
         if reaches_deg(mid):
@@ -178,6 +214,6 @@ def regularity_index(z: FatPointScheme) -> int:
         else:
             lo = mid + 1
     # Certify the boundary exactly; walk down if a probe understated.
-    while lo > 0 and hilbert_value(z, lo - 1) == deg:
+    while lo > floor and hilbert_value(z, lo - 1) == deg:
         lo -= 1
     return lo

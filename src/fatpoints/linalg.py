@@ -1,6 +1,6 @@
 """Exact rank of integer matrices.
 
-Two cooperating engines, both exact:
+Two cooperating engines and one shortcut, all exact:
 
 * ``bareiss_rank`` -- fraction-free (Bareiss-style) elimination on
   arbitrary-precision integers.  Entries stay integral throughout; the
@@ -16,8 +16,18 @@ Two cooperating engines, both exact:
   recovered by CRT over several primes plus rational reconstruction) and
   then verifying that identity in exact integer arithmetic.  Certificates
   that fail for one prime are retried with another; if certification is
-  not reached the matrix goes to Bareiss.  Every returned value is
-  therefore exact regardless of which path produced it.
+  not reached the matrix goes to Bareiss.
+
+* Bound pinning -- a caller that holds a proven upper bound on the rank
+  (for conditions matrices, a Cooper-Harbourne-Teitler bound from
+  :mod:`fatpoints.cht`) passes it as ``rank(rows, upper=...)``.  The
+  mod-p rank is a lower bound on the rank over Q, so when it equals the
+  upper bound the rank is exact with no certificate and no Bareiss run,
+  whatever the matrix size.  When the two differ, ``rank`` carries on
+  down the paths above.
+
+Every returned value is therefore exact regardless of which path
+produced it.
 
 The modular arithmetic here is an internal certification device only;
 geometric coefficients elsewhere in the package remain rational.
@@ -32,8 +42,8 @@ import numpy as np
 
 try:
     from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    mpz = int
+except ImportError:  # gmpy2 is an optional extra: ``pip install .[gmpy2]``
+    mpz = int  # Python int gives the same exact results, only slower
 
 # Verified 31-bit primes; products of prefixes serve as CRT moduli.
 PRIMES = (
@@ -351,13 +361,24 @@ def _verify_combination(target, piv_mat, coeffs, ncols) -> bool:
     return all(a == s * v for a, v in zip(acc, target))
 
 
-def rank(rows) -> int:
-    """Exact rank of an integer matrix; certified fast paths, Bareiss fallback."""
+def rank(rows, upper: int | None = None) -> int:
+    """Exact rank of an integer matrix; certified fast paths, Bareiss fallback.
+
+    ``upper``, when given, must be a proven upper bound on the rank over Q.
+    One elimination mod p then runs first at any size: its rank is a
+    lower bound, so if it reaches ``upper`` the rank is pinned exactly.
+    """
     rows = _strip_rows(rows)
     n = len(rows)
     if n == 0:
         return 0
     m = len(rows[0])
+    if upper is not None:
+        lower, _, _ = _modp_eliminate(_modp_matrix(rows, PRIMES[0]), PRIMES[0])
+        if lower > upper:
+            raise ValueError(f"upper bound {upper} is below the mod-p rank {lower}")
+        if lower == upper:
+            return upper
     if n * m <= _SMALL_CELLS:
         return bareiss_rank(rows)
 

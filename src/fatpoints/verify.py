@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from math import comb
 
-from . import hilbert, kconfig
+from . import cht, hilbert, kconfig
 from .kconfig import InfeasibleLineCount, KConfiguration, KType, count_lines, fatten
 from .scheme import FatPointScheme
 
@@ -83,6 +83,14 @@ def verify_main(
     The match is asserted by callers only when m >= m0; below that the
     report is informational (the identity genuinely fails for some
     configurations there).
+
+    H(t*) is typically full rank and proven by a nonzero maximal minor
+    mod p.  H(t* - 1) is rank-deficient; it is pinned by the
+    Cooper-Harbourne-Teitler upper bound F_v(t* - 1) of the peeling
+    strategies that fit X (:func:`cht.hilbert_upper`): when the mod-p
+    rank, a lower bound, reaches F_v the value is exact.  That bound is
+    CHT's theorem on reduction vectors, not the identity being checked;
+    when it is not tight the value is certified without it.
     """
     if x.ktype.is_single_point():
         raise SinglePointType("verification needs at least two points")
@@ -91,8 +99,9 @@ def verify_main(
     ds = x.ktype.ds
     z = fatten(x, m)
     t_star = m * ds - 1
+    bound = cht.hilbert_upper(x, m)
     upper = hilbert.hilbert_value(z, t_star)
-    lower = hilbert.hilbert_value(z, t_star - 1) if t_star >= 1 else 0
+    lower = hilbert.hilbert_value(z, t_star - 1, bound(t_star - 1)) if t_star >= 1 else 0
     delta = upper - lower
     count, _ = count_lines(x, ds)
     threshold = m0(x.ktype)
@@ -222,7 +231,8 @@ def verify_last_nonzero(x: KConfiguration, m: int) -> LastNonzeroReport:
         raise MultiplicityBelowThreshold(f"needs m >= {m0(x.ktype)}")
     z = fatten(x, m)
     ri = hilbert.regularity_index(z)
-    last_delta = z.degree() - hilbert.hilbert_value(z, ri - 1)
+    bound = cht.hilbert_upper(x, m)
+    last_delta = z.degree() - hilbert.hilbert_value(z, ri - 1, bound(ri - 1))
     count, _ = count_lines(x, x.ktype.ds)
     expected_t = m * x.ktype.ds - 1
     ok = ri == expected_t and last_delta == count
@@ -306,7 +316,7 @@ def hilbert_family(s: int, m: int, seed: int = 0, bound: int = 20) -> FamilyRepo
         support = fatten(x, 1)
         support_tab = hilbert.hilbert_table(support, s)
         z = fatten(x, m)
-        fat_tab = hilbert.hilbert_table(z, t_max)
+        fat_tab = hilbert.hilbert_table(z, t_max, cht.hilbert_upper(x, m))
         members.append(
             FamilyMember(
                 r=r,

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from corpus import config_123_star, config_1234, config_1345
+from corpus import (
+    config_123_exact,
+    config_123_one,
+    config_123_star,
+    config_1234,
+    config_1345,
+)
 from fatpoints.cht import (
     AUGMENTED,
     REPEAT_DESCENDING,
@@ -12,6 +18,7 @@ from fatpoints.cht import (
     StrategyInapplicable,
     bound_check,
     f_lower,
+    hilbert_upper,
     peeling_sequence,
 )
 from fatpoints.geom import ProjLine, incident, line_through, random_point
@@ -167,3 +174,26 @@ def test_sandwich_randomized_mini():
         for t in range(stop + 1):
             h = hilbert_value(z, t)
             assert f_lower(v, t) <= h <= F_upper(v, t)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [config_123_star, config_123_exact, config_123_one, config_1234, config_1345],
+)
+def test_hilbert_upper_is_the_least_complete_bound(make):
+    x = make()
+    m = 3
+    z = fatten(x, m)
+    vectors = []
+    for strategy in (REPEAT_DESCENDING, STAR, AUGMENTED):
+        try:
+            v = reduction_vector(z, peeling_sequence(x, m, strategy))
+        except StrategyInapplicable:
+            continue
+        if v.complete:
+            vectors.append(v)
+    assert vectors
+    upper = hilbert_upper(x, m)
+    for t in range(0, 3 * x.ktype.ds + 1):
+        assert upper(t) == min(F_upper(v, t) for v in vectors)
+        assert hilbert_value(z, t) <= upper(t)

@@ -154,3 +154,31 @@ def test_csv_format(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split(",") == ["t", "f_lower", "F_upper", "exact", "tight"]
     assert lines[1].split(",") == ["8", "36", "36", "36", "True"]
+
+
+def test_generation_failure_is_an_error_not_a_traceback(capsys):
+    rc = main(["generate", "--type", "1,2,3,4,5,6,7,8", "--coord-bound", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_family_coord_bound_sources(monkeypatch, capsys):
+    from fatpoints import verify
+
+    seen = []
+    real = verify.hilbert_family
+
+    def spy(s, m, seed, bound):
+        seen.append(bound)
+        return real(s, m, seed, bound)
+
+    monkeypatch.setattr(verify, "hilbert_family", spy)
+    argv = ["family", "--s", "2", "--m", "3", "--format", "json"]
+    monkeypatch.delenv("KCONFIG_COORD_BOUND", raising=False)
+    assert main(argv) == 0  # neither flag nor variable: family's own default
+    monkeypatch.setenv("KCONFIG_COORD_BOUND", "9")
+    assert main(argv) == 0  # the variable applies
+    assert main(argv + ["--coord-bound", "7"]) == 0  # the flag wins
+    assert seen == [20, 9, 7]
+    capsys.readouterr()

@@ -2,6 +2,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import config_123_one, config_1234, config_1345
 from fatpoints import linalg
@@ -15,9 +16,10 @@ from fatpoints.hilbert import (
     hilbert_table,
     hilbert_value,
     monomial_exponents,
+    regularity_floor,
     regularity_index,
 )
-from fatpoints.kconfig import fatten
+from fatpoints.kconfig import KType, fatten, generate_generic
 from fatpoints.scheme import FatPointScheme
 
 
@@ -146,3 +148,66 @@ def test_monomial_order_is_total_degree_consistent():
     assert len(mons) == comb(5, 2)
     assert all(sum(e) == 3 for e in mons)
     assert len(set(mons)) == len(mons)
+
+
+def _scan_regularity(z):
+    """Exact oracle: H(0), H(1), ... until H(t) = deg, no floor, no probe."""
+    t = 0
+    while hilbert_value(z, t) < z.degree():
+        t += 1
+    return t
+
+
+# Affine points on a 5x5 grid: collinear triples and heavy lines are common.
+_small_schemes = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(1, 4)),
+    min_size=2,
+    max_size=7,
+    unique_by=lambda e: e[:2],
+).filter(lambda es: sum(comb(m + 1, 2) for *_, m in es) <= 36)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_schemes)
+def test_regularity_floor_is_sound(entries):
+    z = FatPointScheme.from_points(
+        [ProjPoint((x, y, 1)) for x, y, _ in entries], [m for *_, m in entries]
+    )
+    ri = _scan_regularity(z)
+    assert regularity_floor(z) <= ri
+    assert regularity_index(z) == ri
+
+
+def test_regularity_floor_counts_line_weight():
+    # three collinear double points: the line carries weight 6, so ri >= 5
+    pts = [ProjPoint((0, 0, 1)), ProjPoint((1, 1, 1)), ProjPoint((2, 2, 1)),
+           ProjPoint((0, 1, 1))]
+    z = FatPointScheme.from_points(pts, [2, 2, 2, 1])
+    assert regularity_floor(z) == 5
+    assert regularity_index(z) == _scan_regularity(z) == 5
+
+
+def test_regularity_index_above_the_floor():
+    # Large generic schemes whose floor lies below ri: the probes bracket
+    # above the floor and the exact walk-down certifies the boundary.
+    rng = random.Random(5)
+    for _ in range(3):
+        pts = []
+        while len(pts) < 14:
+            p = random_point(rng, 30)
+            if p not in pts:
+                pts.append(p)
+        z = FatPointScheme.from_points(pts, [rng.randint(2, 3) for _ in pts])
+        assert z.degree() > 36
+        ri = regularity_index(z)
+        assert regularity_floor(z) < ri == _scan_regularity(z)
+
+
+@pytest.mark.parametrize(
+    "dvec, m",
+    [((1, 2, 3), 4), ((1, 2, 3, 4), 5), ((1, 2, 3, 4, 5), 6),
+     ((1, 3, 4, 5), 3), ((3, 5, 7, 9), 3)],
+)
+def test_regularity_index_on_ladder_shapes(dvec, m):
+    z = fatten(generate_generic(KType(dvec), seed=0, bound=50), m)
+    assert regularity_floor(z) == regularity_index(z) == m * dvec[-1] - 1

@@ -104,3 +104,62 @@ def test_row_content_stripping_preserves_rank():
 )
 def test_rank_engines_agree_random(rows):
     assert bareiss_rank(rows) == fraction_rank(rows)
+
+
+# --- bound pinning on real conditions matrices -------------------------------
+#
+# Conditions matrices of generic configurations carry entries of 80 to 300
+# bits, far beyond the small planted matrices above, so these also exercise
+# rational reconstruction on large entries.  The upper bounds come from the
+# Cooper-Harbourne-Teitler peeling bounds.
+
+from fatpoints.cht import hilbert_upper
+from fatpoints.hilbert import conditions_matrix
+from fatpoints.kconfig import KType, fatten, generate_generic
+
+
+def _generic_matrix(dvec, m, t):
+    x = generate_generic(KType(dvec), seed=0, bound=50)
+    return conditions_matrix(fatten(x, m), t), hilbert_upper(x, m)(t)
+
+
+def _max_bits(M):
+    return max(abs(v) for row in M for v in row).bit_length()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the pinned call must not reach this engine")
+
+
+@pytest.mark.parametrize("t", [9, 10])
+def test_pin_is_tight_on_small_conditions_matrix(t, monkeypatch):
+    M, F = _generic_matrix((1, 2, 3), 4, t)
+    assert _max_bits(M) > 64
+    expected = bareiss_rank(M)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "bareiss_rank", _refuse)
+        patch.setattr(linalg, "_span_certificate", _refuse)
+        assert rank(M, upper=F) == expected == F
+    # A bound that is not tight falls through to Bareiss.
+    assert rank(M, upper=F + 1) == expected
+
+
+def test_pin_is_tight_on_large_deficient_conditions_matrix(monkeypatch):
+    M, F = _generic_matrix((1, 2, 3, 4), 5, 18)
+    assert len(M) * len(M[0]) > linalg._SMALL_CELLS
+    assert _max_bits(M) > 128
+    expected = rank(M)  # unpinned: span certificate
+    assert expected < min(len(M), len(M[0]))
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_span_certificate", _refuse)
+        patch.setattr(linalg, "bareiss_rank", _refuse)
+        assert rank(M, upper=F) == expected == F
+    # A bound that is not tight falls through to the certified path.
+    assert rank(M, upper=F + 1) == expected
+
+
+def test_bound_below_modp_rank_is_refused():
+    M = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ValueError):
+        rank(M, upper=2)
+    assert rank(M, upper=3) == 3

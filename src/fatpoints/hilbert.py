@@ -172,48 +172,24 @@ def regularity_index(z: FatPointScheme) -> int:
     The search starts at the floor L of :func:`regularity_floor`, which
     proves H(L - 1) < deg, so no degree below L is ever ranked.  H(t) =
     deg exactly when the conditions matrix has full row rank, which a
-    nonzero maximal minor mod p certifies outright: a certified probe at
-    L returns L at once.  Otherwise H_Z, being nondecreasing, is
-    bracketed above L by doubling probes and binary-searched.  A negative
-    probe is heuristic, so the boundary is re-verified with exact ranks
-    and corrected downward, never below L, on the (never observed)
-    chance a probe understated.  Small schemes scan upward from L with
-    exact values.
+    nonzero maximal minor mod p certifies outright; the search probes
+    t = L, L + 1, ... until one probe certifies.  A negative probe is
+    heuristic: past 2 * (sum of multiplicities), beyond any stabilization
+    bound, the search continues with exact values, and the boundary is
+    then re-verified with exact ranks and corrected downward, never below
+    L, on the (never observed) chance a probe understated.
     """
     if z.is_empty():
         raise EmptyScheme("the empty scheme has no regularity index")
     deg = z.degree()
-    if len(z.entries) == 1:
-        return z.entries[0][1] - 1  # single fat point: classical
-    floor = regularity_floor(z)
-    if deg <= 36:
-        t = floor
-        while hilbert_value(z, t) < deg:
-            t += 1
-        return t
-
     total = sum(m for _, m in z.entries)
-
-    def reaches_deg(t: int) -> bool:
-        return linalg.has_full_row_rank(conditions_matrix(z, t))
-
-    if reaches_deg(floor):
-        return floor
-    lo = hi = floor + 1
-    while not reaches_deg(hi):
-        if hi >= 2 * total:  # beyond any stabilization bound: go exact
-            while hilbert_value(z, hi) < deg:
-                hi += 1
+    floor = t = regularity_floor(z)
+    while not linalg.has_full_row_rank(conditions_matrix(z, t)):
+        if t >= 2 * total:
+            while hilbert_value(z, t) < deg:
+                t += 1
             break
-        lo = hi + 1
-        hi = floor + 2 * (hi - floor)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if reaches_deg(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    # Certify the boundary exactly; walk down if a probe understated.
-    while lo > floor and hilbert_value(z, lo - 1) == deg:
-        lo -= 1
-    return lo
+        t += 1
+    while t > floor and hilbert_value(z, t - 1) == deg:
+        t -= 1
+    return t

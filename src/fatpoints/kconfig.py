@@ -240,6 +240,12 @@ def generate_generic(ktype: KType, seed: int, bound: int = 50) -> KConfiguration
     defining lines and never becomes the third point of any previously
     spanned line, so no accidental maximal lines appear.
     """
+    # random_point_on draws u*b1 + v*b2 with |u|, |v| <= bound, (u, v) != 0,
+    # and (u, v), (-u, -v) give one point: a line holds at most this many.
+    if ktype.ds > ((2 * bound + 1) ** 2 - 1) // 2:
+        raise GenerationFailed(
+            f"coordinate bound {bound} is too small for {ktype.ds} points on a line"
+        )
     rng = Random(f"generic:{ktype.d}:{seed}")
     for _ in range(60):
         lines = []

@@ -1,6 +1,6 @@
 """Exact rank of integer matrices.
 
-Two cooperating engines and one shortcut, all exact:
+Two cooperating engines, both exact:
 
 * ``bareiss_rank`` -- fraction-free (Bareiss-style) elimination on
   arbitrary-precision integers.  Entries stay integral throughout; the
@@ -8,23 +8,20 @@ Two cooperating engines and one shortcut, all exact:
   reference engine and the fallback for every other path.
 
 * ``rank`` -- dispatches small matrices straight to Bareiss and large
-  ones to a certified multi-modular path: an elimination mod a 31-bit
-  prime yields candidate pivot rows/columns.  A nonzero pivot minor mod p
-  proves the rank lower bound outright (a nonzero minor mod p is nonzero
-  over Z).  The matching upper bound is proved by expressing every
-  non-pivot row as a rational combination of the pivot rows (coefficients
-  recovered by CRT over several primes plus rational reconstruction) and
-  then verifying that identity in exact integer arithmetic.  Certificates
-  that fail for one prime are retried with another; if certification is
-  not reached the matrix goes to Bareiss.
-
-* Bound pinning -- a caller that holds a proven upper bound on the rank
-  (for conditions matrices, a Cooper-Harbourne-Teitler bound from
-  :mod:`fatpoints.cht`) passes it as ``rank(rows, upper=...)``.  The
-  mod-p rank is a lower bound on the rank over Q, so when it equals the
-  upper bound the rank is exact with no certificate and no Bareiss run,
-  whatever the matrix size.  When the two differ, ``rank`` carries on
-  down the paths above.
+  ones to a certified multi-modular path.  An elimination mod a 31-bit
+  prime yields a rank lower bound (a nonzero minor mod p is nonzero over
+  Z) and candidate pivot rows/columns.  When that lower bound reaches a
+  proven upper bound the rank is pinned exactly, with no certificate and
+  no Bareiss run.  The default bound is ``min(rows, cols)``; a caller that
+  holds a sharper one (for conditions matrices, a
+  Cooper-Harbourne-Teitler bound from :mod:`fatpoints.cht`) passes it as
+  ``rank(rows, upper=...)``, and then the pin is tried at any size.
+  Otherwise the upper bound is proved by expressing every non-pivot row
+  as a rational combination of the pivot rows (coefficients recovered by
+  CRT over several primes plus rational reconstruction) and verifying
+  that identity in exact integer arithmetic.  Certificates that fail for
+  one prime are retried with another; if certification is not reached
+  the matrix goes to Bareiss.
 
 Every returned value is therefore exact regardless of which path
 produced it.
@@ -97,6 +94,8 @@ PRIMES = (
 _SMALL_CELLS = 4200
 # Give up on span certificates beyond this many non-pivot rows.
 _MAX_DEFECT = 64
+# Primes a full-row-rank probe tries before reporting no certificate.
+_PROBE_PRIMES = PRIMES[:2]
 
 
 def bareiss_rank(rows) -> int:
@@ -144,32 +143,6 @@ def bareiss_rank(rows) -> int:
             else:
                 M[r] = [pivval * a for a in row_r]
         prev = pivval
-        pr += 1
-        rank += 1
-        if pr == n:
-            break
-    return rank
-
-
-def fraction_rank(rows) -> int:
-    """Plain Gaussian elimination over Fraction; slow independent oracle."""
-    M = [[Fraction(v) for v in row] for row in rows]
-    n = len(M)
-    if n == 0 or not M[0]:
-        return 0
-    ncols = len(M[0])
-    rank = 0
-    pr = 0
-    for pc in range(ncols):
-        piv = next((r for r in range(pr, n) if M[r][pc]), None)
-        if piv is None:
-            continue
-        M[pr], M[piv] = M[piv], M[pr]
-        pv = M[pr][pc]
-        for r in range(pr + 1, n):
-            f = M[r][pc] / pv
-            if f:
-                M[r] = [a - f * b for a, b in zip(M[r], M[pr])]
         pr += 1
         rank += 1
         if pr == n:
@@ -364,30 +337,24 @@ def _verify_combination(target, piv_mat, coeffs, ncols) -> bool:
 def rank(rows, upper: int | None = None) -> int:
     """Exact rank of an integer matrix; certified fast paths, Bareiss fallback.
 
-    ``upper``, when given, must be a proven upper bound on the rank over Q.
-    One elimination mod p then runs first at any size: its rank is a
-    lower bound, so if it reaches ``upper`` the rank is pinned exactly.
+    ``upper``, when given, must be a proven upper bound on the rank over Q;
+    it tightens the default bound ``min(rows, cols)``.  Each elimination
+    mod p gives a lower bound, so one that reaches the bound pins the rank
+    exactly; a mod-p rank above ``upper`` raises ``ValueError``.
     """
     rows = _strip_rows(rows)
     n = len(rows)
     if n == 0:
         return 0
     m = len(rows[0])
-    if upper is not None:
-        lower, _, _ = _modp_eliminate(_modp_matrix(rows, PRIMES[0]), PRIMES[0])
-        if lower > upper:
-            raise ValueError(f"upper bound {upper} is below the mod-p rank {lower}")
-        if lower == upper:
-            return upper
-    if n * m <= _SMALL_CELLS:
+    if upper is None and n * m <= _SMALL_CELLS:
         return bareiss_rank(rows)
-
-    bound = min(n, m)
-    for idx in range(3):
-        p = PRIMES[idx]
+    bound = min(n, m) if upper is None else min(n, m, upper)
+    for idx, p in enumerate(PRIMES[:3]):
         rp, piv_rows, piv_cols = _modp_eliminate(_modp_matrix(rows, p), p)
+        if rp > bound:
+            raise ValueError(f"upper bound {upper} is below the mod-p rank {rp}")
         if rp == bound:
-            # A full-size nonzero minor mod p: the rank is pinned exactly.
             return rp
         nonpiv = sorted(set(range(n)) - set(piv_rows))
         if len(nonpiv) <= _MAX_DEFECT and _span_certificate(
@@ -397,7 +364,7 @@ def rank(rows, upper: int | None = None) -> int:
     return bareiss_rank(rows)
 
 
-def has_full_row_rank(rows, tries: int = 2) -> bool:
+def has_full_row_rank(rows) -> bool:
     """True is a certificate (nonzero maximal minor mod p); False is only
     an absence of one and may rarely understate the rank."""
     n = len(rows)
@@ -408,7 +375,7 @@ def has_full_row_rank(rows, tries: int = 2) -> bool:
         return True
     if len(stripped[0]) < n:
         return False
-    for p in PRIMES[:tries]:
+    for p in _PROBE_PRIMES:
         rp, _, _ = _modp_eliminate(_modp_matrix(stripped, p), p)
         if rp == n:
             return True

@@ -85,7 +85,10 @@ def verify_main(
     configurations there).
 
     H(t*) is typically full rank and proven by a nonzero maximal minor
-    mod p.  H(t* - 1) is rank-deficient; it is pinned by the
+    mod p.  With ``include_ri`` the regularity index ri is computed first,
+    and when ri <= t* the value H(t*) = deg is read off it: H is
+    nondecreasing and H(ri) = deg is certified, so no second rank runs.
+    H(t* - 1) is rank-deficient; it is pinned by the
     Cooper-Harbourne-Teitler upper bound F_v(t* - 1) of the peeling
     strategies that fit X (:func:`cht.hilbert_upper`): when the mod-p
     rank, a lower bound, reaches F_v the value is exact.  That bound is
@@ -100,7 +103,8 @@ def verify_main(
     z = fatten(x, m)
     t_star = m * ds - 1
     bound = cht.hilbert_upper(x, m)
-    upper = hilbert.hilbert_value(z, t_star)
+    ri = hilbert.regularity_index(z) if include_ri else None
+    upper = z.degree() if include_ri and ri <= t_star else hilbert.hilbert_value(z, t_star)
     lower = hilbert.hilbert_value(z, t_star - 1, bound(t_star - 1)) if t_star >= 1 else 0
     delta = upper - lower
     count, _ = count_lines(x, ds)
@@ -109,7 +113,6 @@ def verify_main(
     red_delta = hilbert.hilbert_value(reduced, ds - 1) - (
         hilbert.hilbert_value(reduced, ds - 2) if ds >= 2 else 0
     )
-    ri = hilbert.regularity_index(z) if include_ri else None
     return VerificationReport(
         config_id=ident or config_id(x),
         ktype=x.ktype.d,

@@ -178,11 +178,15 @@ def test_regularity_floor_is_sound(entries):
     assert regularity_index(z) == ri
 
 
-def test_regularity_floor_counts_line_weight():
-    # three collinear double points: the line carries weight 6, so ri >= 5
+def _collinear_doubles():
     pts = [ProjPoint((0, 0, 1)), ProjPoint((1, 1, 1)), ProjPoint((2, 2, 1)),
            ProjPoint((0, 1, 1))]
-    z = FatPointScheme.from_points(pts, [2, 2, 2, 1])
+    return FatPointScheme.from_points(pts, [2, 2, 2, 1])
+
+
+def test_regularity_floor_counts_line_weight():
+    # three collinear double points: the line carries weight 6, so ri >= 5
+    z = _collinear_doubles()
     assert regularity_floor(z) == 5
     assert regularity_index(z) == _scan_regularity(z) == 5
 
@@ -208,6 +212,53 @@ def test_regularity_index_above_the_floor():
     [((1, 2, 3), 4), ((1, 2, 3, 4), 5), ((1, 2, 3, 4, 5), 6),
      ((1, 3, 4, 5), 3), ((3, 5, 7, 9), 3)],
 )
-def test_regularity_index_on_ladder_shapes(dvec, m):
+def test_regularity_index_on_ladder_shapes(dvec, m, monkeypatch):
     z = fatten(generate_generic(KType(dvec), seed=0, bound=50), m)
+    probes = []
+    real_probe = linalg.has_full_row_rank
+
+    def probe(rows):
+        probes.append(len(rows))
+        return real_probe(rows)
+
+    monkeypatch.setattr(linalg, "has_full_row_rank", probe)
+    monkeypatch.setattr(linalg, "rank", _refuse_rank)
     assert regularity_floor(z) == regularity_index(z) == m * dvec[-1] - 1
+    assert len(probes) == 1  # the floor is certified at once
+
+
+def _refuse_rank(*args, **kwargs):
+    raise AssertionError("the search must not need an exact rank here")
+
+
+def _ladder_123():
+    return fatten(generate_generic(KType((1, 2, 3)), seed=0, bound=50), 4)
+
+
+# k = None: every probe understates.  On the ladder scheme that route
+# builds 38 matrices up to t = 48, so it runs on the small scheme only.
+@pytest.mark.parametrize(
+    "make, ks",
+    [(_collinear_doubles, (1, 3, None)), (_ladder_123, (1, 3))],
+    ids=["collinear_doubles", "ladder_123_4"],
+)
+def test_regularity_index_survives_understating_probes(make, ks, monkeypatch):
+    # A False probe is only the absence of a certificate.  Probes that
+    # understate on their first k calls force the exact walk-down; probes
+    # that always understate run past 2 * (sum of multiplicities) into the
+    # exact upward scan.  Every route must land on the exact scan's answer.
+    z = make()
+    expected = _scan_regularity(z)
+    real_probe = linalg.has_full_row_rank
+    for k in ks:
+        calls = []
+
+        def probe(rows):
+            calls.append(len(rows))
+            return (k is not None and len(calls) > k) and real_probe(rows)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "has_full_row_rank", probe)
+            assert regularity_index(z) == expected
+        total = sum(m for _, m in z.entries)
+        assert len(calls) == (k + 1 if k else 2 * total - regularity_floor(z) + 1)

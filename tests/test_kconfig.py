@@ -18,6 +18,7 @@ from fatpoints.geom import ProjLine, ProjPoint, incident, line_through
 from fatpoints.hilbert import hilbert_table
 from fatpoints.kconfig import (
     Case,
+    GenerationFailed,
     InfeasibleLineCount,
     InvalidLineCount,
     KConfiguration,
@@ -103,6 +104,14 @@ def test_generate_generic_24_stabilizes():
     tab = hilbert_table(fatten(x, 1), 6)
     assert tab.values[-1] == 6
     assert tab.stabilized_at is not None
+
+
+@pytest.mark.parametrize("dvec, bound", [((1,), 0), ((1, 2, 3, 4, 5), 1)])
+def test_generate_generic_refuses_a_bound_too_small_for_one_line(dvec, bound):
+    # A line holds at most ((2 * bound + 1)**2 - 1) / 2 sampled points:
+    # 0 for bound 0 (where sampling would never end) and 4 for bound 1.
+    with pytest.raises(GenerationFailed):
+        generate_generic(KType(dvec), seed=0, bound=bound)
 
 
 def test_generate_with_line_count_star():

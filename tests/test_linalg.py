@@ -12,10 +12,35 @@ from fatpoints.linalg import (
     PRIMES,
     _rational_reconstruct,
     bareiss_rank,
-    fraction_rank,
     has_full_row_rank,
     rank,
 )
+
+
+def fraction_rank(rows) -> int:
+    """Plain Gaussian elimination over Fraction; slow independent oracle."""
+    M = [[Fraction(v) for v in row] for row in rows]
+    n = len(M)
+    if n == 0 or not M[0]:
+        return 0
+    ncols = len(M[0])
+    rank = 0
+    pr = 0
+    for pc in range(ncols):
+        piv = next((r for r in range(pr, n) if M[r][pc]), None)
+        if piv is None:
+            continue
+        M[pr], M[piv] = M[piv], M[pr]
+        pv = M[pr][pc]
+        for r in range(pr + 1, n):
+            f = M[r][pc] / pv
+            if f:
+                M[r] = [a - f * b for a, b in zip(M[r], M[pr])]
+        pr += 1
+        rank += 1
+        if pr == n:
+            break
+    return rank
 
 
 def test_trivial_shapes():
@@ -154,8 +179,26 @@ def test_pin_is_tight_on_large_deficient_conditions_matrix(monkeypatch):
         patch.setattr(linalg, "_span_certificate", _refuse)
         patch.setattr(linalg, "bareiss_rank", _refuse)
         assert rank(M, upper=F) == expected == F
-    # A bound that is not tight falls through to the certified path.
-    assert rank(M, upper=F + 1) == expected
+    # A bound that is not tight falls through to the certified path, which
+    # reuses the first elimination instead of repeating it.
+    primes = []
+    real_eliminate = linalg._modp_eliminate
+
+    def eliminate(A, p):
+        primes.append(p)
+        return real_eliminate(A, p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_modp_eliminate", eliminate)
+        assert rank(M, upper=F + 1) == expected
+    assert primes == [PRIMES[0]]
+
+
+def test_bound_above_the_shape_pins_at_the_shape(monkeypatch):
+    # min(rows, cols) is a bound too: a looser ``upper`` still pins there.
+    M = [[1, 2, 3, 4], [5, 6, 7, 8], [2, 3, 5, 7]]
+    monkeypatch.setattr(linalg, "bareiss_rank", _refuse)
+    assert rank(M, upper=3 + 3) == 3
 
 
 def test_bound_below_modp_rank_is_refused():

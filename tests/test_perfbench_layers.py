@@ -1,0 +1,51 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+``perfbench/spans.py`` wraps ``fatpoints`` functions by module and name, so
+renaming one of them would break ``perfbench/run.py --trace 1``.  The
+tracer is loaded from its file as it is; nothing in it is changed.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import fatpoints
+import fatpoints.cli  # noqa: F401  (the tracer wraps ``cli.main`` too)
+from corpus import config_1345
+from fatpoints import hilbert
+from fatpoints.kconfig import fatten
+
+_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
+spans = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(spans)
+
+
+def _layer_functions():
+    return {
+        (mod, name): getattr(importlib.import_module(f"fatpoints.{mod}"), name, None)
+        for _, mod, name in spans.LAYERS
+    }
+
+
+def test_every_traced_layer_resolves():
+    for (mod, name), func in _layer_functions().items():
+        assert callable(func), f"fatpoints.{mod}.{name} is gone"
+
+
+def test_tracer_records_and_restores():
+    originals = _layer_functions()
+    tracer = spans.Tracer()
+    tracer.install(fatpoints)
+    try:
+        assert hilbert.regularity_index(fatten(config_1345(), 2)) == 9
+    finally:
+        tracer.uninstall()
+    assert _layer_functions() == originals
+    names = [s["name"] for s in tracer.spans]
+    assert names[0] == "hilbert.regularity_index"
+    assert "hilbert.conditions_matrix" in names
+    assert "linalg.has_full_row_rank" in names
+    metrics = spans.layer_metrics(tracer.spans, set())
+    assert metrics["hilbert.regularity_index.calls"][0] == 1
+    assert metrics["linalg.has_full_row_rank.hit_frac"][0] == 1.0

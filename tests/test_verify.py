@@ -7,6 +7,7 @@ from corpus import (
     config_1345,
     full_corpus,
 )
+from fatpoints import hilbert
 from fatpoints.kconfig import KType, generate_generic, generate_with_line_count
 from fatpoints.verify import (
     MultiplicityBelowThreshold,
@@ -143,3 +144,21 @@ def test_family_s3_complete():
 def test_family_threshold():
     with pytest.raises(MultiplicityBelowThreshold):
         hilbert_family(3, 3, seed=0)
+
+
+def test_verify_main_reuses_ri_for_the_top_value(monkeypatch):
+    # ri = t* = 11 here, so H(t*) = deg comes from the regularity search and
+    # the t* matrix, the largest one, is built once, by its single probe.
+    x, m = config_123_one(), 4
+    t_star = m * x.ktype.ds - 1
+    degrees = []
+    real = hilbert.conditions_matrix
+
+    def spy(z, t):
+        degrees.append(t)
+        return real(z, t)
+
+    monkeypatch.setattr(hilbert, "conditions_matrix", spy)
+    rep = verify_main(x, m, include_ri=True)
+    assert rep.ri == t_star and degrees.count(t_star) == 1
+    assert rep.delta_value == verify_main(x, m).delta_value == 1

@@ -20,6 +20,7 @@ point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from math import comb
 from random import Random
 
@@ -116,10 +117,11 @@ def hilbert_upper(x, m: int):
     strategy gives a complete reduction.
     """
     z = _kconfig.fatten(x, m)
+    classify = cache(partial(_kconfig.classify_case, x))  # STAR and AUGMENTED share it
     vectors = []
     for strategy in (REPEAT_DESCENDING, STAR, AUGMENTED):
         try:
-            lines = peeling_sequence(x, m, strategy)
+            lines = _peeling_sequence(x, m, strategy, 0, classify)
         except StrategyInapplicable:
             continue
         v = reduction_vector(z, lines)
@@ -142,6 +144,11 @@ def peeling_sequence(x, m: int, strategy: str, seed: int = 0) -> list[ProjLine]:
     case with exactly s full lines equal to the defining lines, and
     m >= 2.
     """
+    return _peeling_sequence(x, m, strategy, seed, partial(_kconfig.classify_case, x))
+
+
+def _peeling_sequence(x, m: int, strategy: str, seed: int, classify) -> list[ProjLine]:
+    """:func:`peeling_sequence` with ``classify()`` giving classify_case(x)."""
     if m < 1:
         raise ValueError("multiplicity must be positive")
     descending = list(reversed(x.lines))
@@ -150,23 +157,23 @@ def peeling_sequence(x, m: int, strategy: str, seed: int = 0) -> list[ProjLine]:
     if strategy == STAR:
         if x.ktype.ds != x.ktype.s:
             raise StrategyInapplicable("star peeling needs type (1, ..., s)")
-        tri = _kconfig.classify_case(x)
+        tri = classify()
         if tri.case != _kconfig.Case.MANY:
             raise StrategyInapplicable("star peeling needs s + 1 full lines")
         full = sorted(tri.full_lines, reverse=True)
         passes = -(-m // 2)
         return full * passes
     if strategy == AUGMENTED:
-        return _augmented_sequence(x, m, seed)
+        return _augmented_sequence(x, m, seed, classify)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _augmented_sequence(x, m: int, seed: int) -> list[ProjLine]:
+def _augmented_sequence(x, m: int, seed: int, classify) -> list[ProjLine]:
     if m < 2:
         raise StrategyInapplicable("the augmented peeling needs m >= 2")
     if x.ktype.ds != x.ktype.s:
         raise StrategyInapplicable("augmented peeling needs type (1, ..., s)")
-    tri = _kconfig.classify_case(x)
+    tri = classify()
     if tri.case != _kconfig.Case.EXACT:
         raise StrategyInapplicable("augmented peeling needs exactly s full lines")
     if set(tri.full_lines) != set(x.lines):

@@ -12,15 +12,23 @@ correct (order-t partials of a degree-t form are its coefficients up to
 nonzero factorials).
 
 Rank computation is delegated to :mod:`fatpoints.linalg`; every value
-returned here is exact.
+returned here is exact.  The matrix is built residue first: a
+:class:`ConditionsMatrix` gives its residues mod p straight from the
+coordinates mod p and a falling-factorial table, in int64 numpy, and
+builds its exact integer rows only when they are read, which the rank
+layer does for Bareiss on small matrices and for span certificates.
+Probes and pinned values, which settle nearly every large matrix, never
+read them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+
+import numpy as np
 
 from . import linalg
 from .geom import line_through
@@ -40,44 +48,153 @@ def monomial_exponents(t: int) -> list[tuple[int, int, int]]:
     return [(t - b - c, b, c) for b in range(t + 1) for c in range(t - b + 1)]
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
+def _falling_table(n: int, k: int) -> list[list[int]]:
+    """F[e][a] = e (e - 1) ... (e - a + 1) for 0 <= e <= n, 0 <= a <= k.
+
+    F[e][a] = 0 when a > e, which is what zeroes a derivative whose order
+    exceeds the monomial's exponent.
+    """
+    table = []
+    for e in range(n + 1):
+        row = [1]
+        for a in range(k):
+            row.append(row[-1] * (e - a))
+        table.append(row)
+    return table
 
 
-def conditions_matrix(z: FatPointScheme, t: int) -> list[list[int]]:
-    """Integer matrix whose rank is the Hilbert function value at t.
+class _Stencil:
+    """What one operator order contributes, shared by every point of that order.
+
+    ``ops`` are the operators d^a d^b d^c with a + b + c = order, ``cols``
+    the degree-t monomials; cell (i, j) is coefficient[i][j] times the
+    point's value on the shifted monomial ``shift[i, j]`` (an index into
+    ``shifted``, the monomials of degree ``d`` = t - order).  The coefficient is a product of
+    three falling factorials and is 0 where an exponent falls short, so
+    ``shift`` may hold any valid index there.
+    """
+
+    def __init__(self, t: int, order: int):
+        self.d = d = t - order
+        self.falling = _falling_table(t, order)
+        self.ops = np.array(
+            [(a, b, order - a - b) for a in range(order + 1) for b in range(order - a + 1)],
+            dtype=np.int64,
+        )
+        self.cols = np.array(monomial_exponents(t), dtype=np.int64)
+        self.shifted = np.array(monomial_exponents(d), dtype=np.int64)
+        diff = self.cols[None, :, :] - self.ops[:, None, :]
+        b, c = diff[..., 1], diff[..., 2]
+        index = b * (d + 1) - b * (b - 1) // 2 + c  # position in monomial_exponents(d)
+        self.shift = np.where((diff >= 0).all(axis=2), index, 0)
+        self._coefficients = None
+        self._residues: dict[int, np.ndarray] = {}
+
+    def coefficients(self) -> list[list[int]]:
+        """Exact coefficients, one list per operator."""
+        if self._coefficients is None:
+            F, cols = self.falling, self.cols.tolist()
+            self._coefficients = [
+                [F[e0][a] * F[e1][b] * F[e2][c] for e0, e1, e2 in cols]
+                for a, b, c in self.ops.tolist()
+            ]
+        return self._coefficients
+
+    def coefficients_mod(self, p: int) -> np.ndarray:
+        """The coefficients mod p, as an int64 array."""
+        if p not in self._residues:
+            F = np.array([[f % p for f in row] for row in self.falling], dtype=np.int64)
+            E, A = self.cols[None, :, :], self.ops[:, None, :]
+            out = F[E[..., 0], A[..., 0]] * F[E[..., 1], A[..., 1]] % p
+            self._residues[p] = out * F[E[..., 2], A[..., 2]] % p
+        return self._residues[p]
+
+
+class ConditionsMatrix(Sequence):
+    """The conditions matrix of a scheme in degree t, built on demand.
 
     Rows: for each point of multiplicity m, one row per operator
-    d^a d^b d^c with a + b + c = min(m - 1, t); columns: degree-t
-    monomials; entries: the derivative of the monomial evaluated at the
-    point's integer coordinates.
+    d^a d^b d^c with a + b + c = min(m - 1, t), a = 0, 1, ... and, within
+    a, b = 0, 1, ...; columns: the degree-t monomials of
+    :func:`monomial_exponents`; entries: the derivative of the monomial
+    evaluated at the point's integer coordinates.
+
+    ``len`` comes from the scheme alone.  The exact integer rows are
+    built on first row access and kept.  ``mod(p)`` builds the residues
+    mod p directly from the coordinates mod p, without the exact rows;
+    :mod:`fatpoints.linalg` takes its residues from there.
     """
-    if t < 0:
-        raise ValueError("degree must be nonnegative")
-    mons = monomial_exponents(t)
-    rows: list[list[int]] = []
-    for point, mult in z.entries:
-        x, y, w = point.coords
-        order = min(mult - 1, t)
-        # Shifted exponents all have degree t - order: tabulate once.
-        powers = {}
-        for (e0, e1, e2) in monomial_exponents(t - order):
-            powers[(e0, e1, e2)] = x**e0 * y**e1 * w**e2
-        for a in range(order + 1):
-            for b in range(order - a + 1):
-                c = order - a - b
-                row = []
-                for (e0, e1, e2) in mons:
-                    if e0 < a or e1 < b or e2 < c:
-                        row.append(0)
-                        continue
-                    coef = _falling(e0, a) * _falling(e1, b) * _falling(e2, c)
-                    row.append(coef * powers[(e0 - a, e1 - b, e2 - c)])
-                rows.append(row)
-    return rows
+
+    def __init__(self, z: FatPointScheme, t: int):
+        if t < 0:
+            raise ValueError("degree must be nonnegative")
+        self.scheme = z
+        self.degree = t
+        self._stencils: dict[int, _Stencil] = {}
+        self._rows: list[list[int]] | None = None
+
+    def _points(self):
+        """(coordinates, stencil) per point, in scheme order."""
+        t = self.degree
+        for point, mult in self.scheme.entries:
+            order = min(mult - 1, t)
+            if order not in self._stencils:
+                self._stencils[order] = _Stencil(t, order)
+            yield point.coords, self._stencils[order]
+
+    def __len__(self) -> int:
+        t = self.degree
+        return sum(comb(min(m - 1, t) + 2, 2) for _, m in self.scheme.entries)
+
+    def __getitem__(self, i):
+        return self._exact()[i]
+
+    def __iter__(self):
+        return iter(self._exact())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._exact() == list(other)
+
+    __hash__ = None
+
+    def _exact(self) -> list[list[int]]:
+        if self._rows is None:
+            self._rows = self._build_rows()
+        return self._rows
+
+    def _build_rows(self) -> list[list[int]]:
+        rows = []
+        for coords, st in self._points():
+            X, Y, W = ([v**j for j in range(st.d + 1)] for v in coords)
+            values = [X[e0] * Y[e1] * W[e2] for e0, e1, e2 in st.shifted.tolist()]
+            for coef, shift in zip(st.coefficients(), st.shift.tolist()):
+                rows.append([c * values[s] if c else 0 for c, s in zip(coef, shift)])
+        return rows
+
+    def mod(self, p: int) -> np.ndarray:
+        """The matrix reduced mod p as int64, for a prime p < 2**31.
+
+        Every product is of two residues, so it stays below 2**62.
+        """
+        blocks = [np.zeros((0, comb(self.degree + 2, 2)), dtype=np.int64)]
+        for coords, st in self._points():
+            X, Y, W = (np.array([pow(v, j, p) for j in range(st.d + 1)], dtype=np.int64)
+                       for v in coords)
+            S = st.shifted
+            values = X[S[:, 0]] * Y[S[:, 1]] % p * W[S[:, 2]] % p
+            blocks.append(st.coefficients_mod(p) * values[st.shift] % p)
+        return np.concatenate(blocks)
+
+
+def conditions_matrix(z: FatPointScheme, t: int) -> ConditionsMatrix:
+    """The matrix whose rank is the Hilbert function value at t.
+
+    See :class:`ConditionsMatrix`: a read-only sequence of integer rows,
+    built on demand, with ``mod(p)`` for its residues.
+    """
+    return ConditionsMatrix(z, t)
 
 
 def hilbert_value(z: FatPointScheme, t: int, upper: int | None = None) -> int:

@@ -8,11 +8,15 @@ Two cooperating engines, both exact:
   reference engine and the fallback for every other path.
 
 * ``rank`` -- dispatches small matrices straight to Bareiss and large
-  ones to a certified multi-modular path.  An elimination mod a 31-bit
-  prime yields a rank lower bound (a nonzero minor mod p is nonzero over
-  Z) and candidate pivot rows/columns.  When that lower bound reaches a
-  proven upper bound the rank is pinned exactly, with no certificate and
-  no Bareiss run.  The default bound is ``min(rows, cols)``; a caller that
+  ones to a certified multi-modular path.  Residues come first: a matrix
+  with a ``mod(p)`` method (a conditions matrix from
+  :mod:`fatpoints.hilbert`) builds its own int64 residues, any other
+  sequence of integer rows is reduced cell by cell, and the exact rows
+  are read only by Bareiss and by the span certificate.  An elimination
+  mod a 31-bit prime yields a rank lower bound (a nonzero minor mod p is
+  nonzero over Z) and candidate pivot rows/columns.  When that lower
+  bound reaches a proven upper bound the rank is pinned exactly, with no
+  certificate and no Bareiss run.  The default bound is ``min(rows, cols)``; a caller that
   holds a sharper one (for conditions matrices, a
   Cooper-Harbourne-Teitler bound from :mod:`fatpoints.cht`) passes it as
   ``rank(rows, upper=...)``, and then the pin is tried at any size.
@@ -151,7 +155,7 @@ def bareiss_rank(rows) -> int:
 
 
 def _strip_rows(rows):
-    """Drop zero rows and divide each row by its content; rank-preserving."""
+    """Divide each row by its content; rank- and index-preserving."""
     out = []
     for row in rows:
         g = 0
@@ -159,13 +163,16 @@ def _strip_rows(rows):
             g = gcd(g, v if v >= 0 else -v)
             if g == 1:
                 break
-        if g == 0:
-            continue
         out.append([v // g for v in row] if g > 1 else list(row))
     return out
 
 
 def _modp_matrix(rows, p: int) -> np.ndarray:
+    """The residues mod p as int64: from ``rows.mod(p)`` when the matrix
+    builds them itself (a conditions matrix does), else cell by cell."""
+    mod = getattr(rows, "mod", None)
+    if mod is not None:
+        return mod(p)
     return np.array([[v % p for v in row] for row in rows], dtype=np.int64)
 
 
@@ -341,42 +348,50 @@ def rank(rows, upper: int | None = None) -> int:
     it tightens the default bound ``min(rows, cols)``.  Each elimination
     mod p gives a lower bound, so one that reaches the bound pins the rank
     exactly; a mod-p rank above ``upper`` raises ``ValueError``.
+
+    The residues come first, from ``rows.mod(p)`` when the matrix has it;
+    the exact rows are read (and content-divided) only for Bareiss on a
+    small matrix without ``upper`` or for the span certificate after a
+    missed pin.
     """
-    rows = _strip_rows(rows)
     n = len(rows)
     if n == 0:
         return 0
-    m = len(rows[0])
+    first = _modp_matrix(rows, PRIMES[0])
+    m = first.shape[1]
     if upper is None and n * m <= _SMALL_CELLS:
-        return bareiss_rank(rows)
+        return bareiss_rank(_strip_rows(rows))
     bound = min(n, m) if upper is None else min(n, m, upper)
+    exact = None
     for idx, p in enumerate(PRIMES[:3]):
-        rp, piv_rows, piv_cols = _modp_eliminate(_modp_matrix(rows, p), p)
+        residues = first if idx == 0 else _modp_matrix(rows, p)
+        rp, piv_rows, piv_cols = _modp_eliminate(residues, p)
         if rp > bound:
             raise ValueError(f"upper bound {upper} is below the mod-p rank {rp}")
         if rp == bound:
             return rp
         nonpiv = sorted(set(range(n)) - set(piv_rows))
-        if len(nonpiv) <= _MAX_DEFECT and _span_certificate(
-            rows, sorted(piv_rows), nonpiv, piv_cols, idx
-        ):
-            return rp
-    return bareiss_rank(rows)
+        if len(nonpiv) <= _MAX_DEFECT:
+            exact = exact or _strip_rows(rows)
+            if _span_certificate(exact, sorted(piv_rows), nonpiv, piv_cols, idx):
+                return rp
+    return bareiss_rank(exact or _strip_rows(rows))
 
 
 def has_full_row_rank(rows) -> bool:
     """True is a certificate (nonzero maximal minor mod p); False is only
-    an absence of one and may rarely understate the rank."""
+    an absence of one and may rarely understate the rank.
+
+    Only residues are used (``rows.mod(p)`` when the matrix has it); the
+    exact rows are never read.
+    """
     n = len(rows)
-    stripped = _strip_rows(rows)
-    if len(stripped) < n:
-        return False  # a zero row
     if n == 0:
         return True
-    if len(stripped[0]) < n:
-        return False
     for p in _PROBE_PRIMES:
-        rp, _, _ = _modp_eliminate(_modp_matrix(stripped, p), p)
-        if rp == n:
+        residues = _modp_matrix(rows, p)
+        if residues.shape[1] < n:
+            return False
+        if _modp_eliminate(residues, p)[0] == n:
             return True
     return False

@@ -1,12 +1,14 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import config_123_one, config_1234, config_1345
 from fatpoints import linalg
 from fatpoints.geom import ProjPoint, random_point
+from fatpoints.linalg import PRIMES
 from fatpoints.hilbert import (
     EmptyScheme,
     HilbertTable,
@@ -39,6 +41,68 @@ def test_conditions_matrix_double_point():
 
 def test_conditions_matrix_empty():
     assert conditions_matrix(FatPointScheme.from_points([], []), 2) == []
+
+
+def _reference_rows(z, t):
+    """The conditions matrix cell by cell, with a falling factorial per cell."""
+
+    def falling(n, k):
+        out = 1
+        for i in range(k):
+            out *= n - i
+        return out
+
+    rows = []
+    for point, mult in z.entries:
+        x, y, w = point.coords
+        order = min(mult - 1, t)
+        for a in range(order + 1):
+            for b in range(order - a + 1):
+                c = order - a - b
+                rows.append([
+                    falling(e0, a) * falling(e1, b) * falling(e2, c)
+                    * x ** max(e0 - a, 0) * y ** max(e1 - b, 0) * w ** max(e2 - c, 0)
+                    for e0, e1, e2 in monomial_exponents(t)
+                ])
+    return rows
+
+
+_LADDER = [((1, 2, 3), 4), ((1, 2, 3, 4), 5), ((1, 2, 3, 4, 5), 6),
+           ((1, 3, 4, 5), 3), ((3, 5, 7, 9), 3)]
+
+
+def _ladder_matrices():
+    for dvec, m in _LADDER:
+        z = fatten(generate_generic(KType(dvec), seed=0, bound=50), m)
+        t_star = m * dvec[-1] - 1
+        for t in (t_star - 1, t_star):
+            yield f"{dvec}/{m}@{t}", z, t
+    # zero and negative coordinates; t < m - 1 clamps the operator order
+    odd = FatPointScheme.from_points(
+        [ProjPoint((0, -3, 1)), ProjPoint((2, 0, -5)), ProjPoint((-1, -1, 0))], [4, 2, 6]
+    )
+    for t in (0, 1, 3, 4, 7):
+        yield f"odd@{t}", odd, t
+
+
+@pytest.mark.parametrize(
+    "z, t", [pytest.param(z, t, id=name) for name, z, t in _ladder_matrices()]
+)
+def test_residues_equal_exact_matrix_mod_p(z, t):
+    M = conditions_matrix(z, t)
+    rows = _reference_rows(z, t)
+    assert len(M) == len(rows)  # from the scheme, before any row is built
+    assert M == rows
+    for p in (PRIMES[0], PRIMES[1], 101):
+        R = M.mod(p)
+        assert R.dtype == np.int64
+        assert R.tolist() == [[v % p for v in row] for row in rows], p
+
+
+def test_ladder_matrices_carry_large_entries():
+    bits = max(abs(v).bit_length() for _, z, t in _ladder_matrices()
+               for row in conditions_matrix(z, t) for v in row)
+    assert bits > 300
 
 
 def test_walkthrough_values():

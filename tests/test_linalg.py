@@ -139,8 +139,10 @@ def test_rank_engines_agree_random(rows):
 # Cooper-Harbourne-Teitler peeling bounds.
 
 from fatpoints.cht import hilbert_upper
-from fatpoints.hilbert import conditions_matrix
+from fatpoints.geom import ProjPoint
+from fatpoints.hilbert import conditions_matrix, hilbert_value
 from fatpoints.kconfig import KType, fatten, generate_generic
+from fatpoints.scheme import FatPointScheme
 
 
 def _generic_matrix(dvec, m, t):
@@ -206,3 +208,21 @@ def test_bound_below_modp_rank_is_refused():
     with pytest.raises(ValueError):
         rank(M, upper=2)
     assert rank(M, upper=3) == 3
+
+
+def test_lost_residue_falls_back_to_an_exact_rank():
+    # (PRIMES[0], 1, 1) and (0, 1, 1) are distinct points that coincide mod
+    # PRIMES[0], so every elimination mod that prime understates the rank.
+    p = PRIMES[0]
+    pts = [ProjPoint((p, 1, 1)), ProjPoint((0, 1, 1)), ProjPoint((1, 0, 1))]
+    z = FatPointScheme.from_points(pts, [2, 2, 2])
+    lost = 0
+    for t in range(5):
+        M = conditions_matrix(z, t)
+        expected = bareiss_rank(M)
+        lost += linalg._modp_eliminate(M.mod(p), p)[0] < expected
+        assert hilbert_value(z, t) == expected
+        assert hilbert_value(z, t, upper=expected) == expected
+        assert hilbert_value(z, t, upper=expected + 1) == expected
+        assert has_full_row_rank(M) == (expected == len(M))
+    assert lost == 3  # t = 2, 3, 4

@@ -14,6 +14,7 @@ import fatpoints.cli  # noqa: F401  (the tracer wraps ``cli.main`` too)
 from corpus import config_1345
 from fatpoints import hilbert
 from fatpoints.kconfig import fatten
+from fatpoints.verify import verify_main
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 _spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
@@ -49,3 +50,22 @@ def test_tracer_records_and_restores():
     metrics = spans.layer_metrics(tracer.spans, set())
     assert metrics["hilbert.regularity_index.calls"][0] == 1
     assert metrics["linalg.has_full_row_rank.hit_frac"][0] == 1.0
+
+
+def test_tracer_annotates_a_verify_pass():
+    # The rank and conditions_matrix notes read the matrix as a sequence of
+    # integer rows; a traced verify pass must get through them.
+    tracer = spans.Tracer()
+    tracer.install(fatpoints)
+    try:
+        rep = verify_main(config_1345(), 2, include_ri=True)
+    finally:
+        tracer.uninstall()
+    assert rep.ri == 9
+    mats = [s for s in tracer.spans if s["name"] == "hilbert.conditions_matrix"]
+    ranks = [s for s in tracer.spans if s["name"] == "linalg.rank"]
+    assert mats and ranks
+    assert all(s["cells"] > 0 and s["max_bits"] > 0 for s in mats)
+    assert all(s["rows"] * s["cols"] > 0 and s["result"] > 0 for s in ranks)
+    metrics = spans.layer_metrics(tracer.spans, set())
+    assert metrics["hilbert.conditions_matrix.cells"][0] == sum(s["cells"] for s in mats)

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from corpus import (
@@ -7,7 +9,7 @@ from corpus import (
     config_1345,
     full_corpus,
 )
-from fatpoints import hilbert
+from fatpoints import hilbert, linalg
 from fatpoints.kconfig import KType, generate_generic, generate_with_line_count
 from fatpoints.verify import (
     MultiplicityBelowThreshold,
@@ -162,3 +164,20 @@ def test_verify_main_reuses_ri_for_the_top_value(monkeypatch):
     rep = verify_main(x, m, include_ri=True)
     assert rep.ri == t_star and degrees.count(t_star) == 1
     assert rep.delta_value == verify_main(x, m).delta_value == 1
+
+
+def test_verify_main_builds_no_large_exact_matrix(monkeypatch):
+    # Every large matrix of this check is settled by residues alone (a probe
+    # or a pinned value); exact rows are built only for small Bareiss runs.
+    built = []
+    real = hilbert.ConditionsMatrix._build_rows
+
+    def spy(self):
+        built.append(len(self) * comb(self.degree + 2, 2))
+        return real(self)
+
+    monkeypatch.setattr(hilbert.ConditionsMatrix, "_build_rows", spy)
+    x = generate_generic(KType((1, 2, 3, 4)), seed=0, bound=50)
+    rep = verify_main(x, 5, include_ri=True)
+    assert rep.matches and rep.ri == 5 * 4 - 1
+    assert built and max(built) <= linalg._SMALL_CELLS

@@ -201,7 +201,7 @@ def hilbert_value(z: FatPointScheme, t: int, upper: int | None = None) -> int:
     """H_Z(t) = dim R_t - dim (I_Z)_t, as an exact matrix rank.
 
     ``upper`` is an optional proven upper bound on H_Z(t); it lets the
-    rank be pinned by one elimination mod p (see :func:`linalg.rank`).
+    rank be pinned by an elimination mod p (see :func:`linalg.rank`).
     """
     if t < 0:
         return 0

@@ -13,22 +13,35 @@ Two cooperating engines, both exact:
   :mod:`fatpoints.hilbert`) builds its own int64 residues, any other
   sequence of integer rows is reduced cell by cell, and the exact rows
   are read only by Bareiss and by the span certificate.  An elimination
-  mod a 31-bit prime yields a rank lower bound (a nonzero minor mod p is
-  nonzero over Z) and candidate pivot rows/columns.  When that lower
-  bound reaches a proven upper bound the rank is pinned exactly, with no
-  certificate and no Bareiss run.  The default bound is ``min(rows, cols)``; a caller that
+  mod p yields a rank lower bound (a nonzero minor mod p is nonzero over
+  Z) and candidate pivot rows/columns.  When that lower bound reaches a
+  proven upper bound the rank is pinned exactly, with no certificate and
+  no Bareiss run.  The default bound is ``min(rows, cols)``; a caller that
   holds a sharper one (for conditions matrices, a
   Cooper-Harbourne-Teitler bound from :mod:`fatpoints.cht`) passes it as
   ``rank(rows, upper=...)``, and then the pin is tried at any size.
   Otherwise the upper bound is proved by expressing every non-pivot row
   as a rational combination of the pivot rows (coefficients recovered by
   CRT over several primes plus rational reconstruction) and verifying
-  that identity in exact integer arithmetic.  Certificates that fail for
-  one prime are retried with another; if certification is not reached
-  the matrix goes to Bareiss.
+  that identity in exact integer arithmetic.  If certification is not
+  reached the matrix goes to Bareiss.
 
 Every returned value is therefore exact regardless of which path
 produced it.
+
+Primes have two roles.  The eliminations that pin a rank or probe for
+full row rank run modulo the two ``_ELIM_PRIMES``, below 2**20, in
+float64: a blocked right-looking elimination with delayed modular
+reduction and one BLAS matrix product per panel of columns, after
+FFLAS-FFPACK (Dumas, Giorgi and Pernet, "Dense linear algebra over
+word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3),
+2008).  Every float it holds is an integer below 2**53 in absolute value,
+so every product and sum is exact whatever order BLAS adds in: residues
+are below p, and a cell is reduced again before it carries more than
+``(2**53 - p) // (p - 1)**2`` products of two residues (8192 for a
+20-bit p, more than any matrix here needs).  The 31-bit ``PRIMES`` are
+the CRT moduli of the span certificate, whose int64 solves hold single
+products of residues, below 2**62.
 
 The modular arithmetic here is an internal certification device only;
 geometric coefficients elsewhere in the package remain rational.
@@ -46,7 +59,8 @@ try:
 except ImportError:  # gmpy2 is an optional extra: ``pip install .[gmpy2]``
     mpz = int  # Python int gives the same exact results, only slower
 
-# Verified 31-bit primes; products of prefixes serve as CRT moduli.
+# Verified 31-bit primes; products of prefixes serve as the span
+# certificate's CRT moduli.
 PRIMES = (
     2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
     2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
@@ -98,8 +112,11 @@ PRIMES = (
 _SMALL_CELLS = 4200
 # Give up on span certificates beyond this many non-pivot rows.
 _MAX_DEFECT = 64
-# Primes a full-row-rank probe tries before reporting no certificate.
-_PROBE_PRIMES = PRIMES[:2]
+# Primes below 2**20 for the float64 eliminations that pin ranks and probe
+# for full row rank; disjoint from ``PRIMES``.
+_ELIM_PRIMES = (1048573, 1048571)
+# Columns per panel of ``_modp_eliminate``: one BLAS product per panel.
+_PANEL = 32
 
 
 def bareiss_rank(rows) -> int:
@@ -179,37 +196,72 @@ def _modp_matrix(rows, p: int) -> np.ndarray:
 def _modp_eliminate(A: np.ndarray, p: int):
     """Row echelon mod p.  Returns (rank, pivot_row_idx, pivot_col_idx).
 
-    Row indices refer to the caller's original row order.  int64 is safe:
-    a single product of residues stays below 2**62.
+    Row indices refer to the caller's original row order.  The pivot of
+    each column is its first nonzero entry at or below the current row,
+    swapped into place, so the result is that of plain Gaussian
+    elimination mod p.
+
+    The work is in float64, blocked by panels of ``_PANEL`` columns.
+    Within a panel each column is brought up to date by the panel's
+    earlier pivots when its turn comes, and the pivot row is finished by
+    forward substitution against them; only that column and that row are
+    reduced mod p.  The rows below then get one ``L @ U`` product for the
+    whole panel.  Residues are below p, so a cell stays exact while it
+    carries at most ``(2**53 - p) // (p - 1)**2`` such products; the
+    trailing block is reduced only before it would pass that count, and
+    a prime too large for one panel of products raises ``ValueError``.
     """
-    M = A % p
+    limit = (2**53 - p) // (p - 1) ** 2
+    if limit < _PANEL:
+        raise ValueError(f"prime {p} is too large for exact float64 elimination")
+    M = (A % p).astype(np.float64)
     n, m = M.shape
+    L = np.empty((n, _PANEL))  # multipliers of the current panel's pivots
     perm = list(range(n))
     pr = 0
     piv_rows: list[int] = []
     piv_cols: list[int] = []
-    for pc in range(m):
-        col = M[pr:, pc]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        r = pr + int(nz[0])
-        if r != pr:
-            M[[pr, r]] = M[[r, pr]]
-            perm[pr], perm[r] = perm[r], perm[pr]
-        inv = pow(int(M[pr, pc]), p - 2, p)
-        below = M[pr + 1 :, pc]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            factors = (below[nzb] * inv) % p
-            M[pr + 1 + nzb, pc:] = (
-                M[pr + 1 + nzb, pc:] - factors[:, None] * M[pr, pc:]
-            ) % p
-        piv_rows.append(perm[pr])
-        piv_cols.append(pc)
-        pr += 1
-        if pr == n:
-            break
+    products = 0  # products a trailing cell carries since its last reduction
+    for c0 in range(0, m, _PANEL):
+        c1 = min(c0 + _PANEL, m)
+        if products + (c1 - c0) > limit:
+            np.remainder(M[pr:, c0:], p, out=M[pr:, c0:])
+            products = 0
+        top = pr
+        for pc in range(c0, c1):
+            k = pr - top
+            col = M[pr:, pc] - L[pr:, :k] @ M[top:pr, pc]
+            np.remainder(col, p, out=col)
+            nz = col.nonzero()[0]
+            if not nz.size:
+                continue
+            j = int(nz[0])
+            inv = pow(int(col[j]), -1, p)
+            if j:  # swap rows pr and pr + j by copy
+                r = pr + j
+                row = M[r, c0:].copy()
+                M[r, c0:] = M[pr, c0:]
+                M[pr, c0:] = row
+                row = L[r, :k].copy()
+                L[r, :k] = L[pr, :k]
+                L[pr, :k] = row
+                col[j] = col[0]
+                perm[pr], perm[r] = perm[r], perm[pr]
+            u = M[pr, pc + 1 :]
+            u -= L[pr, :k] @ M[top:pr, pc + 1 :]
+            np.remainder(u, p, out=u)
+            lower = L[pr + 1 :, k]
+            np.multiply(col[1:], inv, out=lower)
+            np.remainder(lower, p, out=lower)
+            piv_rows.append(perm[pr])
+            piv_cols.append(pc)
+            pr += 1
+            if pr == n:
+                return pr, piv_rows, piv_cols
+        k = pr - top
+        if k and c1 < m:
+            M[pr:, c1:] -= L[pr:, :k] @ M[top:pr, c1:]
+            products += k
     return pr, piv_rows, piv_cols
 
 
@@ -261,7 +313,7 @@ def _rational_reconstruct(x: int, modulus: int):
     return Fraction(num, den)
 
 
-def _span_certificate(rows, piv_rows, nonpiv_rows, piv_cols, lead_prime_idx) -> bool:
+def _span_certificate(rows, piv_rows, nonpiv_rows, piv_cols) -> bool:
     """Prove every non-pivot row lies in the rational span of pivot rows.
 
     The combination coefficients are recovered modulo a growing product
@@ -280,9 +332,7 @@ def _span_certificate(rows, piv_rows, nonpiv_rows, piv_cols, lead_prime_idx) -> 
     remaining = set(range(k))
     retry_bits = {}  # row -> modulus bits before re-verifying a reconstruction
     since_attempt = 0
-    for prime_idx, p in enumerate(PRIMES):
-        if prime_idx == lead_prime_idx:
-            continue
+    for p in PRIMES:
         A = np.array([[rows[i][c] % p for c in piv_cols] for i in piv_rows],
                      dtype=np.int64)
         B = np.array([[rows[i][c] % p for c in piv_cols] for i in nonpiv_rows],
@@ -351,31 +401,40 @@ def rank(rows, upper: int | None = None) -> int:
 
     The residues come first, from ``rows.mod(p)`` when the matrix has it;
     the exact rows are read (and content-divided) only for Bareiss on a
-    small matrix without ``upper`` or for the span certificate after a
-    missed pin.
+    small matrix without ``upper`` or after a missed pin.  The matrix is
+    eliminated in float64 mod each of the two ``_ELIM_PRIMES`` (below
+    2**20, so every product is exact; see :func:`_modp_eliminate`), the
+    second only when the first misses the bound, since an unlucky prime
+    can lose rank.  When both miss, one span certificate over the 31-bit
+    CRT ``PRIMES`` checks the pivots of the larger mod-p rank, and Bareiss
+    settles what it cannot.
     """
     n = len(rows)
     if n == 0:
         return 0
-    first = _modp_matrix(rows, PRIMES[0])
+    first = _modp_matrix(rows, _ELIM_PRIMES[0])
     m = first.shape[1]
     if upper is None and n * m <= _SMALL_CELLS:
         return bareiss_rank(_strip_rows(rows))
     bound = min(n, m) if upper is None else min(n, m, upper)
-    exact = None
-    for idx, p in enumerate(PRIMES[:3]):
-        residues = first if idx == 0 else _modp_matrix(rows, p)
-        rp, piv_rows, piv_cols = _modp_eliminate(residues, p)
-        if rp > bound:
-            raise ValueError(f"upper bound {upper} is below the mod-p rank {rp}")
-        if rp == bound:
-            return rp
-        nonpiv = sorted(set(range(n)) - set(piv_rows))
-        if len(nonpiv) <= _MAX_DEFECT:
-            exact = exact or _strip_rows(rows)
-            if _span_certificate(exact, sorted(piv_rows), nonpiv, piv_cols, idx):
-                return rp
-    return bareiss_rank(exact or _strip_rows(rows))
+    best = None
+    for p in _ELIM_PRIMES:
+        residues = first if p == _ELIM_PRIMES[0] else _modp_matrix(rows, p)
+        found = _modp_eliminate(residues, p)
+        if found[0] > bound:
+            raise ValueError(f"upper bound {upper} is below the mod-p rank {found[0]}")
+        if found[0] == bound:
+            return found[0]
+        if best is None or found[0] > best[0]:
+            best = found
+    rp, piv_rows, piv_cols = best
+    exact = _strip_rows(rows)
+    nonpiv = sorted(set(range(n)) - set(piv_rows))
+    if len(nonpiv) <= _MAX_DEFECT and _span_certificate(
+        exact, sorted(piv_rows), nonpiv, piv_cols
+    ):
+        return rp
+    return bareiss_rank(exact)
 
 
 def has_full_row_rank(rows) -> bool:
@@ -383,12 +442,15 @@ def has_full_row_rank(rows) -> bool:
     an absence of one and may rarely understate the rank.
 
     Only residues are used (``rows.mod(p)`` when the matrix has it); the
-    exact rows are never read.
+    exact rows are never read.  The matrix is eliminated in float64 mod
+    each of the two ``_ELIM_PRIMES``, below 2**20 so that every product
+    is exact (see :func:`_modp_eliminate`), the second only when the
+    first finds no full rank.
     """
     n = len(rows)
     if n == 0:
         return True
-    for p in _PROBE_PRIMES:
+    for p in _ELIM_PRIMES:
         residues = _modp_matrix(rows, p)
         if residues.shape[1] < n:
             return False

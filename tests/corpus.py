@@ -7,10 +7,27 @@ configuration with exactly four 4-point lines and a private point on
 each, and a type (1,3,4,5,6) configuration whose defining lines need a
 relabelling.  All coordinates are exact (affine (x, y) -> (x : y : 1)
 cleared to integers).
+
+``LADDER`` lists the benchmark's ladder of generic configurations, and
+``ladder_degrees`` the degrees t* - 1 and t* = m*d_s - 1 of each rung,
+where its conditions matrices are largest.
 """
 
 from fatpoints.geom import ProjLine, ProjPoint
-from fatpoints.kconfig import KConfiguration, KType
+from fatpoints.kconfig import KConfiguration, KType, fatten, generate_generic
+
+# (type, multiplicity) of each rung of the benchmark ladder.
+LADDER = [((1, 2, 3), 4), ((1, 2, 3, 4), 5), ((1, 2, 3, 4, 5), 6),
+          ((1, 3, 4, 5), 3), ((3, 5, 7, 9), 3)]
+
+
+def ladder_degrees():
+    """(name, scheme, t) for t = t* - 1 and t* of every rung, at seed 0."""
+    for dvec, m in LADDER:
+        z = fatten(generate_generic(KType(dvec), seed=0, bound=50), m)
+        t_star = m * dvec[-1] - 1
+        for t in (t_star - 1, t_star):
+            yield f"{dvec}/{m}@{t}", z, t
 
 
 def _cfg(dvec, subsets, lines):

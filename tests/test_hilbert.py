@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import config_123_one, config_1234, config_1345
+from corpus import LADDER, config_123_one, config_1234, config_1345, ladder_degrees
 from fatpoints import linalg
 from fatpoints.geom import ProjPoint, random_point
-from fatpoints.linalg import PRIMES
+from fatpoints.linalg import _ELIM_PRIMES, PRIMES
 from fatpoints.hilbert import (
     EmptyScheme,
     HilbertTable,
@@ -67,16 +67,8 @@ def _reference_rows(z, t):
     return rows
 
 
-_LADDER = [((1, 2, 3), 4), ((1, 2, 3, 4), 5), ((1, 2, 3, 4, 5), 6),
-           ((1, 3, 4, 5), 3), ((3, 5, 7, 9), 3)]
-
-
 def _ladder_matrices():
-    for dvec, m in _LADDER:
-        z = fatten(generate_generic(KType(dvec), seed=0, bound=50), m)
-        t_star = m * dvec[-1] - 1
-        for t in (t_star - 1, t_star):
-            yield f"{dvec}/{m}@{t}", z, t
+    yield from ladder_degrees()
     # zero and negative coordinates; t < m - 1 clamps the operator order
     odd = FatPointScheme.from_points(
         [ProjPoint((0, -3, 1)), ProjPoint((2, 0, -5)), ProjPoint((-1, -1, 0))], [4, 2, 6]
@@ -93,7 +85,7 @@ def test_residues_equal_exact_matrix_mod_p(z, t):
     rows = _reference_rows(z, t)
     assert len(M) == len(rows)  # from the scheme, before any row is built
     assert M == rows
-    for p in (PRIMES[0], PRIMES[1], 101):
+    for p in (PRIMES[0], PRIMES[1], *_ELIM_PRIMES, 101):
         R = M.mod(p)
         assert R.dtype == np.int64
         assert R.tolist() == [[v % p for v in row] for row in rows], p
@@ -271,11 +263,7 @@ def test_regularity_index_above_the_floor():
         assert regularity_floor(z) < ri == _scan_regularity(z)
 
 
-@pytest.mark.parametrize(
-    "dvec, m",
-    [((1, 2, 3), 4), ((1, 2, 3, 4), 5), ((1, 2, 3, 4, 5), 6),
-     ((1, 3, 4, 5), 3), ((3, 5, 7, 9), 3)],
-)
+@pytest.mark.parametrize("dvec, m", LADDER)
 def test_regularity_index_on_ladder_shapes(dvec, m, monkeypatch):
     z = fatten(generate_generic(KType(dvec), seed=0, bound=50), m)
     probes = []

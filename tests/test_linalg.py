@@ -4,11 +4,14 @@ import random
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpus import ladder_degrees
 from fatpoints import linalg
 from fatpoints.linalg import (
+    _ELIM_PRIMES,
     PRIMES,
     _rational_reconstruct,
     bareiss_rank,
@@ -181,8 +184,8 @@ def test_pin_is_tight_on_large_deficient_conditions_matrix(monkeypatch):
         patch.setattr(linalg, "_span_certificate", _refuse)
         patch.setattr(linalg, "bareiss_rank", _refuse)
         assert rank(M, upper=F) == expected == F
-    # A bound that is not tight falls through to the certified path, which
-    # reuses the first elimination instead of repeating it.
+    # A bound that is not tight falls through to the second elimination
+    # prime and then to the certified path; no prime is eliminated twice.
     primes = []
     real_eliminate = linalg._modp_eliminate
 
@@ -193,7 +196,7 @@ def test_pin_is_tight_on_large_deficient_conditions_matrix(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "_modp_eliminate", eliminate)
         assert rank(M, upper=F + 1) == expected
-    assert primes == [PRIMES[0]]
+    assert primes == list(_ELIM_PRIMES)
 
 
 def test_bound_above_the_shape_pins_at_the_shape(monkeypatch):
@@ -211,9 +214,9 @@ def test_bound_below_modp_rank_is_refused():
 
 
 def test_lost_residue_falls_back_to_an_exact_rank():
-    # (PRIMES[0], 1, 1) and (0, 1, 1) are distinct points that coincide mod
-    # PRIMES[0], so every elimination mod that prime understates the rank.
-    p = PRIMES[0]
+    # (p, 1, 1) and (0, 1, 1) are distinct points that coincide mod the
+    # first elimination prime p, so every elimination mod p understates the rank.
+    p = _ELIM_PRIMES[0]
     pts = [ProjPoint((p, 1, 1)), ProjPoint((0, 1, 1)), ProjPoint((1, 0, 1))]
     z = FatPointScheme.from_points(pts, [2, 2, 2])
     lost = 0
@@ -226,3 +229,121 @@ def test_lost_residue_falls_back_to_an_exact_rank():
         assert hilbert_value(z, t, upper=expected + 1) == expected
         assert has_full_row_rank(M) == (expected == len(M))
     assert lost == 3  # t = 2, 3, 4
+
+
+def test_lost_residue_is_pinned_by_the_second_prime(monkeypatch):
+    # Six triple points, two of which coincide mod the first elimination
+    # prime: where that elimination loses rank, the second prime pins the
+    # exact value and no span certificate runs.
+    p = _ELIM_PRIMES[0]
+    pts = [ProjPoint((p, 1, 1)), ProjPoint((0, 1, 1)), ProjPoint((1, 0, 1)),
+           ProjPoint((2, 3, 1)), ProjPoint((-3, 1, 2)), ProjPoint((5, -2, 3))]
+    z = FatPointScheme.from_points(pts, [3] * 6)
+    monkeypatch.setattr(linalg, "_span_certificate", _refuse)
+    lost = []
+    for t in range(12):
+        M = conditions_matrix(z, t)
+        expected = bareiss_rank(M)
+        if linalg._modp_eliminate(M.mod(p), p)[0] < expected:
+            lost.append(t)
+            assert hilbert_value(z, t, upper=expected) == expected
+    assert lost == [6, 7, 8, 9, 10, 11]
+
+
+# --- the float64 kernel against the int64 reference --------------------------
+
+
+def _modp_eliminate_int64(A, p):
+    """Row echelon mod p in int64, one pivot at a time over the whole
+    trailing block; the reference for ``linalg._modp_eliminate``.  A single
+    product of residues stays below 2**62."""
+    M = A % p
+    n, m = M.shape
+    perm = list(range(n))
+    pr = 0
+    piv_rows = []
+    piv_cols = []
+    for pc in range(m):
+        col = M[pr:, pc]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        r = pr + int(nz[0])
+        if r != pr:
+            M[[pr, r]] = M[[r, pr]]
+            perm[pr], perm[r] = perm[r], perm[pr]
+        inv = pow(int(M[pr, pc]), p - 2, p)
+        below = M[pr + 1 :, pc]
+        nzb = np.nonzero(below)[0]
+        if nzb.size:
+            factors = (below[nzb] * inv) % p
+            M[pr + 1 + nzb, pc:] = (
+                M[pr + 1 + nzb, pc:] - factors[:, None] * M[pr, pc:]
+            ) % p
+        piv_rows.append(perm[pr])
+        piv_cols.append(pc)
+        pr += 1
+        if pr == n:
+            break
+    return pr, piv_rows, piv_cols
+
+
+# Near 2**23 a cell holds at most 128 products of residues, so the kernel
+# reduces its trailing block on any matrix of rank above 128.
+_P23 = 8388593
+_KERNEL_PRIMES = (*_ELIM_PRIMES, 101, _P23)
+
+
+def _planted_array(seed, n, m, rank, zero_rows=(), zero_cols=()):
+    rows = _planted_matrix(random.Random(seed), n, m, rank)
+    M = np.array(rows, dtype=np.int64).reshape(n, m)
+    M[list(zero_rows), :] = 0
+    M[:, list(zero_cols)] = 0
+    return M
+
+
+def _kernel_cases():
+    for name, z, t in ladder_degrees():
+        yield name, lambda p, z=z, t=t: conditions_matrix(z, t).mod(p)
+    planted = {
+        "wide": (1, 70, 150, 40, (), ()),
+        "tall": (2, 150, 70, 30, (), ()),
+        "zeros": (3, 90, 120, 50, (0, 7, 8, 60, 89), (0, 1, *range(32, 70), 119)),
+        "row": (4, 1, 80, 1, (), (0, 1, 2)),
+        "column": (5, 80, 1, 1, (0, 1, 2), ()),
+        "empty-rows": (6, 0, 5, 0, (), ()),
+        "empty-cols": (7, 5, 0, 0, (), ()),
+    }
+    for name, args in planted.items():
+        yield name, lambda p, args=args: _planted_array(*args) % p
+    # rank 20 mod 101, full rank 80 mod the other primes
+    noise = np.random.default_rng(8).integers(-3, 4, (80, 100))
+    lifted = _planted_array(8, 80, 100, 20) + 101 * noise
+    yield "drops-mod-101", lambda p: lifted % p
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES)
+@pytest.mark.parametrize(
+    "residues", [pytest.param(f, id=name) for name, f in _kernel_cases()]
+)
+def test_kernel_matches_int64_reference(residues, p):
+    A = residues(p)
+    assert linalg._modp_eliminate(A, p) == _modp_eliminate_int64(A, p)
+
+
+@pytest.mark.parametrize("p, limit", [(_P23, 128), (16777213, 32)])
+def test_trailing_reduction_runs_on_a_rung_matrix(p, limit):
+    # 16777213 is the largest prime that leaves room for one panel; there a
+    # rung's unreduced products would pass 2**53 on average, not only at worst.
+    _, z, t = list(ladder_degrees())[5]  # (1, ..., 5)/6 at t*
+    A = conditions_matrix(z, t).mod(p)
+    assert (2**53 - p) // (p - 1) ** 2 == limit
+    rp, piv_rows, piv_cols = linalg._modp_eliminate(A, p)
+    assert rp == len(A) > limit + linalg._PANEL
+    assert (rp, piv_rows, piv_cols) == _modp_eliminate_int64(A, p)
+
+
+@pytest.mark.parametrize("p", [PRIMES[0], 2**25 - 39])
+def test_kernel_refuses_a_prime_too_large_for_float64(p):
+    with pytest.raises(ValueError):
+        linalg._modp_eliminate(np.eye(3, dtype=np.int64), p)

@@ -8,20 +8,20 @@ Hilbert function is sandwiched for every degree t:
 
 with C(n, 2) = 0 for n < 2.  The summands of f are clamped at zero: a
 negative t - i + 1 cannot contribute a negative number of conditions.
+``F_upper`` checks completeness and calls ``ReductionVector.upper_bound``.
 
 ``peeling_sequence`` builds the standard line sequences whose reduction
 vectors make these bounds tight at the degrees of interest: repeated
 descending passes over the defining lines, the analogous passes over the
 s + 1 full lines of a star, and the augmented variant that finishes with
 the line through two private points plus one line per leftover private
-point.
+point.  They serve the ``bounds`` and ``reduce`` commands only; exact
+Hilbert values are pinned by ``FatPointScheme.greedy_reduction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
-from math import comb
 from random import Random
 
 from .geom import ProjLine, incident, line_through, random_point
@@ -56,20 +56,7 @@ def f_lower(v: ReductionVector, t: int) -> int:
 def F_upper(v: ReductionVector, t: int) -> int:
     if not v.complete:
         raise IncompleteReduction("upper bound requires a complete reduction")
-
-    def c2(n: int) -> int:
-        return comb(n, 2) if n >= 2 else 0
-
-    r = len(v.values)
-    tail = sum(v.values)
-    best = None
-    for i in range(r + 1):
-        term = c2(t + 2) - c2(t - i + 2) + tail
-        if best is None or term < best:
-            best = term
-        if i < r:
-            tail -= v.values[i]
-    return best
+    return v.upper_bound(t)
 
 
 @dataclass(frozen=True)
@@ -107,33 +94,6 @@ def bound_check(z: FatPointScheme, lines, t: int) -> BoundReport:
     return BoundReport(t, f, F, exact, f == F)
 
 
-def hilbert_upper(x, m: int):
-    """t -> the least F_v(t) over the peeling strategies that fit X.
-
-    Each strategy of ``peeling_sequence`` that applies to the
-    configuration and reduces mX completely contributes its reduction
-    vector; the returned function gives the minimum of their upper
-    bounds at t, a proven upper bound on H_mX(t), or None when no
-    strategy gives a complete reduction.
-    """
-    z = _kconfig.fatten(x, m)
-    classify = cache(partial(_kconfig.classify_case, x))  # STAR and AUGMENTED share it
-    vectors = []
-    for strategy in (REPEAT_DESCENDING, STAR, AUGMENTED):
-        try:
-            lines = _peeling_sequence(x, m, strategy, 0, classify)
-        except StrategyInapplicable:
-            continue
-        v = reduction_vector(z, lines)
-        if v.complete:
-            vectors.append(v)
-
-    def upper(t: int) -> int | None:
-        return min((F_upper(v, t) for v in vectors), default=None)
-
-    return upper
-
-
 def peeling_sequence(x, m: int, strategy: str, seed: int = 0) -> list[ProjLine]:
     """A line sequence whose reduction of mX is complete.
 
@@ -144,11 +104,6 @@ def peeling_sequence(x, m: int, strategy: str, seed: int = 0) -> list[ProjLine]:
     case with exactly s full lines equal to the defining lines, and
     m >= 2.
     """
-    return _peeling_sequence(x, m, strategy, seed, partial(_kconfig.classify_case, x))
-
-
-def _peeling_sequence(x, m: int, strategy: str, seed: int, classify) -> list[ProjLine]:
-    """:func:`peeling_sequence` with ``classify()`` giving classify_case(x)."""
     if m < 1:
         raise ValueError("multiplicity must be positive")
     descending = list(reversed(x.lines))
@@ -157,23 +112,23 @@ def _peeling_sequence(x, m: int, strategy: str, seed: int, classify) -> list[Pro
     if strategy == STAR:
         if x.ktype.ds != x.ktype.s:
             raise StrategyInapplicable("star peeling needs type (1, ..., s)")
-        tri = classify()
+        tri = _kconfig.classify_case(x)
         if tri.case != _kconfig.Case.MANY:
             raise StrategyInapplicable("star peeling needs s + 1 full lines")
         full = sorted(tri.full_lines, reverse=True)
         passes = -(-m // 2)
         return full * passes
     if strategy == AUGMENTED:
-        return _augmented_sequence(x, m, seed, classify)
+        return _augmented_sequence(x, m, seed)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _augmented_sequence(x, m: int, seed: int, classify) -> list[ProjLine]:
+def _augmented_sequence(x, m: int, seed: int) -> list[ProjLine]:
     if m < 2:
         raise StrategyInapplicable("the augmented peeling needs m >= 2")
     if x.ktype.ds != x.ktype.s:
         raise StrategyInapplicable("augmented peeling needs type (1, ..., s)")
-    tri = classify()
+    tri = _kconfig.classify_case(x)
     if tri.case != _kconfig.Case.EXACT:
         raise StrategyInapplicable("augmented peeling needs exactly s full lines")
     if set(tri.full_lines) != set(x.lines):

@@ -12,26 +12,24 @@ correct (order-t partials of a degree-t form are its coefficients up to
 nonzero factorials).
 
 Rank computation is delegated to :mod:`fatpoints.linalg`; every value
-returned here is exact.  The matrix is built residue first: a
+returned here is exact, and each is pinned against F_v(t) of the
+scheme's greedy reduction vector.  The matrix is built residue first: a
 :class:`ConditionsMatrix` gives its residues mod p straight from the
 coordinates mod p and a falling-factorial table, in int64 numpy, and
 builds its exact integer rows only when they are read, which the rank
-layer does for Bareiss on small matrices and for span certificates.
-Probes and pinned values, which settle nearly every large matrix, never
-read them.
+layer does only after a missed pin.  Probes and pinned values, which
+settle nearly every matrix, never read them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from . import linalg
-from .geom import line_through
 from .scheme import FatPointScheme
 
 
@@ -197,16 +195,18 @@ def conditions_matrix(z: FatPointScheme, t: int) -> ConditionsMatrix:
     return ConditionsMatrix(z, t)
 
 
-def hilbert_value(z: FatPointScheme, t: int, upper: int | None = None) -> int:
+def hilbert_value(z: FatPointScheme, t: int) -> int:
     """H_Z(t) = dim R_t - dim (I_Z)_t, as an exact matrix rank.
 
-    ``upper`` is an optional proven upper bound on H_Z(t); it lets the
-    rank be pinned by an elimination mod p (see :func:`linalg.rank`).
+    Pinned (see :func:`linalg.rank`) against F_v(t) of the scheme's
+    greedy reduction vector; for a single point, against the shape.
     """
     if t < 0:
         return 0
     if z.is_empty():
         return 0
+    v = z.greedy_reduction
+    upper = None if v is None else v.upper_bound(t)
     return linalg.rank(conditions_matrix(z, t), upper=upper)
 
 
@@ -233,13 +233,9 @@ class HilbertTable:
         return body
 
 
-def hilbert_table(
-    z: FatPointScheme,
-    t_max: int,
-    upper: Callable[[int], int | None] | None = None,
-) -> HilbertTable:
-    """H(0..t_max); ``upper``, if given, maps t to a proven upper bound
-    on H(t) (or None) and is passed on to :func:`hilbert_value`."""
+def hilbert_table(z: FatPointScheme, t_max: int) -> HilbertTable:
+    """H(0..t_max) by :func:`hilbert_value`, each pinned against the
+    scheme's greedy F_v(t), up to the first value deg Z."""
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     deg = z.degree()
@@ -249,7 +245,7 @@ def hilbert_table(
         if values and values[-1] == deg:
             values.append(deg)  # monotone and capped: no rank needed
         else:
-            values.append(hilbert_value(z, t, upper(t) if upper else None))
+            values.append(hilbert_value(z, t))
         if stabilized is None and values[-1] == deg:
             stabilized = t
     deltas = tuple(v - u for v, u in zip(values, [0] + values[:-1]))
@@ -267,19 +263,16 @@ def regularity_floor(z: FatPointScheme) -> int:
     """A proven lower bound on the regularity index: max(max_mult, w) - 1.
 
     w is the largest total multiplicity on a line through two support
-    points.  If H_Z(t) = deg Z then every subscheme of Z imposes
-    independent conditions in degree t too.  A point of multiplicity m
-    needs t >= m - 1, and Z meets a line of weight w in a degree-w
-    subscheme of the line, whose Hilbert function min(t + 1, w) first
-    reaches w at t = w - 1.
+    points, the first entry of the greedy reduction vector.  If H_Z(t) =
+    deg Z then every subscheme of Z imposes independent conditions in
+    degree t too.  A point of multiplicity m needs t >= m - 1, and Z
+    meets a line of weight w in a degree-w subscheme of the line, whose
+    Hilbert function min(t + 1, w) first reaches w at t = w - 1.
     """
     best = max(m for _, m in z.entries)
-    seen = set()
-    for (p, _), (q, _) in combinations(z.entries, 2):
-        line = line_through(p, q)
-        if line not in seen:
-            seen.add(line)
-            best = max(best, z.line_degree(line))
+    v = z.greedy_reduction
+    if v is not None:
+        best = max(best, v.values[0])
     return best - 1
 
 
@@ -294,7 +287,8 @@ def regularity_index(z: FatPointScheme) -> int:
     heuristic: past 2 * (sum of multiplicities), beyond any stabilization
     bound, the search continues with exact values, and the boundary is
     then re-verified with exact ranks and corrected downward, never below
-    L, on the (never observed) chance a probe understated.
+    L, on the (never observed) chance a probe understated.  Exact values
+    come from :func:`hilbert_value`, pinned against the greedy F_v(t).
     """
     if z.is_empty():
         raise EmptyScheme("the empty scheme has no regularity index")

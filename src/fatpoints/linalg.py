@@ -7,24 +7,22 @@ Two cooperating engines, both exact:
   divisions are exact by Sylvester's determinant identity.  This is the
   reference engine and the fallback for every other path.
 
-* ``rank`` -- dispatches small matrices straight to Bareiss and large
-  ones to a certified multi-modular path.  Residues come first: a matrix
-  with a ``mod(p)`` method (a conditions matrix from
+* ``rank`` -- one certified multi-modular path at every size.  Residues
+  come first: a matrix with a ``mod(p)`` method (a conditions matrix from
   :mod:`fatpoints.hilbert`) builds its own int64 residues, any other
   sequence of integer rows is reduced cell by cell, and the exact rows
-  are read only by Bareiss and by the span certificate.  An elimination
+  are read only by the span certificate and Bareiss.  An elimination
   mod p yields a rank lower bound (a nonzero minor mod p is nonzero over
   Z) and candidate pivot rows/columns.  When that lower bound reaches a
   proven upper bound the rank is pinned exactly, with no certificate and
   no Bareiss run.  The default bound is ``min(rows, cols)``; a caller that
-  holds a sharper one (for conditions matrices, a
-  Cooper-Harbourne-Teitler bound from :mod:`fatpoints.cht`) passes it as
-  ``rank(rows, upper=...)``, and then the pin is tried at any size.
-  Otherwise the upper bound is proved by expressing every non-pivot row
-  as a rational combination of the pivot rows (coefficients recovered by
-  CRT over several primes plus rational reconstruction) and verifying
-  that identity in exact integer arithmetic.  If certification is not
-  reached the matrix goes to Bareiss.
+  holds a sharper one passes ``rank(rows, upper=...)``, as ``hilbert_value``
+  does with the scheme's greedy Cooper-Harbourne-Teitler bound.  Otherwise
+  the upper bound is proved by expressing every non-pivot row as a
+  rational combination of the pivot rows (coefficients recovered by CRT
+  over several primes plus rational reconstruction) and verifying that
+  identity in exact integer arithmetic.  If certification is not reached
+  the matrix goes to Bareiss.
 
 Every returned value is therefore exact regardless of which path
 produced it.
@@ -108,8 +106,6 @@ PRIMES = (
     2147478967, 2147478961, 2147478959, 2147478937, 2147478919,
     2147478911, 2147478899, 2147478889, 2147478863,
 )
-# Below this cell count plain Bareiss beats the certification overhead.
-_SMALL_CELLS = 4200
 # Give up on span certificates beyond this many non-pivot rows.
 _MAX_DEFECT = 64
 # Primes below 2**20 for the float64 eliminations that pin ranks and probe
@@ -400,12 +396,11 @@ def rank(rows, upper: int | None = None) -> int:
     exactly; a mod-p rank above ``upper`` raises ``ValueError``.
 
     The residues come first, from ``rows.mod(p)`` when the matrix has it;
-    the exact rows are read (and content-divided) only for Bareiss on a
-    small matrix without ``upper`` or after a missed pin.  The matrix is
-    eliminated in float64 mod each of the two ``_ELIM_PRIMES`` (below
-    2**20, so every product is exact; see :func:`_modp_eliminate`), the
-    second only when the first misses the bound, since an unlucky prime
-    can lose rank.  When both miss, one span certificate over the 31-bit
+    the exact rows are read (and content-divided) only after a missed
+    pin, at any size.  The matrix is eliminated in float64 mod each of
+    the two ``_ELIM_PRIMES`` (below 2**20, so every product is exact; see
+    :func:`_modp_eliminate`), the second only when the first misses the
+    bound, since an unlucky prime can lose rank.  When both miss, one span certificate over the 31-bit
     CRT ``PRIMES`` checks the pivots of the larger mod-p rank, and Bareiss
     settles what it cannot.
     """
@@ -414,8 +409,6 @@ def rank(rows, upper: int | None = None) -> int:
         return 0
     first = _modp_matrix(rows, _ELIM_PRIMES[0])
     m = first.shape[1]
-    if upper is None and n * m <= _SMALL_CELLS:
-        return bareiss_rank(_strip_rows(rows))
     bound = min(n, m) if upper is None else min(n, m, upper)
     best = None
     for p in _ELIM_PRIMES:

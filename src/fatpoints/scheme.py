@@ -4,15 +4,20 @@ A scheme is a finite set of distinct points with positive multiplicities.
 Its degree is the number of linear conditions it imposes in large degree,
 ``sum of C(m_i + 1, 2)``.  Removing a line decrements the multiplicity of
 every point on it (the ideal-quotient residual for fat points), which is
-the whole computational content of reduction vectors.
+the whole computational content of reduction vectors.  Each scheme
+carries one greedy reduction vector, whose Cooper-Harbourne-Teitler
+upper bound F_v pins the exact ranks of :mod:`fatpoints.hilbert`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, combinations
 from math import comb
 
-from .geom import ProjLine, ProjPoint, incident, line_from_json, point_from_json, triple_to_json
+from .geom import ProjLine, ProjPoint, incident, line_through
+from .geom import line_from_json, point_from_json, triple_to_json
 
 
 class DuplicatePoint(ValueError):
@@ -83,6 +88,41 @@ class FatPointScheme:
                 out.append((p, m))
         return FatPointScheme(tuple(out))
 
+    @cached_property
+    def greedy_reduction(self) -> "ReductionVector | None":
+        """The complete reduction vector of greedy peeling; None below two points.
+
+        Each step removes, among the lines through two support points, the
+        heaviest in the residual scheme (the first in sorted order among
+        equals).  Every point on it that still has a multiplicity loses
+        one, and so does the weight of every line through that point.
+        """
+        points = self.support()
+        if len(points) < 2:
+            return None
+        on: dict[ProjLine, set[int]] = {}
+        for i, j in combinations(range(len(points)), 2):
+            on.setdefault(line_through(points[i], points[j]), set()).update((i, j))
+        lines = sorted(on)
+        members = [on[l] for l in lines]
+        through = [[] for _ in points]
+        for k, idx in enumerate(members):
+            for i in idx:
+                through[i].append(k)
+        mult = [m for _, m in self.entries]
+        weight = [sum(mult[i] for i in idx) for idx in members]
+        values, chosen = [], []
+        while any(mult):
+            k = max(range(len(lines)), key=weight.__getitem__)
+            values.append(weight[k])
+            chosen.append(lines[k])
+            for i in members[k]:
+                if mult[i]:
+                    mult[i] -= 1
+                    for j in through[i]:
+                        weight[j] -= 1
+        return ReductionVector(tuple(values), tuple(chosen), True)
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -97,6 +137,13 @@ class ReductionVector:
 
     def total(self) -> int:
         return sum(self.values)
+
+    def upper_bound(self, t: int) -> int:
+        """F_v(t) = min_i [C(t+2,2) - C(t-i+2,2) + sum_{j>i} v_j], an upper
+        bound on H_Z(t) when the reduction of Z is complete (CHT)."""
+        tails = list(accumulate(reversed(self.values), initial=0))[::-1]
+        c2 = [comb(max(t - i + 2, 0), 2) for i in range(len(tails))]
+        return min(c2[0] - c + tail for c, tail in zip(c2, tails))
 
 
 def reduction_vector(z: FatPointScheme, lines) -> ReductionVector:

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from math import comb
 
-from . import cht, hilbert, kconfig
+from . import hilbert, kconfig
 from .kconfig import InfeasibleLineCount, KConfiguration, KType, count_lines, fatten
 from .scheme import FatPointScheme
 
@@ -89,11 +89,11 @@ def verify_main(
     and when ri <= t* the value H(t*) = deg is read off it: H is
     nondecreasing and H(ri) = deg is certified, so no second rank runs.
     H(t* - 1) is rank-deficient; it is pinned by the
-    Cooper-Harbourne-Teitler upper bound F_v(t* - 1) of the peeling
-    strategies that fit X (:func:`cht.hilbert_upper`): when the mod-p
-    rank, a lower bound, reaches F_v the value is exact.  That bound is
-    CHT's theorem on reduction vectors, not the identity being checked;
-    when it is not tight the value is certified without it.
+    Cooper-Harbourne-Teitler upper bound F_v(t* - 1) of the scheme's
+    greedy reduction vector: when the mod-p rank, a lower bound, reaches
+    F_v the value is exact.  That bound is CHT's theorem on reduction
+    vectors, not the identity being checked; when it is not tight the
+    value is certified without it.
     """
     if x.ktype.is_single_point():
         raise SinglePointType("verification needs at least two points")
@@ -102,17 +102,13 @@ def verify_main(
     ds = x.ktype.ds
     z = fatten(x, m)
     t_star = m * ds - 1
-    bound = cht.hilbert_upper(x, m)
     ri = hilbert.regularity_index(z) if include_ri else None
     upper = z.degree() if include_ri and ri <= t_star else hilbert.hilbert_value(z, t_star)
-    lower = hilbert.hilbert_value(z, t_star - 1, bound(t_star - 1)) if t_star >= 1 else 0
+    lower = hilbert.hilbert_value(z, t_star - 1)
     delta = upper - lower
     count, _ = count_lines(x, ds)
     threshold = m0(x.ktype)
-    reduced = fatten(x, 1)
-    red_delta = hilbert.hilbert_value(reduced, ds - 1) - (
-        hilbert.hilbert_value(reduced, ds - 2) if ds >= 2 else 0
-    )
+    _, red_delta = _reduced_delta(x)
     return VerificationReport(
         config_id=ident or config_id(x),
         ktype=x.ktype.d,
@@ -125,6 +121,13 @@ def verify_main(
         reduced_delta=red_delta,
         ri=ri,
     )
+
+
+def _reduced_delta(x: KConfiguration) -> tuple[int, int]:
+    """(H_X(d_s - 1), its first difference) for the reduced scheme X."""
+    reduced, t = fatten(x, 1), x.ktype.ds - 1
+    h1 = hilbert.hilbert_value(reduced, t)
+    return h1, h1 - hilbert.hilbert_value(reduced, t - 1)
 
 
 @dataclass(frozen=True)
@@ -158,10 +161,7 @@ def verify_reduced_bound(x: KConfiguration) -> ReducedBoundReport:
     if x.ktype.is_single_point():
         raise SinglePointType("the bound needs at least two points")
     ds = x.ktype.ds
-    reduced = fatten(x, 1)
-    h1 = hilbert.hilbert_value(reduced, ds - 1)
-    h0 = hilbert.hilbert_value(reduced, ds - 2) if ds >= 2 else 0
-    delta = h1 - h0
+    h1, delta = _reduced_delta(x)
     tail = x.ktype.tail_length()
     count, _ = count_lines(x, ds)
     expected = x.ktype.total_points()
@@ -234,8 +234,7 @@ def verify_last_nonzero(x: KConfiguration, m: int) -> LastNonzeroReport:
         raise MultiplicityBelowThreshold(f"needs m >= {m0(x.ktype)}")
     z = fatten(x, m)
     ri = hilbert.regularity_index(z)
-    bound = cht.hilbert_upper(x, m)
-    last_delta = z.degree() - hilbert.hilbert_value(z, ri - 1, bound(ri - 1))
+    last_delta = z.degree() - hilbert.hilbert_value(z, ri - 1)
     count, _ = count_lines(x, x.ktype.ds)
     expected_t = m * x.ktype.ds - 1
     ok = ri == expected_t and last_delta == count
@@ -319,7 +318,7 @@ def hilbert_family(s: int, m: int, seed: int = 0, bound: int = 20) -> FamilyRepo
         support = fatten(x, 1)
         support_tab = hilbert.hilbert_table(support, s)
         z = fatten(x, m)
-        fat_tab = hilbert.hilbert_table(z, t_max, cht.hilbert_upper(x, m))
+        fat_tab = hilbert.hilbert_table(z, t_max)
         members.append(
             FamilyMember(
                 r=r,

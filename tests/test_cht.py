@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from corpus import (
     config_123_exact,
@@ -18,12 +19,12 @@ from fatpoints.cht import (
     StrategyInapplicable,
     bound_check,
     f_lower,
-    hilbert_upper,
     peeling_sequence,
 )
-from fatpoints.geom import ProjLine, incident, line_through, random_point
-from fatpoints.hilbert import hilbert_value, regularity_index
+from fatpoints.geom import ProjLine, ProjPoint, incident, line_through, random_point
+from fatpoints.hilbert import conditions_matrix, hilbert_value, regularity_index
 from fatpoints.kconfig import fatten
+from fatpoints.linalg import bareiss_rank
 from fatpoints.scheme import FatPointScheme, ReductionVector, reduction_vector
 
 
@@ -181,19 +182,61 @@ def test_sandwich_randomized_mini():
     [config_123_star, config_123_exact, config_123_one, config_1234, config_1345],
 )
 def test_hilbert_upper_is_the_least_complete_bound(make):
+    # The bound every Hilbert value is pinned against, F_v of the scheme's
+    # greedy reduction vector, is a bound on H and no looser than the F_v of
+    # any peeling strategy that applies and completes.
     x = make()
-    m = 3
-    z = fatten(x, m)
-    vectors = []
-    for strategy in (REPEAT_DESCENDING, STAR, AUGMENTED):
-        try:
-            v = reduction_vector(z, peeling_sequence(x, m, strategy))
-        except StrategyInapplicable:
-            continue
-        if v.complete:
-            vectors.append(v)
-    assert vectors
-    upper = hilbert_upper(x, m)
-    for t in range(0, 3 * x.ktype.ds + 1):
-        assert upper(t) == min(F_upper(v, t) for v in vectors)
-        assert hilbert_value(z, t) <= upper(t)
+    for m in range(1, 5):
+        z = fatten(x, m)
+        greedy = z.greedy_reduction
+        assert reduction_vector(z, greedy.lines) == greedy
+        vectors = []
+        for strategy in (REPEAT_DESCENDING, STAR, AUGMENTED):
+            try:
+                v = reduction_vector(z, peeling_sequence(x, m, strategy))
+            except StrategyInapplicable:
+                continue
+            if v.complete:
+                vectors.append(v)
+        assert vectors
+        for t in range(0, m * x.ktype.ds + 2):
+            upper = F_upper(greedy, t)
+            assert hilbert_value(z, t) <= upper
+            assert all(upper <= F_upper(v, t) for v in vectors)
+
+
+@st.composite
+def _schemes(draw):
+    """2-7 points with coordinates in [-9, 9] and multiplicities 1-4;
+    sometimes three or more of them on the line through the first two,
+    as small combinations of those two."""
+    coord = st.integers(-9, 9)
+    n = draw(st.integers(2, 7))
+    triples = [draw(st.tuples(coord, coord, coord)) for _ in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        u, v = triples[0], triples[1]
+        for i in range(2, draw(st.integers(3, n))):
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            triples[i] = tuple(a * x + b * y for x, y in zip(u, v))
+    points = sorted({ProjPoint(c) for c in triples if any(c)})
+    assume(len(points) >= 2)
+    return FatPointScheme.from_points(points, [draw(st.integers(1, 4)) for _ in points])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_schemes())
+def test_greedy_sandwich_against_bareiss(z):
+    # f_v <= H <= F_v for the greedy vector, with H from Bareiss, at every
+    # degree up to the regularity index; hilbert_value, which pins against
+    # that F_v, gives the same exact value.
+    v = z.greedy_reduction
+    deg = z.degree()
+    t = 0
+    while True:
+        h = bareiss_rank(conditions_matrix(z, t))
+        assert f_lower(v, t) <= h <= F_upper(v, t)
+        assert hilbert_value(z, t) == h
+        if h == deg:
+            break
+        t += 1
+    assert regularity_index(z) == t

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +183,38 @@ def test_family_coord_bound_sources(monkeypatch, capsys):
     assert main(argv + ["--coord-bound", "7"]) == 0  # the flag wins
     assert seen == [20, 9, 7]
     capsys.readouterr()
+
+
+# --- every Hilbert value pinned: no span certificate, no Bareiss run ---------
+
+_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+@pytest.fixture
+def no_certificates(monkeypatch):
+    from fatpoints import linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("every value of this command is pinned")
+
+    monkeypatch.setattr(linalg, "_span_certificate", refuse)
+    monkeypatch.setattr(linalg, "bareiss_rank", refuse)
+
+
+def test_hilbert_large_rung_is_pinned(tmp_path, capsys, no_certificates):
+    cfg = tmp_path / "cfg.json"
+    assert main(["generate", "--type", "1,2,3,4,5", "--seed", "0",
+                 "--coord-bound", "50", "-o", str(cfg)]) == 0
+    rc = main(["hilbert", "--config", str(cfg), "--m", "6", "--t-max", "30",
+               "--format", "json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stabilized_at"] == 6 * 5 - 1
+    assert payload["values"][-1] == 15 * 21
+
+
+def test_family_s4_is_pinned(capsys, no_certificates):
+    cmd = "family --s 4 --m 5 --seed 0 --coord-bound 20 --format json"
+    assert main(cmd.split()) == 0
+    expected = json.loads(_EXPECTED.read_text())[cmd]
+    assert json.loads(capsys.readouterr().out) == expected

@@ -81,12 +81,10 @@ def test_bareiss_matches_fraction_oracle():
 
 
 def test_certified_path_matches_bareiss_on_large_deficient():
-    # wide enough to route past the small-matrix cutoff
     rng = random.Random(7)
     for trial in range(6):
         n, m = 48, 110
         M = _planted_matrix(rng, n, m, rng.randint(20, 44))
-        assert n * m > linalg._SMALL_CELLS
         assert rank(M) == bareiss_rank(M)
 
 
@@ -138,10 +136,9 @@ def test_rank_engines_agree_random(rows):
 #
 # Conditions matrices of generic configurations carry entries of 80 to 300
 # bits, far beyond the small planted matrices above, so these also exercise
-# rational reconstruction on large entries.  The upper bounds come from the
-# Cooper-Harbourne-Teitler peeling bounds.
+# rational reconstruction on large entries.  The upper bounds are the
+# Cooper-Harbourne-Teitler bounds of each scheme's greedy reduction vector.
 
-from fatpoints.cht import hilbert_upper
 from fatpoints.geom import ProjPoint
 from fatpoints.hilbert import conditions_matrix, hilbert_value
 from fatpoints.kconfig import KType, fatten, generate_generic
@@ -149,8 +146,8 @@ from fatpoints.scheme import FatPointScheme
 
 
 def _generic_matrix(dvec, m, t):
-    x = generate_generic(KType(dvec), seed=0, bound=50)
-    return conditions_matrix(fatten(x, m), t), hilbert_upper(x, m)(t)
+    z = fatten(generate_generic(KType(dvec), seed=0, bound=50), m)
+    return conditions_matrix(z, t), z.greedy_reduction.upper_bound(t)
 
 
 def _max_bits(M):
@@ -176,7 +173,6 @@ def test_pin_is_tight_on_small_conditions_matrix(t, monkeypatch):
 
 def test_pin_is_tight_on_large_deficient_conditions_matrix(monkeypatch):
     M, F = _generic_matrix((1, 2, 3, 4), 5, 18)
-    assert len(M) * len(M[0]) > linalg._SMALL_CELLS
     assert _max_bits(M) > 128
     expected = rank(M)  # unpinned: span certificate
     assert expected < min(len(M), len(M[0]))
@@ -225,8 +221,8 @@ def test_lost_residue_falls_back_to_an_exact_rank():
         expected = bareiss_rank(M)
         lost += linalg._modp_eliminate(M.mod(p), p)[0] < expected
         assert hilbert_value(z, t) == expected
-        assert hilbert_value(z, t, upper=expected) == expected
-        assert hilbert_value(z, t, upper=expected + 1) == expected
+        assert rank(M, upper=expected) == expected
+        assert rank(M, upper=expected + 1) == expected
         assert has_full_row_rank(M) == (expected == len(M))
     assert lost == 3  # t = 2, 3, 4
 
@@ -246,7 +242,7 @@ def test_lost_residue_is_pinned_by_the_second_prime(monkeypatch):
         expected = bareiss_rank(M)
         if linalg._modp_eliminate(M.mod(p), p)[0] < expected:
             lost.append(t)
-            assert hilbert_value(z, t, upper=expected) == expected
+            assert rank(M, upper=expected) == expected
     assert lost == [6, 7, 8, 9, 10, 11]
 
 

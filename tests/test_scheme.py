@@ -1,10 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from corpus import config_1234, config_1345
 from fatpoints.cht import REPEAT_DESCENDING, peeling_sequence
-from fatpoints.geom import ProjLine, ProjPoint, random_line, random_point
+from fatpoints.geom import ProjLine, ProjPoint, line_through, random_line, random_point
 from fatpoints.kconfig import fatten
 from fatpoints.scheme import (
     DuplicatePoint,
@@ -182,3 +183,37 @@ def test_scheme_json_round_trip():
     assert scheme_from_json(data) == z
     lines = lines_from_json([["0", "1", "0"], [1, -1, 0]])
     assert lines == [ProjLine((0, 1, 0)), ProjLine((1, -1, 0))]
+
+
+def test_greedy_reduction_is_none_below_two_points():
+    assert FatPointScheme.from_points([], []).greedy_reduction is None
+    assert FatPointScheme.from_points([ProjPoint((1, 2, 3))], [4]).greedy_reduction is None
+
+
+def test_greedy_reduction_takes_the_heaviest_line_first():
+    # Brute force: each step's line is the first, in sorted order, of the
+    # heaviest lines through two of the original support points.
+    rng = random.Random(9)
+    for make, m in ((config_1345, 2), (config_1234, 3)):
+        z = fatten(make(), m)
+        pts = z.support()
+        candidates = sorted({line_through(p, q) for p, q in combinations(pts, 2)})
+        v = z.greedy_reduction
+        assert v.complete and reduction_vector(z, v.lines) == v
+        cur = z
+        for value, line in zip(v.values, v.lines):
+            best = max(cur.line_degree(l) for l in candidates)
+            assert value == best
+            assert line == next(l for l in candidates if cur.line_degree(l) == best)
+            cur = cur.residual(line)
+        assert cur.is_empty()
+    for _ in range(20):
+        pts = []
+        while len(pts) < rng.randint(2, 6):
+            p = random_point(rng, 9)
+            if p not in pts:
+                pts.append(p)
+        z = FatPointScheme.from_points(pts, [rng.randint(1, 4) for _ in pts])
+        v = z.greedy_reduction
+        assert v.complete and v.total() == z.degree()
+        assert reduction_vector(z, v.lines) == v

@@ -9,7 +9,7 @@ from corpus import (
     config_1345,
     full_corpus,
 )
-from fatpoints import hilbert, linalg
+from fatpoints import hilbert
 from fatpoints.kconfig import KType, generate_generic, generate_with_line_count
 from fatpoints.verify import (
     MultiplicityBelowThreshold,
@@ -167,8 +167,8 @@ def test_verify_main_reuses_ri_for_the_top_value(monkeypatch):
 
 
 def test_verify_main_builds_no_large_exact_matrix(monkeypatch):
-    # Every large matrix of this check is settled by residues alone (a probe
-    # or a pinned value); exact rows are built only for small Bareiss runs.
+    # Every matrix of this check is settled by residues alone (a probe or a
+    # value pinned at the greedy bound); no exact row is built at all.
     built = []
     real = hilbert.ConditionsMatrix._build_rows
 
@@ -180,4 +180,4 @@ def test_verify_main_builds_no_large_exact_matrix(monkeypatch):
     x = generate_generic(KType((1, 2, 3, 4)), seed=0, bound=50)
     rep = verify_main(x, 5, include_ri=True)
     assert rep.matches and rep.ri == 5 * 4 - 1
-    assert built and max(built) <= linalg._SMALL_CELLS
+    assert built == []

@@ -42,6 +42,10 @@ COMMANDS = {
         "1,2,3,4,5,6,7,8,9",
         "verify --config CONFIG --m 10 --ri --format json",
     ),
+    "verify --ri (1..5) m=1..6": (
+        "1,2,3,4,5",
+        "verify --config CONFIG --m-sweep 1:6 --ri --format json",
+    ),
 }
 
 

@@ -15,6 +15,7 @@ extension, so rational coordinates are faithful in characteristic zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from random import Random
 
@@ -92,6 +93,19 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     if p == q:
         raise CoincidentPoints(f"no unique line through {p} twice")
     return ProjLine(_cross(p.coords, q.coords))
+
+
+def lines_through_pairs(points) -> dict[ProjLine, set[int]]:
+    """Each line through two of the distinct ``points``, mapped to the
+    indices of all the points on it.
+
+    Every point on such a line spans it with another point on it, so the
+    pairs alone find every incidence.
+    """
+    on: dict[ProjLine, set[int]] = {}
+    for i, j in combinations(range(len(points)), 2):
+        on.setdefault(line_through(points[i], points[j]), set()).update((i, j))
+    return on
 
 
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:

@@ -17,8 +17,8 @@ scheme's greedy reduction vector.  The matrix is built residue first: a
 :class:`ConditionsMatrix` gives its residues mod p straight from the
 coordinates mod p and a falling-factorial table, in int64 numpy, and
 builds its exact integer rows only when they are read, which the rank
-layer does only after a missed pin.  Probes and pinned values, which
-settle nearly every matrix, never read them.
+layer does only after a missed pin.  Pinned values, which settle nearly
+every matrix, never read them.
 """
 
 from __future__ import annotations
@@ -279,28 +279,14 @@ def regularity_floor(z: FatPointScheme) -> int:
 def regularity_index(z: FatPointScheme) -> int:
     """Least t with H_Z(t) = deg(Z).
 
-    The search starts at the floor L of :func:`regularity_floor`, which
-    proves H(L - 1) < deg, so no degree below L is ever ranked.  H(t) =
-    deg exactly when the conditions matrix has full row rank, which a
-    nonzero maximal minor mod p certifies outright; the search probes
-    t = L, L + 1, ... until one probe certifies.  A negative probe is
-    heuristic: past 2 * (sum of multiplicities), beyond any stabilization
-    bound, the search continues with exact values, and the boundary is
-    then re-verified with exact ranks and corrected downward, never below
-    L, on the (never observed) chance a probe understated.  Exact values
-    come from :func:`hilbert_value`, pinned against the greedy F_v(t).
+    H is nondecreasing and :func:`regularity_floor` is a proven lower
+    bound, so the walk t = floor, floor + 1, ... stops at the first exact
+    :func:`hilbert_value` that reaches deg: that t is the regularity index.
     """
     if z.is_empty():
         raise EmptyScheme("the empty scheme has no regularity index")
     deg = z.degree()
-    total = sum(m for _, m in z.entries)
-    floor = t = regularity_floor(z)
-    while not linalg.has_full_row_rank(conditions_matrix(z, t)):
-        if t >= 2 * total:
-            while hilbert_value(z, t) < deg:
-                t += 1
-            break
+    t = regularity_floor(z)
+    while hilbert_value(z, t) < deg:
         t += 1
-    while t > floor and hilbert_value(z, t - 1) == deg:
-        t -= 1
     return t

@@ -24,6 +24,7 @@ from .geom import (
     incident,
     line_from_json,
     line_through,
+    lines_through_pairs,
     meet,
     point_from_json,
     random_line,
@@ -155,17 +156,14 @@ def fatten(x: KConfiguration, m: int) -> FatPointScheme:
 def count_lines(x: KConfiguration, k: int) -> tuple[int, list[ProjLine]]:
     """Brute-force count of lines meeting X in exactly k points.
 
-    Enumerates the lines spanned by all point pairs, deduplicates via the
-    canonical form, and counts incidences; ground truth for everything
-    else in the package.
+    Enumerates the lines spanned by all point pairs, deduplicated via the
+    canonical form, with the points on each (:func:`lines_through_pairs`);
+    ground truth for everything else in the package.
     """
     points = x.points()
     if len(points) < 2:
         raise ValueError("need at least two points to enumerate lines")
-    candidates = {line_through(p, q) for p, q in combinations(points, 2)}
-    found = sorted(
-        l for l in candidates if sum(1 for p in points if incident(p, l)) == k
-    )
+    found = sorted(l for l, on in lines_through_pairs(points).items() if len(on) == k)
     return len(found), found
 
 
@@ -219,10 +217,7 @@ def _strongly_generic_point(
     third point of an accidental line).  Pairs already collinear with
     ``line`` span the line itself and are exempt."""
     forbidden = set(other_lines)
-    for a, b in combinations(existing, 2):
-        spanned = line_through(a, b)
-        if spanned != line:
-            forbidden.add(spanned)
+    forbidden.update(l for l in lines_through_pairs(existing) if l != line)
     for _ in range(_MAX_TRIES):
         p = random_point_on(line, rng, bound)
         if p in existing:

@@ -25,12 +25,13 @@ Two cooperating engines, both exact:
   the matrix goes to Bareiss.
 
 Every returned value is therefore exact regardless of which path
-produced it.
+produced it, and so is ``has_full_row_rank``, which compares ``rank``
+with the row count.
 
-Primes have two roles.  The eliminations that pin a rank or probe for
-full row rank run modulo the two ``_ELIM_PRIMES``, below 2**20, in
-float64: a blocked right-looking elimination with delayed modular
-reduction and one BLAS matrix product per panel of columns, after
+Primes have two roles.  The eliminations that pin a rank run modulo
+the two ``_ELIM_PRIMES``, below 2**20, in float64: a blocked
+right-looking elimination with delayed modular reduction and one BLAS
+matrix product per panel of columns, after
 FFLAS-FFPACK (Dumas, Giorgi and Pernet, "Dense linear algebra over
 word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3),
 2008).  Every float it holds is an integer below 2**53 in absolute value,
@@ -108,8 +109,8 @@ PRIMES = (
 )
 # Give up on span certificates beyond this many non-pivot rows.
 _MAX_DEFECT = 64
-# Primes below 2**20 for the float64 eliminations that pin ranks and probe
-# for full row rank; disjoint from ``PRIMES``.
+# Primes below 2**20 for the float64 eliminations that pin ranks; disjoint
+# from ``PRIMES``.
 _ELIM_PRIMES = (1048573, 1048571)
 # Columns per panel of ``_modp_eliminate``: one BLAS product per panel.
 _PANEL = 32
@@ -318,6 +319,8 @@ def _span_certificate(rows, piv_rows, nonpiv_rows, piv_cols) -> bool:
     in exact integer arithmetic.  An unlucky prime can therefore cost a
     retry but never produce a wrong answer.
     """
+    if not piv_rows:  # the span of no rows is zero: nothing to solve for
+        return not any(any(rows[i]) for i in nonpiv_rows)
     r = len(piv_rows)
     k = len(nonpiv_rows)
     piv_mat = [rows[i] for i in piv_rows]
@@ -431,22 +434,6 @@ def rank(rows, upper: int | None = None) -> int:
 
 
 def has_full_row_rank(rows) -> bool:
-    """True is a certificate (nonzero maximal minor mod p); False is only
-    an absence of one and may rarely understate the rank.
-
-    Only residues are used (``rows.mod(p)`` when the matrix has it); the
-    exact rows are never read.  The matrix is eliminated in float64 mod
-    each of the two ``_ELIM_PRIMES``, below 2**20 so that every product
-    is exact (see :func:`_modp_eliminate`), the second only when the
-    first finds no full rank.
-    """
-    n = len(rows)
-    if n == 0:
-        return True
-    for p in _ELIM_PRIMES:
-        residues = _modp_matrix(rows, p)
-        if residues.shape[1] < n:
-            return False
-        if _modp_eliminate(residues, p)[0] == n:
-            return True
-    return False
+    """True exactly when the rows are linearly independent over Q:
+    ``rank(rows) == len(rows)``, so both answers are exact."""
+    return rank(rows) == len(rows)

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb
 
-from .geom import ProjLine, ProjPoint, incident, line_through
+from .geom import ProjLine, ProjPoint, incident, lines_through_pairs
 from .geom import line_from_json, point_from_json, triple_to_json
 
 
@@ -100,9 +100,7 @@ class FatPointScheme:
         points = self.support()
         if len(points) < 2:
             return None
-        on: dict[ProjLine, set[int]] = {}
-        for i, j in combinations(range(len(points)), 2):
-            on.setdefault(line_through(points[i], points[j]), set()).update((i, j))
+        on = lines_through_pairs(points)
         lines = sorted(on)
         members = [on[l] for l in lines]
         through = [[] for _ in points]

@@ -75,9 +75,7 @@ class VerificationReport:
         }
 
 
-def verify_main(
-    x: KConfiguration, m: int, include_ri: bool = False, ident: str | None = None
-) -> VerificationReport:
+def verify_main(x: KConfiguration, m: int, include_ri: bool = False) -> VerificationReport:
     """Compare the first difference at m*d_s - 1 with the line count.
 
     The match is asserted by callers only when m >= m0; below that the
@@ -110,7 +108,7 @@ def verify_main(
     threshold = m0(x.ktype)
     _, red_delta = _reduced_delta(x)
     return VerificationReport(
-        config_id=ident or config_id(x),
+        config_id=config_id(x),
         ktype=x.ktype.d,
         m=m,
         delta_value=delta,
@@ -191,16 +189,11 @@ class RegularityReport:
 
 def verify_regularity(x: KConfiguration, m: int) -> RegularityReport:
     """ri(mX) = m * d_s - 1 for m >= s + 1; single points give m - 1."""
-    if x.ktype.is_single_point():
-        z = fatten(x, m)
-        ri = hilbert.regularity_index(z)
-        return RegularityReport(config_id(x), m, ri, m - 1, ri == m - 1)
-    if m < x.ktype.s + 1:
+    if not x.ktype.is_single_point() and m < x.ktype.s + 1:
         raise MultiplicityBelowThreshold(
             f"regularity statement needs m >= {x.ktype.s + 1}"
         )
-    z = fatten(x, m)
-    ri = hilbert.regularity_index(z)
+    ri = hilbert.regularity_index(fatten(x, m))
     expected = m * x.ktype.ds - 1
     return RegularityReport(config_id(x), m, ri, expected, ri == expected)
 

@@ -12,6 +12,7 @@ from fatpoints.geom import (
     incident,
     line_from_json,
     line_through,
+    lines_through_pairs,
     meet,
     point_from_json,
     triple_to_json,
@@ -84,6 +85,19 @@ def test_collinear_examples():
     assert collinear([])
     assert collinear([ProjPoint((1, 2, 3))])
     assert collinear([ProjPoint((1, 2, 3)), ProjPoint((1, 2, 3))])
+
+
+def test_lines_through_pairs():
+    # Three points on x1 = x0 and one point off it: the heavy line carries
+    # all three indices, and each of the other three lines two.
+    pts = [ProjPoint((0, 0, 1)), ProjPoint((1, 1, 1)), ProjPoint((2, 2, 1)),
+           ProjPoint((0, 1, 1))]
+    on = lines_through_pairs(pts)
+    assert on[ProjLine((1, -1, 0))] == {0, 1, 2}
+    assert sorted(len(idx) for idx in on.values()) == [2, 2, 2, 3]
+    for l, idx in on.items():
+        assert idx == {i for i, p in enumerate(pts) if incident(p, l)}
+    assert lines_through_pairs(pts[:1]) == {}
 
 
 nonzero_triples = st.tuples(

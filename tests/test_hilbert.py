@@ -207,7 +207,7 @@ def test_monomial_order_is_total_degree_consistent():
 
 
 def _scan_regularity(z):
-    """Exact oracle: H(0), H(1), ... until H(t) = deg, no floor, no probe."""
+    """Exact oracle: H(0), H(1), ... until H(t) = deg, with no floor."""
     t = 0
     while hilbert_value(z, t) < z.degree():
         t += 1
@@ -248,8 +248,8 @@ def test_regularity_floor_counts_line_weight():
 
 
 def test_regularity_index_above_the_floor():
-    # Large generic schemes whose floor lies below ri: the probes bracket
-    # above the floor and the exact walk-down certifies the boundary.
+    # Large generic schemes whose floor lies below ri: the walk ranks
+    # every degree from the floor up to ri.
     rng = random.Random(5)
     for _ in range(3):
         pts = []
@@ -266,51 +266,19 @@ def test_regularity_index_above_the_floor():
 @pytest.mark.parametrize("dvec, m", LADDER)
 def test_regularity_index_on_ladder_shapes(dvec, m, monkeypatch):
     z = fatten(generate_generic(KType(dvec), seed=0, bound=50), m)
-    probes = []
-    real_probe = linalg.has_full_row_rank
+    ranked = []
+    real_rank = linalg.rank
 
-    def probe(rows):
-        probes.append(len(rows))
-        return real_probe(rows)
+    def counted(rows, upper=None):
+        ranked.append(len(rows))
+        return real_rank(rows, upper=upper)
 
-    monkeypatch.setattr(linalg, "has_full_row_rank", probe)
-    monkeypatch.setattr(linalg, "rank", _refuse_rank)
+    monkeypatch.setattr(linalg, "rank", counted)
+    monkeypatch.setattr(linalg, "_span_certificate", _refuse)
+    monkeypatch.setattr(linalg, "bareiss_rank", _refuse)
     assert regularity_floor(z) == regularity_index(z) == m * dvec[-1] - 1
-    assert len(probes) == 1  # the floor is certified at once
+    assert len(ranked) == 1  # the floor is pinned at once
 
 
-def _refuse_rank(*args, **kwargs):
-    raise AssertionError("the search must not need an exact rank here")
-
-
-def _ladder_123():
-    return fatten(generate_generic(KType((1, 2, 3)), seed=0, bound=50), 4)
-
-
-# k = None: every probe understates.  On the ladder scheme that route
-# builds 38 matrices up to t = 48, so it runs on the small scheme only.
-@pytest.mark.parametrize(
-    "make, ks",
-    [(_collinear_doubles, (1, 3, None)), (_ladder_123, (1, 3))],
-    ids=["collinear_doubles", "ladder_123_4"],
-)
-def test_regularity_index_survives_understating_probes(make, ks, monkeypatch):
-    # A False probe is only the absence of a certificate.  Probes that
-    # understate on their first k calls force the exact walk-down; probes
-    # that always understate run past 2 * (sum of multiplicities) into the
-    # exact upward scan.  Every route must land on the exact scan's answer.
-    z = make()
-    expected = _scan_regularity(z)
-    real_probe = linalg.has_full_row_rank
-    for k in ks:
-        calls = []
-
-        def probe(rows):
-            calls.append(len(rows))
-            return (k is not None and len(calls) > k) and real_probe(rows)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg, "has_full_row_rank", probe)
-            assert regularity_index(z) == expected
-        total = sum(m for _, m in z.entries)
-        assert len(calls) == (k + 1 if k else 2 * total - regularity_floor(z) + 1)
+def _refuse(*args, **kwargs):
+    raise AssertionError("the walk must not need a certificate or Bareiss here")

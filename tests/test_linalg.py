@@ -99,6 +99,20 @@ def test_has_full_row_rank():
     assert not has_full_row_rank([[1, 2, 3], [2, 4, 6]])
     assert not has_full_row_rank([[0, 0, 0]])
     assert has_full_row_rank([])
+    # q vanishes mod both elimination primes, yet the rows are independent.
+    q = _ELIM_PRIMES[0] * _ELIM_PRIMES[1]
+    assert has_full_row_rank([[q, 0], [0, 1]]) is True
+
+
+@pytest.mark.parametrize(
+    "M",
+    [[[0, 0, 0]], [[0], [0]], [[_ELIM_PRIMES[0] * _ELIM_PRIMES[1]]]],
+    ids=["zero_row", "zero_column", "product_of_elimination_primes"],
+)
+def test_rank_zero_modulo_both_primes(M):
+    # No pivot mod either prime: zero rows have rank 0 with no solve, and a
+    # nonzero matrix goes to Bareiss.
+    assert rank(M) == bareiss_rank(M)
 
 
 @given(st.integers(1, 10**9), st.integers(2, 60))

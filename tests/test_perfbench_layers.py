@@ -46,10 +46,10 @@ def test_tracer_records_and_restores():
     names = [s["name"] for s in tracer.spans]
     assert names[0] == "hilbert.regularity_index"
     assert "hilbert.conditions_matrix" in names
-    assert "linalg.has_full_row_rank" in names
+    assert "linalg.rank" in names
     metrics = spans.layer_metrics(tracer.spans, set())
     assert metrics["hilbert.regularity_index.calls"][0] == 1
-    assert metrics["linalg.has_full_row_rank.hit_frac"][0] == 1.0
+    assert metrics["linalg.rank.calls"][0] == 1
 
 
 def test_tracer_annotates_a_verify_pass():

@@ -150,7 +150,7 @@ def test_family_threshold():
 
 def test_verify_main_reuses_ri_for_the_top_value(monkeypatch):
     # ri = t* = 11 here, so H(t*) = deg comes from the regularity search and
-    # the t* matrix, the largest one, is built once, by its single probe.
+    # the t* matrix, the largest one, is built once, by the walk's one rank.
     x, m = config_123_one(), 4
     t_star = m * x.ktype.ds - 1
     degrees = []
@@ -167,8 +167,8 @@ def test_verify_main_reuses_ri_for_the_top_value(monkeypatch):
 
 
 def test_verify_main_builds_no_large_exact_matrix(monkeypatch):
-    # Every matrix of this check is settled by residues alone (a probe or a
-    # value pinned at the greedy bound); no exact row is built at all.
+    # Every matrix of this check is settled by residues alone (a value
+    # pinned at its shape or at the greedy bound); no exact row is built.
     built = []
     real = hilbert.ConditionsMatrix._build_rows
 

@@ -156,7 +156,7 @@ def cmd_count_lines(args) -> int:
 
 def cmd_verify(args) -> int:
     x = _load_config(args)
-    ms = [args.m] if args.m_sweep is None else _parse_sweep(args.m_sweep)
+    ms = [args.m] if args.m_sweep is None else args.m_sweep
     status = 0
     for m in ms:
         report = verify.verify_main(x, m, include_ri=args.ri)
@@ -172,8 +172,11 @@ def cmd_verify(args) -> int:
     return status
 
 
-def _parse_sweep(text: str) -> list[int]:
+def _sweep(text: str) -> list[int]:
+    """The multiplicities of a nonempty inclusive range lo:hi."""
     lo, _, hi = text.partition(":")
+    if not (lo.isdigit() and hi.isdigit() and int(lo) <= int(hi)):
+        raise argparse.ArgumentTypeError(f"expected a nonempty range lo:hi, got {text!r}")
     return list(range(int(lo), int(hi) + 1))
 
 
@@ -282,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="first difference vs line count")
     common(v)
     v.add_argument("--m", type=int, default=None)
-    v.add_argument("--m-sweep", default=None, help="inclusive range lo:hi")
+    v.add_argument("--m-sweep", type=_sweep, default=None, help="inclusive range lo:hi")
     v.add_argument("--ri", action="store_true", help="include the regularity index")
     v.set_defaults(func=cmd_verify)
 

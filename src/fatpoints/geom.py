@@ -195,4 +195,24 @@ def line_from_json(data) -> ProjLine:
 def _triple_from_json(data) -> tuple[int, int, int]:
     if not isinstance(data, (list, tuple)) or len(data) != 3:
         raise ValueError(f"expected a triple of integers, got {data!r}")
-    return tuple(int(v) for v in data)
+    return tuple(json_int(v) for v in data)
+
+
+def json_array(data, what: str) -> list:
+    """``data`` if it is a JSON array, else ValueError naming ``what``."""
+    if not isinstance(data, list):
+        raise ValueError(f"expected {what} as a JSON array, got {data!r}")
+    return data
+
+
+def json_field(data, key: str) -> list:
+    """The array under ``key`` of a JSON object, else ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with {key!r}, got {data!r}")
+    return json_array(data[key], repr(key))
+
+
+def json_int(value) -> int:
+    if not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)

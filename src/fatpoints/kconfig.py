@@ -31,6 +31,7 @@ from .geom import (
     random_point_on,
     triple_to_json,
 )
+from .geom import json_array, json_field, json_int
 from .scheme import FatPointScheme
 
 
@@ -268,16 +269,19 @@ def generate_generic(ktype: KType, seed: int, bound: int = 50) -> KConfiguration
 
 
 def _general_position_lines(rng: Random, count: int, bound: int) -> list[ProjLine]:
-    """Distinct lines, no three concurrent, all pairwise meets distinct."""
-    while True:
-        lines = []
-        while len(lines) < count:
-            l = random_line(rng, bound)
-            if l not in lines:
-                lines.append(l)
-        meets = [meet(a, b) for a, b in combinations(lines, 2)]
-        if len(set(meets)) == len(meets):
-            return lines
+    """Distinct lines, no three concurrent, all pairwise meets distinct;
+    GenerationFailed after ``_MAX_TRIES`` random lines."""
+    lines: list[ProjLine] = []
+    for _ in range(_MAX_TRIES):
+        l = random_line(rng, bound)
+        if l not in lines:
+            lines.append(l)
+        if len(lines) == count:
+            meets = [meet(a, b) for a, b in combinations(lines, 2)]
+            if len(set(meets)) == len(meets):
+                return lines
+            lines = []
+    raise GenerationFailed(f"no {count} lines in general position found")
 
 
 def generate_with_line_count(s: int, r: int, seed: int, bound: int = 50) -> KConfiguration:
@@ -299,6 +303,10 @@ def generate_with_line_count(s: int, r: int, seed: int, bound: int = 50) -> KCon
         raise InfeasibleLineCount(
             "three non-collinear points always span three 2-point lines"
         )
+    # s lines, s + 1 for the star; a line is a nonzero coefficient triple up
+    # to sign, so the bound allows at most this many.
+    if s + (r == s + 1) > ((2 * bound + 1) ** 3 - 1) // 2:
+        raise GenerationFailed(f"coordinate bound {bound} has too few lines")
     ktype = KType(tuple(range(1, s + 1)))
     rng = Random(f"line-count:{s}:{r}:{seed}")
     for _ in range(60):
@@ -478,9 +486,10 @@ def kconfig_to_json(x: KConfiguration) -> dict:
 
 
 def kconfig_from_json(data: dict) -> KConfiguration:
-    ktype = KType(tuple(int(v) for v in data["type"]))
+    ktype = KType(tuple(json_int(v) for v in json_field(data, "type")))
     subsets = tuple(
-        tuple(point_from_json(p) for p in sub) for sub in data["subsets"]
+        tuple(point_from_json(p) for p in json_array(sub, "a subset"))
+        for sub in json_field(data, "subsets")
     )
-    lines = tuple(line_from_json(l) for l in data["lines"])
+    lines = tuple(line_from_json(l) for l in json_field(data, "lines"))
     return KConfiguration(ktype, subsets, lines)

@@ -18,29 +18,28 @@ Two cooperating engines, both exact:
   no Bareiss run.  The default bound is ``min(rows, cols)``; a caller that
   holds a sharper one passes ``rank(rows, upper=...)``, as ``hilbert_value``
   does with the scheme's greedy Cooper-Harbourne-Teitler bound.  Otherwise
-  the upper bound is proved by expressing every non-pivot row as a
-  rational combination of the pivot rows (coefficients recovered by CRT
-  over several primes plus rational reconstruction) and verifying that
-  identity in exact integer arithmetic.  If certification is not reached
-  the matrix goes to Bareiss.
+  the upper bound is proved by a span certificate: an integer kernel basis
+  on the side of the smaller nullity, solved by p-adic lifting modulo the
+  prime that found the pivots and checked against the whole matrix in
+  exact integer arithmetic.  If the check fails the matrix goes to
+  Bareiss.
 
 Every returned value is therefore exact regardless of which path
 produced it, and so is ``has_full_row_rank``, which compares ``rank``
 with the row count.
 
-Primes have two roles.  The eliminations that pin a rank run modulo
-the two ``_ELIM_PRIMES``, below 2**20, in float64: a blocked
-right-looking elimination with delayed modular reduction and one BLAS
-matrix product per panel of columns, after
-FFLAS-FFPACK (Dumas, Giorgi and Pernet, "Dense linear algebra over
-word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3),
-2008).  Every float it holds is an integer below 2**53 in absolute value,
-so every product and sum is exact whatever order BLAS adds in: residues
-are below p, and a cell is reduced again before it carries more than
-``(2**53 - p) // (p - 1)**2`` products of two residues (8192 for a
-20-bit p, more than any matrix here needs).  The 31-bit ``PRIMES`` are
-the CRT moduli of the span certificate, whose int64 solves hold single
-products of residues, below 2**62.
+All modular work is modulo the two ``_ELIM_PRIMES``, below 2**20, in
+float64.  The eliminations that pin a rank are blocked and right-looking,
+with delayed modular reduction and one BLAS matrix product per panel of
+columns, after FFLAS-FFPACK (Dumas, Giorgi and Pernet, "Dense linear
+algebra over word-size prime fields: the FFLAS and FFPACK packages", ACM
+TOMS 35(3), 2008).  Every float they hold is an integer below 2**53 in
+absolute value, so every product and sum is exact whatever order BLAS
+adds in: residues are below p, and a cell is reduced again before it
+carries more than ``(2**53 - p) // (p - 1)**2`` products of two residues
+(8192 for a 20-bit p, more than any matrix here needs).  The span
+certificate lifts with the pivot block's inverse mod the same prime and
+the block split into 16-bit limbs, so its float64 products are exact too.
 
 The modular arithmetic here is an internal certification device only;
 geometric coefficients elsewhere in the package remain rational.
@@ -49,7 +48,7 @@ geometric coefficients elsewhere in the package remain rational.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -58,62 +57,16 @@ try:
 except ImportError:  # gmpy2 is an optional extra: ``pip install .[gmpy2]``
     mpz = int  # Python int gives the same exact results, only slower
 
-# Verified 31-bit primes; products of prefixes serve as the span
-# certificate's CRT moduli.
-PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-    2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
-    2147483423, 2147483399, 2147483353, 2147483323, 2147483269,
-    2147483249, 2147483237, 2147483179, 2147483171, 2147483137,
-    2147483123, 2147483077, 2147483069, 2147483059, 2147483053,
-    2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
-    2147482937, 2147482921, 2147482877, 2147482873, 2147482867,
-    2147482859, 2147482819, 2147482817, 2147482811, 2147482801,
-    2147482763, 2147482739, 2147482697, 2147482693, 2147482681,
-    2147482663, 2147482661, 2147482621, 2147482591, 2147482583,
-    2147482577, 2147482507, 2147482501, 2147482481, 2147482417,
-    2147482409, 2147482367, 2147482361, 2147482349, 2147482343,
-    2147482327, 2147482291, 2147482273, 2147482237, 2147482231,
-    2147482223, 2147482121, 2147482093, 2147482091, 2147482081,
-    2147482063, 2147482021, 2147481997, 2147481967, 2147481949,
-    2147481937, 2147481907, 2147481901, 2147481899, 2147481893,
-    2147481883, 2147481863, 2147481827, 2147481811, 2147481797,
-    2147481793, 2147481673, 2147481629, 2147481571, 2147481563,
-    2147481529, 2147481509, 2147481499, 2147481491, 2147481487,
-    2147481373, 2147481367, 2147481359, 2147481353, 2147481337,
-    2147481317, 2147481311, 2147481283, 2147481269, 2147481263,
-    2147481247, 2147481209, 2147481199, 2147481179, 2147481173,
-    2147481151, 2147481143, 2147481139, 2147481071, 2147481053,
-    2147481031, 2147481019, 2147480989, 2147480971, 2147480969,
-    2147480957, 2147480941, 2147480927, 2147480921, 2147480899,
-    2147480897, 2147480893, 2147480849, 2147480843, 2147480837,
-    2147480791, 2147480747, 2147480743, 2147480723, 2147480707,
-    2147480683, 2147480677, 2147480651, 2147480641, 2147480623,
-    2147480611, 2147480591, 2147480551, 2147480527, 2147480519,
-    2147480507, 2147480471, 2147480459, 2147480437, 2147480429,
-    2147480369, 2147480327, 2147480311, 2147480299, 2147480297,
-    2147480227, 2147480219, 2147480207, 2147480197, 2147480161,
-    2147480039, 2147480011, 2147480009, 2147479991, 2147479937,
-    2147479907, 2147479897, 2147479891, 2147479879, 2147479823,
-    2147479819, 2147479787, 2147479781, 2147479757, 2147479753,
-    2147479751, 2147479681, 2147479657, 2147479643, 2147479637,
-    2147479619, 2147479601, 2147479589, 2147479573, 2147479549,
-    2147479547, 2147479531, 2147479517, 2147479513, 2147479507,
-    2147479489, 2147479447, 2147479421, 2147479403, 2147479381,
-    2147479361, 2147479349, 2147479339, 2147479307, 2147479273,
-    2147479259, 2147479231, 2147479189, 2147479171, 2147479133,
-    2147479129, 2147479121, 2147479097, 2147479091, 2147479079,
-    2147479063, 2147479057, 2147479031, 2147479013, 2147478997,
-    2147478967, 2147478961, 2147478959, 2147478937, 2147478919,
-    2147478911, 2147478899, 2147478889, 2147478863,
-)
-# Give up on span certificates beyond this many non-pivot rows.
-_MAX_DEFECT = 64
-# Primes below 2**20 for the float64 eliminations that pin ranks; disjoint
-# from ``PRIMES``.
+# Primes below 2**20 for the float64 eliminations that pin ranks and for
+# the p-adic lifting of the span certificate.
 _ELIM_PRIMES = (1048573, 1048571)
 # Columns per panel of ``_modp_eliminate``: one BLAS product per panel.
 _PANEL = 32
+# Bits per limb in the span certificate's lifting: a limb times a symmetric
+# residue mod a 20-bit prime is below 2**35, exact in float64 sums of 2**18.
+_LIMB = 16
+# Digits between reconstructions: three symmetric 20-bit digits fit int64.
+_CADENCE = 3
 
 
 def bareiss_rank(rows) -> int:
@@ -262,37 +215,6 @@ def _modp_eliminate(A: np.ndarray, p: int):
     return pr, piv_rows, piv_cols
 
 
-def _modp_solve_many(A: np.ndarray, B: np.ndarray, p: int):
-    """Solve x A = b mod p for each row b of B; A square invertible mod p.
-
-    Returns the k x r solution array, or None if A is singular mod p.
-    """
-    r = A.shape[0]
-    aug = np.concatenate([A.T % p, B.T % p], axis=1)  # r x (r + k)
-    for i in range(r):
-        col = aug[i:, i]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            return None
-        j = i + int(nz[0])
-        if j != i:
-            aug[[i, j]] = aug[[j, i]]
-        inv = pow(int(aug[i, i]), p - 2, p)
-        aug[i, i:] = (aug[i, i:] * inv) % p
-        below = aug[i + 1 :, i]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            aug[i + 1 + nzb, i:] = (
-                aug[i + 1 + nzb, i:] - below[nzb][:, None] * aug[i, i:]
-            ) % p
-    for i in range(r - 1, -1, -1):
-        above = aug[:i, i]
-        nza = np.nonzero(above)[0]
-        if nza.size:
-            aug[nza, i:] = (aug[nza, i:] - above[nza][:, None] * aug[i, i:]) % p
-    return aug[:, r:].T % p
-
-
 def _rational_reconstruct(x: int, modulus: int):
     """Wang's rational reconstruction of x mod modulus, or None."""
     bound = isqrt((modulus - 1) // 2)
@@ -310,84 +232,124 @@ def _rational_reconstruct(x: int, modulus: int):
     return Fraction(num, den)
 
 
-def _span_certificate(rows, piv_rows, nonpiv_rows, piv_cols) -> bool:
-    """Prove every non-pivot row lies in the rational span of pivot rows.
+def _inverse_modp(A: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of a float64 residue matrix, as symmetric residues, by
+    Gauss-Jordan elimination.  Only the pivot column and row are reduced,
+    so a cell gains less than 2**38 per step: exact for under 2**15 rows."""
+    r = len(A)
+    M = np.concatenate([A, np.eye(r)], axis=1)
+    for i in range(r):
+        col = M[:, i] % p
+        j = i + int(col[i:].nonzero()[0][0])
+        M[[i, j]] = M[[j, i]]
+        col[[i, j]] = col[[j, i]]
+        row = M[i] % p * pow(int(col[i]), -1, p) % p
+        row[row > p // 2] -= p
+        col[col > p // 2] -= p
+        col[i] = 0
+        M -= np.outer(col, row)
+        M[i] = row
+    inv = M[:, r:] % p
+    inv[inv > p // 2] -= p
+    return inv
 
-    The combination coefficients are recovered modulo a growing product
-    of primes (incremental CRT) and rationally reconstructed row by row;
-    a row counts as done only after the combination identity is checked
-    in exact integer arithmetic.  An unlucky prime can therefore cost a
-    retry but never produce a wrong answer.
+
+def _reconstruct(X: np.ndarray, modulus: int):
+    """(Y, den) with ``Y == den * X`` mod modulus, or None.  One denominator
+    is shared: each entry of ``den * X`` that is not yet an integer is
+    reconstructed (:func:`_rational_reconstruct`) and ``den`` takes its
+    denominator."""
+    bound = isqrt(modulus // 2)
+    den = 1
+    for x in X.flat:
+        y = den * x % modulus
+        if min(y, modulus - y) <= bound:
+            continue
+        f = _rational_reconstruct(y, modulus)
+        if f is None or den * f.denominator > bound:
+            return None
+        den *= f.denominator
+    Y = den * X % modulus
+    return np.where(Y > modulus // 2, Y - modulus, Y), den
+
+
+def _limbs(V: np.ndarray, count: int) -> np.ndarray:
+    """V's integers as ``count`` signed ``_LIMB``-bit limbs, limb first:
+    ``V == sum(limbs[l] << _LIMB * l)``."""
+    raw = b"".join(abs(int(v)).to_bytes(2 * count, "little") for v in V.flat)
+    mag = np.frombuffer(raw, "<u2").reshape(-1, count).T.reshape(count, *V.shape)
+    return mag * np.where(V < 0, -1, 1)
+
+
+def _lift(A: np.ndarray, B: np.ndarray, p: int):
+    """(Y, den) with ``A @ Y == den * B``, A square and invertible mod p.
+
+    Dixon's p-adic lifting ("Exact solution of linear equations using
+    p-adic expansions", Numer. Math. 40, 1982): with one inverse of A mod
+    p, each step takes the next p-adic digit ``x = A^-1 R mod p`` of Y and
+    replaces the residual R, held exactly in int64 limbs, by ``(R - A x) /
+    p``; ``A x`` is one float64 product with A's limbs.  Every ``_CADENCE``
+    digits Y is reconstructed, and the first reconstruction that satisfies
+    ``A Y == den * B`` exactly is returned.  Y is the unique solution, so
+    the loop ends once p**digits passes twice its numerators times den.
     """
-    if not piv_rows:  # the span of no rows is zero: nothing to solve for
-        return not any(any(rows[i]) for i in nonpiv_rows)
-    r = len(piv_rows)
-    k = len(nonpiv_rows)
-    piv_mat = [rows[i] for i in piv_rows]
-    ncols = len(rows[0])
-
-    combined = [[0] * r for _ in range(k)]  # residues mod `modulus`
+    r, k = B.shape
+    inv = _inverse_modp((A % p).astype(np.float64), p)
+    bits = max(abs(int(v)).bit_length() for v in np.concatenate([A, B], axis=1).flat)
+    count = bits // _LIMB + 1
+    limbs = _limbs(A, count).reshape(-1, r).astype(np.float64)
+    R = _limbs(B, count + 1)  # the top limb takes the carries
+    res = (B % p).astype(np.int64)
+    X = np.zeros((r, k), dtype=object)
     modulus = 1
-    remaining = set(range(k))
-    retry_bits = {}  # row -> modulus bits before re-verifying a reconstruction
-    since_attempt = 0
-    for p in PRIMES:
-        A = np.array([[rows[i][c] % p for c in piv_cols] for i in piv_rows],
-                     dtype=np.int64)
-        B = np.array([[rows[i][c] % p for c in piv_cols] for i in nonpiv_rows],
-                     dtype=np.int64)
-        sol = _modp_solve_many(A, B, p)
-        if sol is None:  # pivot block singular mod this prime: skip it
-            continue
-        if modulus == 1:
-            modulus = p
-            combined = [[int(sol[i, j]) for j in range(r)] for i in range(k)]
-        else:
-            inv = pow(modulus % p, p - 2, p)
-            new_modulus = modulus * p
-            for i in range(k):
-                row = combined[i]
-                for j in range(r):
-                    x = row[j]
-                    delta = ((int(sol[i, j]) - x) * inv) % p
-                    row[j] = (x + modulus * delta) % new_modulus
-            modulus = new_modulus
-        since_attempt += 1
-        if since_attempt < 6:
-            continue
-        since_attempt = 0
-        for i in sorted(remaining):
-            if retry_bits.get(i, 0) > modulus.bit_length():
-                continue
-            coeffs = []
-            for j in range(r):
-                frac = _rational_reconstruct(combined[i][j], modulus)
-                if frac is None:
-                    coeffs = None
-                    break
-                coeffs.append(frac)
-            if coeffs is None:
-                continue
-            if _verify_combination(rows[nonpiv_rows[i]], piv_mat, coeffs, ncols):
-                remaining.discard(i)
-            else:
-                # spurious reconstruction: wait for 64 more modulus bits
-                retry_bits[i] = modulus.bit_length() + 64
-        if not remaining:
-            return True
-    return False
+    while True:
+        chunk = np.zeros((r, k), dtype=np.int64)
+        for j in range(_CADENCE):
+            res[res > p // 2] -= p
+            x = inv @ res % p
+            x[x > p // 2] -= p
+            chunk += x.astype(np.int64) * p**j
+            R[:count] -= (limbs @ x).astype(np.int64).reshape(count, r, k)
+            for low, high in zip(R, R[1:]):  # carry up
+                high += low >> _LIMB
+                low &= (1 << _LIMB) - 1
+            rem = res = 0
+            for limb in R[::-1]:  # divide by p down, and take R mod p
+                limb += rem << _LIMB
+                rem = limb % p
+                limb //= p
+                res = ((res << _LIMB) + limb) % p
+        X += chunk.astype(object) * modulus
+        modulus *= p**_CADENCE
+        found = _reconstruct(X, modulus)
+        if found is not None and (A.dot(found[0]) == found[1] * B).all():
+            return found
 
 
-def _verify_combination(target, piv_mat, coeffs, ncols) -> bool:
-    """Exact check that target == sum(coeffs[j] * piv_mat[j])."""
-    scale = lcm(*(f.denominator for f in coeffs)) if coeffs else 1
-    acc = [mpz(0)] * ncols
-    for f, row in zip(coeffs, piv_mat):
-        g = mpz(f.numerator * (scale // f.denominator))
-        if g:
-            acc = [a + g * v for a, v in zip(acc, row)]
-    s = mpz(scale)
-    return all(a == s * v for a, v in zip(acc, target))
+def _span_certificate(rows, piv_rows, piv_cols, p: int) -> bool:
+    """Prove ``rank(rows) <= len(piv_rows)`` by an exact kernel basis.
+
+    The pivot block A = ``rows[piv_rows][:, piv_cols]`` is invertible mod
+    p.  The basis lies on the side of the smaller nullity: the right when
+    there are fewer columns than rows, else the left, as the right kernel
+    of the transpose.  With B the pivot rows' other columns, each column j
+    of the solution of ``A Y = B`` (:func:`_lift`) gives the kernel vector
+    ``Y[:, j]`` on the pivot columns and ``-den`` times unit vector j on the
+    others, so the vectors are independent.  They annihilate the pivot
+    rows by ``A Y == den * B``; False means another row is not annihilated,
+    so the true rank is above r.
+    """
+    M = np.array(rows, dtype=object)
+    if M.shape[1] >= M.shape[0]:  # the left nullity is no larger
+        M, piv_rows, piv_cols = M.T, piv_cols, piv_rows
+    if not piv_rows:  # the kernel is everything: the matrix must be zero
+        return not M.any()
+    if len(piv_rows) * (p // 2) ** 2 >= 2**53:
+        return False  # too large for exact float64 lifting; Bareiss decides
+    free = np.setdiff1d(np.arange(M.shape[1]), piv_cols)
+    Y, den = _lift(M[np.ix_(piv_rows, piv_cols)], M[np.ix_(piv_rows, free)], p)
+    rest = M[np.setdiff1d(np.arange(M.shape[0]), piv_rows)]
+    return bool((rest[:, piv_cols].dot(Y) == den * rest[:, free]).all())
 
 
 def rank(rows, upper: int | None = None) -> int:
@@ -403,9 +365,10 @@ def rank(rows, upper: int | None = None) -> int:
     pin, at any size.  The matrix is eliminated in float64 mod each of
     the two ``_ELIM_PRIMES`` (below 2**20, so every product is exact; see
     :func:`_modp_eliminate`), the second only when the first misses the
-    bound, since an unlucky prime can lose rank.  When both miss, one span certificate over the 31-bit
-    CRT ``PRIMES`` checks the pivots of the larger mod-p rank, and Bareiss
-    settles what it cannot.
+    bound, since an unlucky prime can lose rank.  When both miss, one span
+    certificate (:func:`_span_certificate`) proves the larger mod-p rank
+    with the pivots and the prime that found it, and Bareiss settles what
+    it cannot.
     """
     n = len(rows)
     if n == 0:
@@ -421,14 +384,11 @@ def rank(rows, upper: int | None = None) -> int:
             raise ValueError(f"upper bound {upper} is below the mod-p rank {found[0]}")
         if found[0] == bound:
             return found[0]
-        if best is None or found[0] > best[0]:
-            best = found
-    rp, piv_rows, piv_cols = best
+        if best is None or found[0] > best[0][0]:
+            best = found, p
+    (rp, piv_rows, piv_cols), p = best
     exact = _strip_rows(rows)
-    nonpiv = sorted(set(range(n)) - set(piv_rows))
-    if len(nonpiv) <= _MAX_DEFECT and _span_certificate(
-        exact, sorted(piv_rows), nonpiv, piv_cols
-    ):
+    if _span_certificate(exact, piv_rows, piv_cols, p):
         return rp
     return bareiss_rank(exact)
 

@@ -17,6 +17,7 @@ from itertools import accumulate
 from math import comb
 
 from .geom import ProjLine, ProjPoint, incident, lines_through_pairs
+from .geom import json_array, json_field, json_int
 from .geom import line_from_json, point_from_json, triple_to_json
 
 
@@ -179,13 +180,13 @@ def scheme_to_json(z: FatPointScheme) -> dict:
 
 
 def scheme_from_json(data: dict) -> FatPointScheme:
-    points = [point_from_json(t) for t in data["points"]]
-    mults = [int(m) for m in data["mults"]]
+    points = [point_from_json(t) for t in json_field(data, "points")]
+    mults = [json_int(m) for m in json_field(data, "mults")]
     return FatPointScheme.from_points(points, mults)
 
 
 def lines_from_json(data) -> list[ProjLine]:
-    return [line_from_json(t) for t in data]
+    return [line_from_json(t) for t in json_array(data, "lines")]
 
 
 def lines_to_json(lines) -> list[list[str]]:

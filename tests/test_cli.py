@@ -164,6 +164,44 @@ def test_generation_failure_is_an_error_not_a_traceback(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    # bound 0 draws no line at all; bound 1 has 13 lines, the star needs 14
+    ["generate --type 1,2,3 --r 2 --coord-bound 0",
+     "family --s 13 --m 14 --coord-bound 1"],
+    ids=["no-lines", "too-few-lines"],
+)
+def test_tiny_coordinate_bound_is_an_error(argv, capsys):
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, data",
+    [("hilbert", "--scheme", []),
+     ("hilbert", "--scheme", {"points": 5, "mults": []}),
+     ("count-lines", "--config", {"type": [1, 2], "subsets": 3, "lines": []})],
+    ids=["scheme-array", "points-number", "subsets-number"],
+)
+def test_malformed_json_is_an_error(command, flag, data, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    argv = [command, flag, str(path)] + (["--t-max", "3"] if command == "hilbert" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sweep", ["3", "5:3"], ids=["no-colon", "empty"])
+def test_bad_sweep_is_a_usage_error(sweep, tmp_path, capsys):
+    cfg = _write_config(tmp_path, config_123_one())
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--config", cfg, "--m-sweep", sweep])
+    assert err.value.code == 2
+    assert "--m-sweep" in capsys.readouterr().err
+
+
 def test_family_coord_bound_sources(monkeypatch, capsys):
     from fatpoints import verify
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from corpus import LADDER, config_123_one, config_1234, config_1345, ladder_degrees
 from fatpoints import linalg
 from fatpoints.geom import ProjPoint, random_point
-from fatpoints.linalg import _ELIM_PRIMES, PRIMES
+from fatpoints.linalg import _ELIM_PRIMES
 from fatpoints.hilbert import (
     EmptyScheme,
     HilbertTable,
@@ -85,7 +85,7 @@ def test_residues_equal_exact_matrix_mod_p(z, t):
     rows = _reference_rows(z, t)
     assert len(M) == len(rows)  # from the scheme, before any row is built
     assert M == rows
-    for p in (PRIMES[0], PRIMES[1], *_ELIM_PRIMES, 101):
+    for p in (2147483647, 2147483629, *_ELIM_PRIMES, 101):
         R = M.mod(p)
         assert R.dtype == np.int64
         assert R.tolist() == [[v % p for v in row] for row in rows], p

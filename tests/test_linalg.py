@@ -12,7 +12,6 @@ from corpus import ladder_degrees
 from fatpoints import linalg
 from fatpoints.linalg import (
     _ELIM_PRIMES,
-    PRIMES,
     _rational_reconstruct,
     bareiss_rank,
     has_full_row_rank,
@@ -118,9 +117,7 @@ def test_rank_zero_modulo_both_primes(M):
 @given(st.integers(1, 10**9), st.integers(2, 60))
 def test_rational_reconstruct_round_trip(den, nbits):
     num = (1 << nbits) - 3
-    modulus = 1
-    for p in PRIMES[:6]:
-        modulus *= p
+    modulus = (2147483647 * 2147483629) ** 3
     if Fraction(num, den).denominator != den:
         return
     x = (num * pow(den, -1, modulus)) % modulus
@@ -155,7 +152,7 @@ def test_rank_engines_agree_random(rows):
 
 from fatpoints.geom import ProjPoint
 from fatpoints.hilbert import conditions_matrix, hilbert_value
-from fatpoints.kconfig import KType, fatten, generate_generic
+from fatpoints.kconfig import KType, fatten, generate_generic, generate_with_line_count
 from fatpoints.scheme import FatPointScheme
 
 
@@ -260,6 +257,117 @@ def test_lost_residue_is_pinned_by_the_second_prime(monkeypatch):
     assert lost == [6, 7, 8, 9, 10, 11]
 
 
+# --- the span certificate ----------------------------------------------------
+#
+# Unpinned, the deficient t* - 1 matrix of every ladder rung needs a
+# certificate.  Its left nullity is 1; its transpose puts that kernel vector
+# on the right, so the two orientations exercise both sides.
+
+
+def _transposed(M):
+    return [list(col) for col in zip(*M)]
+
+
+def _certificates(monkeypatch):
+    """Refuse Bareiss and record each certificate's verdict and the number
+    of kernel vectors it lifts."""
+    seen = []
+    real_certificate, real_lift = linalg._span_certificate, linalg._lift
+
+    def certificate(*args):
+        seen.append(real_certificate(*args))
+        return seen[-1]
+
+    def lift(A, B, p):
+        seen.append(B.shape[1])
+        return real_lift(A, B, p)
+
+    monkeypatch.setattr(linalg, "_span_certificate", certificate)
+    monkeypatch.setattr(linalg, "_lift", lift)
+    monkeypatch.setattr(linalg, "bareiss_rank", _refuse)
+    return seen
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["rows", "transposed"])
+@pytest.mark.parametrize(
+    "z, t", [pytest.param(z, t, id=name) for name, z, t in list(ladder_degrees())[::2]]
+)
+def test_certificate_on_ladder_matrices(z, t, transpose, monkeypatch):
+    with monkeypatch.context() as patch:  # the pinned value: no certificate
+        patch.setattr(linalg, "_span_certificate", _refuse)
+        patch.setattr(linalg, "bareiss_rank", _refuse)
+        expected = hilbert_value(z, t)
+    M = [list(row) for row in conditions_matrix(z, t)]
+    if transpose:
+        M = _transposed(M)
+    assert _max_bits(M) > 80
+    assert expected == min(len(M), len(M[0])) - 1
+    if max(len(M), len(M[0])) <= 66:  # (1, 2, 3)/4, where Bareiss is quick
+        assert bareiss_rank(M) == expected
+    seen = _certificates(monkeypatch)
+    assert rank(M) == expected
+    assert seen == [1, True]  # one kernel vector, on the smaller side
+
+
+def test_certificate_on_the_family_matrix(monkeypatch):
+    # family --s 5 --m 6 --seed 0: at t = 21 the r = 5 member is the one
+    # value no bound pins.  315 x 253 of rank 252: the right nullity is 1
+    # and the left nullity 63.
+    z = fatten(generate_with_line_count(5, 5, seed=0, bound=20), 6)
+    assert z.greedy_reduction.upper_bound(21) > 252
+    seen = _certificates(monkeypatch)
+    assert hilbert_value(z, 21) == 252
+    assert seen == [1, True]
+
+
+def test_certificate_lifts_past_spurious_reconstructions(monkeypatch):
+    # The solution Y = b / a of the 1 x 1 pivot block has a 206-bit
+    # numerator over a 200-bit denominator: shorter expansions reconstruct
+    # to smaller fractions, which fail A Y == den B, and lifting goes on.
+    a, b = 2**200 + 235, 3**130
+    found = []
+    real_reconstruct = linalg._reconstruct
+
+    def reconstruct(X, modulus):
+        found.append(real_reconstruct(X, modulus))
+        return found[-1]
+
+    monkeypatch.setattr(linalg, "_reconstruct", reconstruct)
+    monkeypatch.setattr(linalg, "bareiss_rank", _refuse)
+    assert rank([[a, b], [2 * a, 2 * b], [3 * a, 3 * b]]) == 1
+    assert sum(f is not None for f in found) > 1
+
+
+def test_certificate_refuses_a_rank_both_primes_lose():
+    # q vanishes mod both elimination primes: each finds the one pivot (0, 0),
+    # whose kernel vector does not annihilate the row (0, q).
+    q = _ELIM_PRIMES[0] * _ELIM_PRIMES[1]
+    M = [[1, 0], [0, q]]
+    for p in _ELIM_PRIMES:
+        assert linalg._modp_eliminate(np.array(M) % p, p) == (1, [0], [0])
+        assert linalg._span_certificate(M, [0], [0], p) is False
+    assert rank(M) == 2
+
+
+@given(st.lists(st.integers(-(2**300), 2**300), min_size=1, max_size=12))
+def test_limbs_recombine_to_the_integers(values):
+    count = max(abs(v).bit_length() for v in values) // linalg._LIMB + 1
+    limbs = linalg._limbs(np.array(values, dtype=object), count)
+    assert limbs.dtype == np.int64 and np.abs(limbs).max() < 2**linalg._LIMB
+    assert [sum(int(limb) << linalg._LIMB * l for l, limb in enumerate(limbs[:, i]))
+            for i in range(len(values))] == values
+
+
+def test_inverse_modp_is_exact_without_reducing_every_cell():
+    # 200 steps of unreduced updates; a product with the inverse has sums
+    # below 2**48, so the float64 check is exact too.
+    p = _ELIM_PRIMES[0]
+    A = np.random.default_rng(3).integers(0, p, (200, 200)).astype(np.float64)
+    inv = linalg._inverse_modp(A, p)
+    assert np.abs(inv).max() <= p // 2
+    assert ((A @ inv) % p == np.eye(200)).all()
+
+
 # --- the float64 kernel against the int64 reference --------------------------
 
 
@@ -353,7 +461,7 @@ def test_trailing_reduction_runs_on_a_rung_matrix(p, limit):
     assert (rp, piv_rows, piv_cols) == _modp_eliminate_int64(A, p)
 
 
-@pytest.mark.parametrize("p", [PRIMES[0], 2**25 - 39])
+@pytest.mark.parametrize("p", [2147483647, 2**25 - 39])
 def test_kernel_refuses_a_prime_too_large_for_float64(p):
     with pytest.raises(ValueError):
         linalg._modp_eliminate(np.eye(3, dtype=np.int64), p)

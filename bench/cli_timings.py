@@ -2,9 +2,10 @@
 
 Each command runs through ``fatpoints.cli.main`` in a child process of its
 own, so a ``--timeout`` can stop one that takes too long.  For each command
-the output is one JSON record: wall seconds, the number of span
-certificates and Bareiss runs that ``linalg`` started, and the sha256 of
-the command's standard output (equal hashes mean byte-identical output).
+the output is one JSON record: wall seconds, the number of ``linalg.rank``
+calls and of the span certificates and Bareiss runs that ``linalg``
+started, and the sha256 of the command's standard output (equal hashes
+mean byte-identical output).
 Configurations are generated first and are not timed.  The file sits
 outside ``tests/`` so the test suite does not collect it.  Run it with::
 
@@ -54,7 +55,7 @@ COMMANDS = {
 def _run_one(name: str) -> dict:
     from fatpoints import cli, linalg
 
-    counts = {"certificates": 0, "bareiss": 0}
+    counts = {"ranks": 0, "certificates": 0, "bareiss": 0}
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -63,6 +64,7 @@ def _run_one(name: str) -> dict:
 
         return wrapper
 
+    linalg.rank = counted("ranks", linalg.rank)
     linalg._span_certificate = counted("certificates", linalg._span_certificate)
     linalg.bareiss_rank = counted("bareiss", linalg.bareiss_rank)
     dvec, command = COMMANDS[name]

@@ -8,7 +8,8 @@ Hilbert function is sandwiched for every degree t:
 
 with C(n, 2) = 0 for n < 2.  The summands of f are clamped at zero: a
 negative t - i + 1 cannot contribute a negative number of conditions.
-``F_upper`` checks completeness and calls ``ReductionVector.upper_bound``.
+``f_lower`` and ``F_upper`` check completeness and call
+``ReductionVector.lower_bound`` and ``ReductionVector.upper_bound``.
 
 ``peeling_sequence`` builds the standard line sequences whose reduction
 vectors make these bounds tight at the degrees of interest: repeated
@@ -16,7 +17,8 @@ descending passes over the defining lines, the analogous passes over the
 s + 1 full lines of a star, and the augmented variant that finishes with
 the line through two private points plus one line per leftover private
 point.  They serve the ``bounds`` and ``reduce`` commands only; exact
-Hilbert values are pinned by ``FatPointScheme.greedy_reduction``.
+Hilbert values use the bounds of ``FatPointScheme.greedy_reduction``,
+which settle a value where f_v = F_v and pin its rank where they differ.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ AUGMENTED = "augmented"
 def f_lower(v: ReductionVector, t: int) -> int:
     if not v.complete:
         raise IncompleteReduction("lower bound requires a complete reduction")
-    return sum(max(0, min(t - i + 1, val)) for i, val in enumerate(v.values))
+    return v.lower_bound(t)
 
 
 def F_upper(v: ReductionVector, t: int) -> int:

@@ -11,14 +11,20 @@ For t < m - 1 the operator order is clamped to t, which keeps the kernel
 correct (order-t partials of a degree-t form are its coefficients up to
 nonzero factorials).
 
-Rank computation is delegated to :mod:`fatpoints.linalg`; every value
-returned here is exact, and each is pinned against F_v(t) of the
-scheme's greedy reduction vector.  The matrix is built residue first: a
+Every value returned here is exact.  The scheme's greedy reduction
+vector v sandwiches it first, f_v(t) <= H_Z(t) <= F_v(t), by Cooper,
+Harbourne and Teitler ("Combinatorial bounds on Hilbert functions of fat
+points in projective space", JPAA 215, 2011).  For the lower bound, the
+residual sequence of the first line L of v, 0 -> (I_{Z:L})_{t-1} ->
+(I_Z)_t -> (forms on L vanishing on Z meet L)_t, gives H_Z(t) >=
+H_{Z:L}(t-1) + min(t + 1, v_1), and induction along the residual chain
+gives f_v.  When f_v(t) = F_v(t) that is the value, and no matrix is
+built.  Otherwise the rank is delegated to :mod:`fatpoints.linalg`,
+pinned against F_v(t).  The matrix is built residue first: a
 :class:`ConditionsMatrix` gives its residues mod p straight from the
 coordinates mod p and a falling-factorial table, in int64 numpy, and
 builds its exact integer rows only when they are read, which the rank
-layer does only after a missed pin.  Pinned values, which settle nearly
-every matrix, never read them.
+layer does only after a missed pin.
 """
 
 from __future__ import annotations
@@ -196,10 +202,16 @@ def conditions_matrix(z: FatPointScheme, t: int) -> ConditionsMatrix:
 
 
 def hilbert_value(z: FatPointScheme, t: int) -> int:
-    """H_Z(t) = dim R_t - dim (I_Z)_t, as an exact matrix rank.
+    """H_Z(t) = dim R_t - dim (I_Z)_t, exact.
 
-    Pinned (see :func:`linalg.rank`) against F_v(t) of the scheme's
-    greedy reduction vector; for a single point, against the shape.
+    The scheme's greedy reduction vector v sandwiches the value, f_v(t)
+    <= H_Z(t) <= F_v(t) (CHT; see :class:`~fatpoints.scheme.ReductionVector`).
+    f_v follows from the residual sequence of each line L of v, which
+    gives H_Z(t) >= H_{Z:L}(t-1) + min(t + 1, deg(Z meet L)).  When the
+    two bounds meet, that is the value and no matrix is built.
+    Otherwise it is the rank of :func:`conditions_matrix`, pinned (see
+    :func:`linalg.rank`) against F_v(t); for a single point, against the
+    shape.
     """
     if t < 0:
         return 0
@@ -207,6 +219,8 @@ def hilbert_value(z: FatPointScheme, t: int) -> int:
         return 0
     v = z.greedy_reduction
     upper = None if v is None else v.upper_bound(t)
+    if v is not None and v.lower_bound(t) == upper:
+        return upper
     return linalg.rank(conditions_matrix(z, t), upper=upper)
 
 
@@ -234,8 +248,7 @@ class HilbertTable:
 
 
 def hilbert_table(z: FatPointScheme, t_max: int) -> HilbertTable:
-    """H(0..t_max) by :func:`hilbert_value`, each pinned against the
-    scheme's greedy F_v(t), up to the first value deg Z."""
+    """H(0..t_max) by :func:`hilbert_value` up to the first value deg Z."""
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     deg = z.degree()

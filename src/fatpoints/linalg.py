@@ -1,5 +1,8 @@
 """Exact rank of integer matrices.
 
+:func:`fatpoints.hilbert.hilbert_value` calls here only for a value that
+the Cooper-Harbourne-Teitler bounds f_v <= H <= F_v of the scheme's
+greedy reduction vector leave open; where they meet it builds no matrix.
 Two cooperating engines, both exact:
 
 * ``bareiss_rank`` -- fraction-free (Bareiss-style) elimination on

@@ -6,7 +6,8 @@ Its degree is the number of linear conditions it imposes in large degree,
 every point on it (the ideal-quotient residual for fat points), which is
 the whole computational content of reduction vectors.  Each scheme
 carries one greedy reduction vector, whose Cooper-Harbourne-Teitler
-upper bound F_v pins the exact ranks of :mod:`fatpoints.hilbert`.
+bounds f_v <= H <= F_v settle or pin the exact values of
+:mod:`fatpoints.hilbert`.
 """
 
 from __future__ import annotations
@@ -143,6 +144,12 @@ class ReductionVector:
         tails = list(accumulate(reversed(self.values), initial=0))[::-1]
         c2 = [comb(max(t - i + 2, 0), 2) for i in range(len(tails))]
         return min(c2[0] - c + tail for c, tail in zip(c2, tails))
+
+    def lower_bound(self, t: int) -> int:
+        """f_v(t) = sum_i max(0, min(t - i + 1, v_{i+1})), a lower bound on
+        H_Z(t) for any line sequence (CHT; the residual-sequence proof is in
+        :mod:`fatpoints.hilbert`)."""
+        return sum(max(0, min(t - i + 1, val)) for i, val in enumerate(self.values))
 
 
 def reduction_vector(z: FatPointScheme, lines) -> ReductionVector:

@@ -82,16 +82,14 @@ def verify_main(x: KConfiguration, m: int, include_ri: bool = False) -> Verifica
     report is informational (the identity genuinely fails for some
     configurations there).
 
-    H(t*) is typically full rank and proven by a nonzero maximal minor
-    mod p.  With ``include_ri`` the regularity index ri is computed first,
-    and when ri <= t* the value H(t*) = deg is read off it: H is
-    nondecreasing and H(ri) = deg is certified, so no second rank runs.
-    H(t* - 1) is rank-deficient; it is pinned by the
-    Cooper-Harbourne-Teitler upper bound F_v(t* - 1) of the scheme's
-    greedy reduction vector: when the mod-p rank, a lower bound, reaches
-    F_v the value is exact.  That bound is CHT's theorem on reduction
-    vectors, not the identity being checked; when it is not tight the
-    value is certified without it.
+    Both values come from :func:`hilbert.hilbert_value`.  With
+    ``include_ri`` the regularity index ri is computed first, and when
+    ri <= t* the value H(t*) = deg is read off it: H is nondecreasing and
+    H(ri) = deg is exact, so H(t*) is not computed again.  The values rest
+    on the Cooper-Harbourne-Teitler bounds f_v <= H <= F_v of the scheme's
+    greedy reduction vector, or on a conditions-matrix rank where they
+    differ, and the line count on :func:`kconfig.count_lines`; never on
+    the identity being checked.
     """
     if x.ktype.is_single_point():
         raise SinglePointType("verification needs at least two points")

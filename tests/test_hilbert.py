@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import LADDER, config_123_one, config_1234, config_1345, ladder_degrees
-from fatpoints import linalg
+from fatpoints import hilbert, linalg
 from fatpoints.geom import ProjPoint, random_point
 from fatpoints.linalg import _ELIM_PRIMES
 from fatpoints.hilbert import (
@@ -22,7 +22,8 @@ from fatpoints.hilbert import (
     regularity_index,
 )
 from fatpoints.kconfig import KType, fatten, generate_generic
-from fatpoints.scheme import FatPointScheme
+from fatpoints.scheme import FatPointScheme, reduction_vector
+from fatpoints.verify import hilbert_family
 
 
 def test_conditions_matrix_simple_point():
@@ -263,22 +264,76 @@ def test_regularity_index_above_the_floor():
         assert regularity_floor(z) < ri == _scan_regularity(z)
 
 
-@pytest.mark.parametrize("dvec, m", LADDER)
-def test_regularity_index_on_ladder_shapes(dvec, m, monkeypatch):
-    z = fatten(generate_generic(KType(dvec), seed=0, bound=50), m)
-    ranked = []
+def _count_ranks(monkeypatch):
+    """Record the ``upper`` of every ``linalg.rank`` call from here on."""
+    uppers = []
     real_rank = linalg.rank
 
     def counted(rows, upper=None):
-        ranked.append(len(rows))
+        uppers.append(upper)
         return real_rank(rows, upper=upper)
 
     monkeypatch.setattr(linalg, "rank", counted)
+    return uppers
+
+
+@pytest.mark.parametrize("dvec, m", LADDER)
+def test_regularity_index_on_ladder_shapes(dvec, m, monkeypatch):
+    z = fatten(generate_generic(KType(dvec), seed=0, bound=50), m)
+    ranked = _count_ranks(monkeypatch)
     monkeypatch.setattr(linalg, "_span_certificate", _refuse)
     monkeypatch.setattr(linalg, "bareiss_rank", _refuse)
     assert regularity_floor(z) == regularity_index(z) == m * dvec[-1] - 1
-    assert len(ranked) == 1  # the floor is pinned at once
+    assert ranked == []  # the floor is settled by f_v = F_v, no matrix ranked
+
+
+@pytest.mark.parametrize("dvec, m", LADDER)
+def test_greedy_vector_recomputes_on_ladder_shapes(dvec, m):
+    # f_v = F_v settles every value of these schemes that verify asks for,
+    # so the greedy vector is the whole proof there: recompute it through
+    # line_degree and residual, and check that it is complete.
+    z = fatten(generate_generic(KType(dvec), seed=0, bound=50), m)
+    v = z.greedy_reduction
+    assert reduction_vector(z, v.lines) == v
+    assert v.total() == z.degree()
 
 
 def _refuse(*args, **kwargs):
     raise AssertionError("the walk must not need a certificate or Bareiss here")
+
+
+def test_loose_value_ranks_one_pinned_matrix(monkeypatch):
+    # f_v(6) = 27 < F_v(6) = 28 here: the bounds leave the value open, so it
+    # is the rank of the conditions matrix, pinned once against F_v(6).
+    z, t = fatten(config_1345(), 2), 6
+    v = z.greedy_reduction
+    assert v.lower_bound(t) < v.upper_bound(t)
+    ranked = _count_ranks(monkeypatch)
+    h = hilbert_value(z, t)
+    assert ranked == [v.upper_bound(t)]
+    assert h == linalg.bareiss_rank(conditions_matrix(z, t))
+
+
+def test_sandwich_agrees_with_the_pinned_rank(monkeypatch):
+    # Every value of two small families, and t* - 1 and t* of every ladder
+    # rung, against the rank of its conditions matrix (300-bit entries)
+    # pinned at F_v, whose lower bound is a mod-p elimination, not f_v.
+    cases = []
+    real_value = hilbert.hilbert_value
+
+    def spy(z, t):
+        cases.append((z, t))
+        return real_value(z, t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hilbert, "hilbert_value", spy)
+        for s, m in ((3, 4), (4, 5)):
+            hilbert_family(s, m, seed=0)
+    cases += [(z, t) for _, z, t in ladder_degrees()]
+    settled = 0
+    for z, t in cases:
+        v = z.greedy_reduction
+        settled += v.lower_bound(t) == v.upper_bound(t)
+        pinned = linalg.rank(conditions_matrix(z, t), upper=v.upper_bound(t))
+        assert hilbert_value(z, t) == pinned
+    assert 0 < settled < len(cases)  # both routes are compared

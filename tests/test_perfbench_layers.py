@@ -39,7 +39,10 @@ def test_tracer_records_and_restores():
     tracer = spans.Tracer()
     tracer.install(fatpoints)
     try:
-        assert hilbert.regularity_index(fatten(config_1345(), 2)) == 9
+        z = fatten(config_1345(), 2)
+        assert hilbert.regularity_index(z) == 9
+        # f_v(6) = 27 < F_v(6) = 28: the one value here that ranks a matrix
+        assert hilbert.hilbert_value(z, 6) == 28
     finally:
         tracer.uninstall()
     assert _layer_functions() == originals
@@ -54,11 +57,14 @@ def test_tracer_records_and_restores():
 
 def test_tracer_annotates_a_verify_pass():
     # The rank and conditions_matrix notes read the matrix as a sequence of
-    # integer rows; a traced verify pass must get through them.
+    # integer rows; a traced verify pass, and a value the bounds leave
+    # open, must get through them.
     tracer = spans.Tracer()
     tracer.install(fatpoints)
     try:
         rep = verify_main(config_1345(), 2, include_ri=True)
+        # the verify pass is settled by f_v = F_v; this value ranks a matrix
+        assert hilbert.hilbert_value(fatten(config_1345(), 2), 6) == 28
     finally:
         tracer.uninstall()
     assert rep.ri == 9

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from corpus import (
+    LADDER,
     config_123_one,
     config_123_star,
     config_1234,
@@ -149,10 +150,33 @@ def test_family_threshold():
 
 
 def test_verify_main_reuses_ri_for_the_top_value(monkeypatch):
-    # ri = t* = 11 here, so H(t*) = deg comes from the regularity search and
-    # the t* matrix, the largest one, is built once, by the walk's one rank.
+    # ri = t* = 11 here, so H(t*) = deg comes from the regularity search:
+    # H(t*) is computed once, by the walk, and the t* matrix, the largest
+    # one, is built at most once.
     x, m = config_123_one(), 4
     t_star = m * x.ktype.ds - 1
+    degrees, valued = [], []
+    real_matrix, real_value = hilbert.conditions_matrix, hilbert.hilbert_value
+
+    def spy_matrix(z, t):
+        degrees.append(t)
+        return real_matrix(z, t)
+
+    def spy_value(z, t):
+        valued.append(t)
+        return real_value(z, t)
+
+    monkeypatch.setattr(hilbert, "conditions_matrix", spy_matrix)
+    monkeypatch.setattr(hilbert, "hilbert_value", spy_value)
+    rep = verify_main(x, m, include_ri=True)
+    assert rep.ri == t_star and degrees.count(t_star) <= 1
+    assert valued.count(t_star) == 1
+    assert rep.delta_value == verify_main(x, m).delta_value == 1
+
+
+@pytest.mark.parametrize("dvec, m", LADDER)
+def test_verify_main_builds_no_matrix_on_ladder_rungs(dvec, m, monkeypatch):
+    # Every value of these checks, ri included, is settled by f_v = F_v.
     degrees = []
     real = hilbert.conditions_matrix
 
@@ -161,9 +185,10 @@ def test_verify_main_reuses_ri_for_the_top_value(monkeypatch):
         return real(z, t)
 
     monkeypatch.setattr(hilbert, "conditions_matrix", spy)
+    x = generate_generic(KType(dvec), seed=0, bound=50)
     rep = verify_main(x, m, include_ri=True)
-    assert rep.ri == t_star and degrees.count(t_star) == 1
-    assert rep.delta_value == verify_main(x, m).delta_value == 1
+    assert rep.matches and rep.ri == m * dvec[-1] - 1
+    assert degrees == []
 
 
 def test_verify_main_builds_no_large_exact_matrix(monkeypatch):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -234,7 +235,10 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: its defaults read no
+    environment (``_coord_bound`` reads ``KCONFIG_COORD_BOUND`` per call)."""
     parser = argparse.ArgumentParser(
         prog="fatpoints",
         description="Exact fat-point Hilbert functions on plane configurations",

@@ -25,6 +25,10 @@ pinned against F_v(t).  The matrix is built residue first: a
 coordinates mod p and a falling-factorial table, in int64 numpy, and
 builds its exact integer rows only when they are read, which the rank
 layer does only after a missed pin.
+
+numpy is imported inside the methods that build arrays (a stencil, the
+residues mod p), so it loads with the first value the sandwich leaves
+open; a command whose every value the sandwich settles never loads it.
 """
 
 from __future__ import annotations
@@ -32,11 +36,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import linalg
 from .scheme import FatPointScheme
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OutOfRange(IndexError):
@@ -79,6 +85,8 @@ class _Stencil:
     """
 
     def __init__(self, t: int, order: int):
+        import numpy as np
+
         self.d = d = t - order
         self.falling = _falling_table(t, order)
         self.ops = np.array(
@@ -106,6 +114,8 @@ class _Stencil:
 
     def coefficients_mod(self, p: int) -> np.ndarray:
         """The coefficients mod p, as an int64 array."""
+        import numpy as np
+
         if p not in self._residues:
             F = np.array([[f % p for f in row] for row in self.falling], dtype=np.int64)
             E, A = self.cols[None, :, :], self.ops[:, None, :]
@@ -182,6 +192,8 @@ class ConditionsMatrix(Sequence):
 
         Every product is of two residues, so it stays below 2**62.
         """
+        import numpy as np
+
         blocks = [np.zeros((0, comb(self.degree + 2, 2)), dtype=np.int64)]
         for coords, st in self._points():
             X, Y, W = (np.array([pow(v, j, p) for j in range(st.d + 1)], dtype=np.int64)

@@ -46,14 +46,20 @@ the block split into 16-bit limbs, so its float64 products are exact too.
 
 The modular arithmetic here is an internal certification device only;
 geometric coefficients elsewhere in the package remain rational.
+
+numpy is imported inside the functions that touch arrays, not when this
+module loads, so it loads with the first ``rank`` of a nonempty matrix.
+A command whose every Hilbert value the sandwich settles never loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 try:
     from gmpy2 import mpz
@@ -140,6 +146,8 @@ def _strip_rows(rows):
 def _modp_matrix(rows, p: int) -> np.ndarray:
     """The residues mod p as int64: from ``rows.mod(p)`` when the matrix
     builds them itself (a conditions matrix does), else cell by cell."""
+    import numpy as np
+
     mod = getattr(rows, "mod", None)
     if mod is not None:
         return mod(p)
@@ -164,6 +172,8 @@ def _modp_eliminate(A: np.ndarray, p: int):
     trailing block is reduced only before it would pass that count, and
     a prime too large for one panel of products raises ``ValueError``.
     """
+    import numpy as np
+
     limit = (2**53 - p) // (p - 1) ** 2
     if limit < _PANEL:
         raise ValueError(f"prime {p} is too large for exact float64 elimination")
@@ -239,6 +249,8 @@ def _inverse_modp(A: np.ndarray, p: int) -> np.ndarray:
     """Inverse mod p of a float64 residue matrix, as symmetric residues, by
     Gauss-Jordan elimination.  Only the pivot column and row are reduced,
     so a cell gains less than 2**38 per step: exact for under 2**15 rows."""
+    import numpy as np
+
     r = len(A)
     M = np.concatenate([A, np.eye(r)], axis=1)
     for i in range(r):
@@ -262,6 +274,8 @@ def _reconstruct(X: np.ndarray, modulus: int):
     is shared: each entry of ``den * X`` that is not yet an integer is
     reconstructed (:func:`_rational_reconstruct`) and ``den`` takes its
     denominator."""
+    import numpy as np
+
     bound = isqrt(modulus // 2)
     den = 1
     for x in X.flat:
@@ -279,6 +293,8 @@ def _reconstruct(X: np.ndarray, modulus: int):
 def _limbs(V: np.ndarray, count: int) -> np.ndarray:
     """V's integers as ``count`` signed ``_LIMB``-bit limbs, limb first:
     ``V == sum(limbs[l] << _LIMB * l)``."""
+    import numpy as np
+
     raw = b"".join(abs(int(v)).to_bytes(2 * count, "little") for v in V.flat)
     mag = np.frombuffer(raw, "<u2").reshape(-1, count).T.reshape(count, *V.shape)
     return mag * np.where(V < 0, -1, 1)
@@ -296,6 +312,8 @@ def _lift(A: np.ndarray, B: np.ndarray, p: int):
     ``A Y == den * B`` exactly is returned.  Y is the unique solution, so
     the loop ends once p**digits passes twice its numerators times den.
     """
+    import numpy as np
+
     r, k = B.shape
     inv = _inverse_modp((A % p).astype(np.float64), p)
     bits = max(abs(int(v)).bit_length() for v in np.concatenate([A, B], axis=1).flat)
@@ -342,6 +360,8 @@ def _span_certificate(rows, piv_rows, piv_cols, p: int) -> bool:
     rows by ``A Y == den * B``; False means another row is not annihilated,
     so the true rank is above r.
     """
+    import numpy as np
+
     M = np.array(rows, dtype=object)
     if M.shape[1] >= M.shape[0]:  # the left nullity is no larger
         M, piv_rows, piv_cols = M.T, piv_cols, piv_rows

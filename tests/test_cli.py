@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -256,3 +259,93 @@ def test_family_s4_is_pinned(capsys, no_certificates):
     assert main(cmd.split()) == 0
     expected = json.loads(_EXPECTED.read_text())[cmd]
     assert json.loads(capsys.readouterr().out) == expected
+
+
+# --- one parser per process, ``python -m fatpoints``, a cold start ----------
+
+def _run_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cached_parser_matches_fresh_parsers(tmp_path, capsys):
+    from fatpoints.cli import build_parser
+
+    cfg = _write_config(tmp_path, config_1345())
+    commands = [
+        ["verify", "--config", cfg],  # no --m: a usage error
+        ["verify", "--config", cfg, "--m", "2", "--ri", "--format", "json"],
+        ["family", "--s", "2", "--m", "3", "--format", "json"],
+    ]
+    build_parser.cache_clear()
+    cached = [_run_main(argv, capsys) for argv in commands]
+    assert build_parser.cache_info().misses == 1  # one parser served all three
+    fresh = []
+    for argv in commands:
+        build_parser.cache_clear()
+        fresh.append(_run_main(argv, capsys))
+    assert [code for code, _, _ in cached] == [2, 0, 0]
+    assert "verify needs --m" in cached[0][2]
+    assert cached == fresh
+
+
+def _src_env(*extra):
+    import fatpoints
+
+    src = str(Path(fatpoints.__file__).resolve().parents[1])
+    paths = [src, *extra, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def test_python_m_fatpoints_exit_code(tmp_path):
+    cfg = _write_config(tmp_path, config_1345())
+    proc = subprocess.run(
+        [sys.executable, "-m", "fatpoints", "verify", "--config", cfg],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "verify needs --m" in proc.stderr and "Traceback" not in proc.stderr
+
+
+_COLD = """
+import contextlib, io, json, os, sys, tempfile
+import fatpoints.cli
+from fatpoints.cli import main
+
+seen = {"after_import": "numpy" in sys.modules}
+cfg = os.path.join(tempfile.mkdtemp(), "cfg.json")
+codes = [main(["generate", "--type", "1,2,3", "--seed", "0", "-o", cfg])]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(main(["verify", "--config", cfg, "--m", "4", "--ri"]))
+    codes.append(main(["family", "--s", "3", "--m", "4"]))
+seen["after_commands"] = "numpy" in sys.modules
+seen["eager"] = ["fatpoints.linalg" in sys.modules, "fatpoints.hilbert" in sys.modules]
+seen["mpz"] = sys.modules["fatpoints.linalg"].mpz(7) == 7
+
+from corpus import config_1345
+from fatpoints.hilbert import hilbert_value
+from fatpoints.kconfig import fatten
+
+seen["loose"] = hilbert_value(fatten(config_1345(), 2), 6)
+seen["after_rank"] = "numpy" in sys.modules
+seen["codes"] = codes
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_numpy_only_for_a_rank():
+    # pytest itself has numpy loaded, so the start is checked in a child
+    tests = str(Path(__file__).resolve().parent)
+    proc = subprocess.run([sys.executable, "-c", _COLD], capture_output=True,
+                          text=True, env=_src_env(tests), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["codes"] == [0, 0, 0]
+    assert not seen["after_import"] and not seen["after_commands"]
+    assert seen["eager"] == [True, True] and seen["mpz"]
+    # the one value of config_1345 at m = 2 that f_v < F_v leaves open
+    assert seen["loose"] == 28 and seen["after_rank"]

@@ -208,9 +208,14 @@ def test_monomial_order_is_total_degree_consistent():
 
 
 def _scan_regularity(z):
-    """Exact oracle: H(0), H(1), ... until H(t) = deg, with no floor."""
+    """Exact oracle: H(0), H(1), ... until H(t) = deg, with no floor.
+
+    H is the rank of the conditions matrix pinned only by its shape, so no
+    Cooper-Harbourne-Teitler bound enters the values the floor and the walk
+    are checked against.
+    """
     t = 0
-    while hilbert_value(z, t) < z.degree():
+    while linalg.rank(conditions_matrix(z, t)) < z.degree():
         t += 1
     return t
 

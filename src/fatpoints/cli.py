@@ -115,11 +115,10 @@ def cmd_generate(args) -> int:
         x = kconfig.generate_with_line_count(ktype.s, args.r, args.seed, bound)
     else:
         x = kconfig.generate_generic(_parse_type(args.type), args.seed, bound)
-    payload = kconfig.kconfig_to_json(x)
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(kconfig.kconfig_to_json(x), indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            fh.write(text + "\n")
     else:
         print(text)
     return 0
@@ -156,6 +155,8 @@ def cmd_count_lines(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.m is None and args.m_sweep is None:
+        args.usage_error("verify needs --m or --m-sweep")
     x = _load_config(args)
     ms = [args.m] if args.m_sweep is None else args.m_sweep
     status = 0
@@ -245,15 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scheme_input=False, needs_m=True):
+    def common(p, scheme_input=False):
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         if scheme_input:
             src = p.add_mutually_exclusive_group(required=True)
             src.add_argument("--config", help="k-configuration JSON file")
             src.add_argument("--scheme", help="fat point scheme JSON file")
-            if needs_m:
-                p.add_argument("--m", type=int, default=1,
-                               help="multiplicity (with --config)")
+            p.add_argument("--m", type=int, default=1, help="multiplicity (with --config)")
         else:
             p.add_argument("--config", required=True)
 
@@ -264,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--coord-bound", type=int, default=None)
     g.add_argument("--output", "-o", default=None)
-    g.add_argument("--format", choices=["text", "json", "csv"], default="json")
     g.set_defaults(func=cmd_generate)
 
     h = sub.add_parser("hilbert", help="Hilbert table of a scheme")
@@ -291,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--m", type=int, default=None)
     v.add_argument("--m-sweep", type=_sweep, default=None, help="inclusive range lo:hi")
     v.add_argument("--ri", action="store_true", help="include the regularity index")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, usage_error=v.error)
 
     f = sub.add_parser("family", help="Hilbert functions across feasible line counts")
     f.add_argument("--s", type=int, required=True)
@@ -315,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.m is None and args.m_sweep is None:
-        parser.error("verify needs --m or --m-sweep")
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, kconfig.GenerationFailed) as exc:

@@ -20,21 +20,21 @@ residual sequence of the first line L of v, 0 -> (I_{Z:L})_{t-1} ->
 H_{Z:L}(t-1) + min(t + 1, v_1), and induction along the residual chain
 gives f_v.  When f_v(t) = F_v(t) that is the value, and no matrix is
 built.  Otherwise the rank is delegated to :mod:`fatpoints.linalg`,
-pinned against F_v(t).  The matrix is built residue first: a
-:class:`ConditionsMatrix` gives its residues mod p straight from the
-coordinates mod p and a falling-factorial table, in int64 numpy, and
-builds its exact integer rows only when they are read, which the rank
-layer does only after a missed pin.
+pinned against F_v(t).  A :class:`ConditionsMatrix` has one builder for
+two kinds of arithmetic: from the coordinates and a falling-factorial
+table it writes either int64 residues mod p, which the rank layer reads
+first, or the exact integer rows, which it reads only after a missed pin.
 
-numpy is imported inside the methods that build arrays (a stencil, the
-residues mod p), so it loads with the first value the sandwich leaves
-open; a command whose every value the sandwich settles never loads it.
+numpy is imported inside the functions that build arrays, so it loads
+with the first value the sandwich leaves open; a command whose every
+value the sandwich settles never loads it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -73,55 +73,41 @@ def _falling_table(n: int, k: int) -> list[list[int]]:
     return table
 
 
-class _Stencil:
+def _mod(a, p: int | None):
+    """a mod p, or a itself when p is None (exact arithmetic)."""
+    return a if p is None else a % p
+
+
+def _stencil(t: int, order: int, p: int | None):
     """What one operator order contributes, shared by every point of that order.
 
-    ``ops`` are the operators d^a d^b d^c with a + b + c = order, ``cols``
-    the degree-t monomials; cell (i, j) is coefficient[i][j] times the
-    point's value on the shifted monomial ``shift[i, j]`` (an index into
-    ``shifted``, the monomials of degree ``d`` = t - order).  The coefficient is a product of
-    three falling factorials and is 0 where an exponent falls short, so
-    ``shift`` may hold any valid index there.
+    Returns ``(shifted, shift, coefficients)``.  The operators are d^a d^b
+    d^c with a + b + c = order, the columns the degree-t monomials; cell
+    (i, j) is ``coefficients[i, j]`` times the point's value on the shifted
+    monomial ``shift[i, j]``, an index into ``shifted``, the monomials of
+    degree t - order.  The coefficient is a product of three falling
+    factorials, exact (object) when p is None and reduced mod p (int64)
+    otherwise, and is 0 where an exponent falls short, so ``shift`` may
+    hold any valid index there.
     """
+    import numpy as np
 
-    def __init__(self, t: int, order: int):
-        import numpy as np
-
-        self.d = d = t - order
-        self.falling = _falling_table(t, order)
-        self.ops = np.array(
-            [(a, b, order - a - b) for a in range(order + 1) for b in range(order - a + 1)],
-            dtype=np.int64,
-        )
-        self.cols = np.array(monomial_exponents(t), dtype=np.int64)
-        self.shifted = np.array(monomial_exponents(d), dtype=np.int64)
-        diff = self.cols[None, :, :] - self.ops[:, None, :]
-        b, c = diff[..., 1], diff[..., 2]
-        index = b * (d + 1) - b * (b - 1) // 2 + c  # position in monomial_exponents(d)
-        self.shift = np.where((diff >= 0).all(axis=2), index, 0)
-        self._coefficients = None
-        self._residues: dict[int, np.ndarray] = {}
-
-    def coefficients(self) -> list[list[int]]:
-        """Exact coefficients, one list per operator."""
-        if self._coefficients is None:
-            F, cols = self.falling, self.cols.tolist()
-            self._coefficients = [
-                [F[e0][a] * F[e1][b] * F[e2][c] for e0, e1, e2 in cols]
-                for a, b, c in self.ops.tolist()
-            ]
-        return self._coefficients
-
-    def coefficients_mod(self, p: int) -> np.ndarray:
-        """The coefficients mod p, as an int64 array."""
-        import numpy as np
-
-        if p not in self._residues:
-            F = np.array([[f % p for f in row] for row in self.falling], dtype=np.int64)
-            E, A = self.cols[None, :, :], self.ops[:, None, :]
-            out = F[E[..., 0], A[..., 0]] * F[E[..., 1], A[..., 1]] % p
-            self._residues[p] = out * F[E[..., 2], A[..., 2]] % p
-        return self._residues[p]
+    d = t - order
+    ops = np.array(
+        [(a, b, order - a - b) for a in range(order + 1) for b in range(order - a + 1)],
+        dtype=np.int64,
+    )
+    cols = np.array(monomial_exponents(t), dtype=np.int64)
+    shifted = np.array(monomial_exponents(d), dtype=np.int64)
+    b = cols[None, :, 1] - ops[:, None, 1]
+    c = cols[None, :, 2] - ops[:, None, 2]
+    index = b * (d + 1) - b * (b - 1) // 2 + c  # position in monomial_exponents(d)
+    shift = index.clip(0, len(shifted) - 1)
+    F = np.array([[_mod(f, p) for f in row] for row in _falling_table(t, order)],
+                 dtype=object if p is None else np.int64)
+    E, A = cols[None, :, :], ops[:, None, :]
+    coefficients = _mod(F[E[..., 0], A[..., 0]] * F[E[..., 1], A[..., 1]], p)
+    return shifted, shift, _mod(coefficients * F[E[..., 2], A[..., 2]], p)
 
 
 class ConditionsMatrix(Sequence):
@@ -133,10 +119,12 @@ class ConditionsMatrix(Sequence):
     :func:`monomial_exponents`; entries: the derivative of the monomial
     evaluated at the point's integer coordinates.
 
-    ``len`` comes from the scheme alone.  The exact integer rows are
-    built on first row access and kept.  ``mod(p)`` builds the residues
-    mod p directly from the coordinates mod p, without the exact rows;
-    :mod:`fatpoints.linalg` takes its residues from there.
+    One builder, :meth:`_cells`, writes the matrix in two kinds of
+    arithmetic: exact Python integers, or int64 residues mod p computed
+    straight from the coordinates mod p.  ``len`` comes from the scheme
+    alone; the exact rows are built on first row access and kept, and
+    ``mod(p)`` builds the residues without them.  :mod:`fatpoints.linalg`
+    takes its residues from ``mod``.
     """
 
     def __init__(self, z: FatPointScheme, t: int):
@@ -144,64 +132,45 @@ class ConditionsMatrix(Sequence):
             raise ValueError("degree must be nonnegative")
         self.scheme = z
         self.degree = t
-        self._stencils: dict[int, _Stencil] = {}
-        self._rows: list[list[int]] | None = None
-
-    def _points(self):
-        """(coordinates, stencil) per point, in scheme order."""
-        t = self.degree
-        for point, mult in self.scheme.entries:
-            order = min(mult - 1, t)
-            if order not in self._stencils:
-                self._stencils[order] = _Stencil(t, order)
-            yield point.coords, self._stencils[order]
 
     def __len__(self) -> int:
         t = self.degree
         return sum(comb(min(m - 1, t) + 2, 2) for _, m in self.scheme.entries)
 
     def __getitem__(self, i):
-        return self._exact()[i]
+        return self._rows[i]
 
     def __iter__(self):
-        return iter(self._exact())
+        return iter(self._rows)
 
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self._exact() == list(other)
+    @cached_property
+    def _rows(self) -> list[list[int]]:
+        return self._cells(None).tolist()
 
-    __hash__ = None
-
-    def _exact(self) -> list[list[int]]:
-        if self._rows is None:
-            self._rows = self._build_rows()
-        return self._rows
-
-    def _build_rows(self) -> list[list[int]]:
-        rows = []
-        for coords, st in self._points():
-            X, Y, W = ([v**j for j in range(st.d + 1)] for v in coords)
-            values = [X[e0] * Y[e1] * W[e2] for e0, e1, e2 in st.shifted.tolist()]
-            for coef, shift in zip(st.coefficients(), st.shift.tolist()):
-                rows.append([c * values[s] if c else 0 for c, s in zip(coef, shift)])
-        return rows
-
-    def mod(self, p: int) -> np.ndarray:
-        """The matrix reduced mod p as int64, for a prime p < 2**31.
-
-        Every product is of two residues, so it stays below 2**62.
-        """
+    def _cells(self, p: int | None) -> np.ndarray:
+        """The matrix as a numpy array: exact Python ints (object) when p is
+        None, else int64 residues mod p, reduced after every product of two
+        residues so that it stays below 2**62."""
         import numpy as np
 
-        blocks = [np.zeros((0, comb(self.degree + 2, 2)), dtype=np.int64)]
-        for coords, st in self._points():
-            X, Y, W = (np.array([pow(v, j, p) for j in range(st.d + 1)], dtype=np.int64)
-                       for v in coords)
-            S = st.shifted
-            values = X[S[:, 0]] * Y[S[:, 1]] % p * W[S[:, 2]] % p
-            blocks.append(st.coefficients_mod(p) * values[st.shift] % p)
+        t = self.degree
+        dtype = object if p is None else np.int64
+        stencils = {}
+        blocks = [np.zeros((0, comb(t + 2, 2)), dtype=dtype)]
+        for point, mult in self.scheme.entries:
+            order = min(mult - 1, t)
+            if order not in stencils:
+                stencils[order] = _stencil(t, order, p)
+            S, shift, coefficients = stencils[order]
+            X, Y, W = (np.array([pow(v, j, p) for j in range(t - order + 1)], dtype=dtype)
+                       for v in point.coords)
+            values = _mod(_mod(X[S[:, 0]] * Y[S[:, 1]], p) * W[S[:, 2]], p)
+            blocks.append(_mod(coefficients * values[shift], p))
         return np.concatenate(blocks)
+
+    def mod(self, p: int) -> np.ndarray:
+        """The matrix reduced mod p as int64, for a prime p < 2**31."""
+        return self._cells(p)
 
 
 def conditions_matrix(z: FatPointScheme, t: int) -> ConditionsMatrix:
@@ -220,18 +189,16 @@ def hilbert_value(z: FatPointScheme, t: int) -> int:
     <= H_Z(t) <= F_v(t) (CHT; see :class:`~fatpoints.scheme.ReductionVector`).
     f_v follows from the residual sequence of each line L of v, which
     gives H_Z(t) >= H_{Z:L}(t-1) + min(t + 1, deg(Z meet L)).  When the
-    two bounds meet, that is the value and no matrix is built.
-    Otherwise it is the rank of :func:`conditions_matrix`, pinned (see
-    :func:`linalg.rank`) against F_v(t); for a single point, against the
-    shape.
+    two bounds meet, that is the value and no matrix is built; they meet
+    at every t for a single point.  Otherwise it is the rank of
+    :func:`conditions_matrix`, pinned (see :func:`linalg.rank`) against
+    F_v(t).
     """
-    if t < 0:
-        return 0
-    if z.is_empty():
+    if t < 0 or z.is_empty():
         return 0
     v = z.greedy_reduction
-    upper = None if v is None else v.upper_bound(t)
-    if v is not None and v.lower_bound(t) == upper:
+    upper = v.upper_bound(t)
+    if v.lower_bound(t) == upper:
         return upper
     return linalg.rank(conditions_matrix(z, t), upper=upper)
 
@@ -285,20 +252,16 @@ def delta(table: HilbertTable, t: int) -> int:
 
 
 def regularity_floor(z: FatPointScheme) -> int:
-    """A proven lower bound on the regularity index: max(max_mult, w) - 1.
+    """A proven lower bound on the regularity index: w - 1.
 
-    w is the largest total multiplicity on a line through two support
-    points, the first entry of the greedy reduction vector.  If H_Z(t) =
+    w is the first entry of the greedy reduction vector: the largest total
+    multiplicity on a line through two support points (for a single point,
+    its multiplicity), so w is at least every multiplicity.  If H_Z(t) =
     deg Z then every subscheme of Z imposes independent conditions in
-    degree t too.  A point of multiplicity m needs t >= m - 1, and Z
-    meets a line of weight w in a degree-w subscheme of the line, whose
-    Hilbert function min(t + 1, w) first reaches w at t = w - 1.
+    degree t too.  Z meets that line in a degree-w subscheme of the line,
+    whose Hilbert function min(t + 1, w) first reaches w at t = w - 1.
     """
-    best = max(m for _, m in z.entries)
-    v = z.greedy_reduction
-    if v is not None:
-        best = max(best, v.values[0])
-    return best - 1
+    return z.greedy_reduction.values[0] - 1
 
 
 def regularity_index(z: FatPointScheme) -> int:

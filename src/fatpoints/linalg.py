@@ -130,19 +130,6 @@ def bareiss_rank(rows) -> int:
     return rank
 
 
-def _strip_rows(rows):
-    """Divide each row by its content; rank- and index-preserving."""
-    out = []
-    for row in rows:
-        g = 0
-        for v in row:
-            g = gcd(g, v if v >= 0 else -v)
-            if g == 1:
-                break
-        out.append([v // g for v in row] if g > 1 else list(row))
-    return out
-
-
 def _modp_matrix(rows, p: int) -> np.ndarray:
     """The residues mod p as int64: from ``rows.mod(p)`` when the matrix
     builds them itself (a conditions matrix does), else cell by cell."""
@@ -384,14 +371,14 @@ def rank(rows, upper: int | None = None) -> int:
     exactly; a mod-p rank above ``upper`` raises ``ValueError``.
 
     The residues come first, from ``rows.mod(p)`` when the matrix has it;
-    the exact rows are read (and content-divided) only after a missed
-    pin, at any size.  The matrix is eliminated in float64 mod each of
-    the two ``_ELIM_PRIMES`` (below 2**20, so every product is exact; see
-    :func:`_modp_eliminate`), the second only when the first misses the
-    bound, since an unlucky prime can lose rank.  When both miss, one span
-    certificate (:func:`_span_certificate`) proves the larger mod-p rank
-    with the pivots and the prime that found it, and Bareiss settles what
-    it cannot.
+    the exact rows are read only after a missed pin, at any size.  The
+    matrix is eliminated in float64 mod each of the two ``_ELIM_PRIMES``
+    (below 2**20, so every product is exact; see :func:`_modp_eliminate`),
+    the second only when the first misses the bound, since an unlucky
+    prime can lose rank.  When both miss, one span certificate
+    (:func:`_span_certificate`) proves the larger mod-p rank with the
+    pivots and the prime that found it, and Bareiss settles what it
+    cannot.
     """
     n = len(rows)
     if n == 0:
@@ -410,10 +397,9 @@ def rank(rows, upper: int | None = None) -> int:
         if best is None or found[0] > best[0][0]:
             best = found, p
     (rp, piv_rows, piv_cols), p = best
-    exact = _strip_rows(rows)
-    if _span_certificate(exact, piv_rows, piv_cols, p):
+    if _span_certificate(rows, piv_rows, piv_cols, p):
         return rp
-    return bareiss_rank(exact)
+    return bareiss_rank(rows)
 
 
 def has_full_row_rank(rows) -> bool:

@@ -92,17 +92,23 @@ class FatPointScheme:
 
     @cached_property
     def greedy_reduction(self) -> "ReductionVector | None":
-        """The complete reduction vector of greedy peeling; None below two points.
+        """The complete reduction vector of greedy peeling; None when empty.
 
         Each step removes, among the lines through two support points, the
         heaviest in the residual scheme (the first in sorted order among
         equals).  Every point on it that still has a multiplicity loses
-        one, and so does the weight of every line through that point.
+        one, and so does the weight of every line through that point.  A
+        single point of multiplicity m takes one line through it m times,
+        so v = (m, m - 1, ..., 1) and f_v = F_v = H everywhere.
         """
         points = self.support()
-        if len(points) < 2:
+        if not points:
             return None
-        on = lines_through_pairs(points)
+        if len(points) == 1:
+            a, b, _ = points[0].coords
+            on = {ProjLine((b, -a, 0) if a or b else (1, 0, 0)): {0}}
+        else:
+            on = lines_through_pairs(points)
         lines = sorted(on)
         members = [on[l] for l in lines]
         through = [[] for _ in points]

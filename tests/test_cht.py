@@ -210,7 +210,7 @@ def test_hilbert_upper_is_the_least_complete_bound(make):
 
 @st.composite
 def _schemes(draw):
-    """2-7 points with coordinates in [-9, 9] and multiplicities 1-4;
+    """1-7 points with coordinates in [-9, 9] and multiplicities 1-4;
     sometimes three or more of them on the line through the first two,
     as small combinations of those two."""
     coord = st.integers(-9, 9)
@@ -222,7 +222,7 @@ def _schemes(draw):
             a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
             triples[i] = tuple(a * x + b * y for x, y in zip(u, v))
     points = sorted({ProjPoint(c) for c in triples if any(c)})
-    assume(len(points) >= 2)
+    assume(len(points) >= 1)
     return FatPointScheme.from_points(points, [draw(st.integers(1, 4)) for _ in points])
 
 

@@ -152,6 +152,14 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+def test_generate_has_no_format_option(capsys):
+    # generate always writes JSON; a --format it would ignore is refused.
+    with pytest.raises(SystemExit) as err:
+        main(["generate", "--type", "1,2,3", "--format", "csv"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
 def test_csv_format(tmp_path, capsys):
     cfg = _write_config(tmp_path, config_1345())
     main(["bounds", "--config", cfg, "--m", "2", "--t", "8", "--format", "csv"])
@@ -308,6 +316,7 @@ def test_python_m_fatpoints_exit_code(tmp_path):
         capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: fatpoints verify")  # the subcommand's usage
     assert "verify needs --m" in proc.stderr and "Traceback" not in proc.stderr
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import (
     config_123_exact,
@@ -144,6 +145,36 @@ def test_generate_with_line_count_all_feasible():
             x = generate_with_line_count(s, r, seed=2, bound=12)
             assert validate(x) == []
             assert count_lines(x, s)[0] == r
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(3, 5).flatmap(lambda s: st.tuples(st.just(s), st.integers(1, s + 1))),
+    st.integers(0, 10**6),
+    st.sampled_from((12, 20)),
+)
+def test_generate_with_line_count_postconditions(sr, seed, bound):
+    s, r = sr
+    x = generate_with_line_count(s, r, seed=seed, bound=bound)
+    assert validate(x) == []
+    assert count_lines(x, s)[0] == r
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sets(st.integers(1, 7), min_size=1, max_size=4)
+    .map(lambda d: tuple(sorted(d)))
+    .filter(lambda d: d != (1,)),
+    st.integers(0, 10**6),
+    st.sampled_from((6, 50)),
+)
+def test_generate_generic_postconditions(dvec, seed, bound):
+    # Only the last defining line carries d_s points, except in type (1, 2),
+    # whose three points span three 2-point lines.
+    x = generate_generic(KType(dvec), seed=seed, bound=bound)
+    assert validate(x) == []
+    if dvec != (1, 2):
+        assert count_lines(x, dvec[-1])[0] == 1
 
 
 def test_generate_with_line_count_range_errors():

@@ -185,9 +185,13 @@ def test_scheme_json_round_trip():
     assert lines == [ProjLine((0, 1, 0)), ProjLine((1, -1, 0))]
 
 
-def test_greedy_reduction_is_none_below_two_points():
+def test_greedy_reduction_is_none_only_when_empty():
     assert FatPointScheme.from_points([], []).greedy_reduction is None
-    assert FatPointScheme.from_points([ProjPoint((1, 2, 3))], [4]).greedy_reduction is None
+    for point, values in (((1, 2, 3), (4, 3, 2, 1)), ((0, 0, 1), (2, 1))):
+        z = FatPointScheme.from_points([ProjPoint(point)], [values[0]])
+        v = z.greedy_reduction
+        assert v.values == values and v.complete
+        assert reduction_vector(z, v.lines) == v
 
 
 def test_greedy_reduction_takes_the_heaviest_line_first():

@@ -15,7 +15,6 @@ extension, so rational coordinates are faithful in characteristic zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from random import Random
 
@@ -35,21 +34,18 @@ class CoincidentLines(ValueError):
 def canonical_triple(triple) -> tuple[int, int, int]:
     """Return the canonical representative of a homogeneous triple.
 
-    Divides by the gcd and flips sign so the first nonzero entry is
-    positive.  Idempotent and invariant under scaling by nonzero
-    integers.
+    Divides by ``gcd(a, b, c)``, negated when the first nonzero entry is
+    negative, so that entry comes out positive.  Idempotent and invariant
+    under scaling by nonzero integers; :class:`ProjPoint` and
+    :class:`ProjLine` construction goes through it.
     """
-    a, b, c = (int(v) for v in triple)
-    if a == 0 and b == 0 and c == 0:
+    a, b, c = map(int, triple)
+    g = gcd(a, b, c)
+    if not g:
         raise ZeroTriple("homogeneous triple must not be (0, 0, 0)")
-    g = gcd(gcd(abs(a), abs(b)), abs(c))
-    a, b, c = a // g, b // g, c // g
-    for v in (a, b, c):
-        if v > 0:
-            return (a, b, c)
-        if v < 0:
-            return (-a, -b, -c)
-    raise AssertionError("unreachable")
+    if a < 0 or not a and (b < 0 or not b and c < 0):
+        g = -g
+    return (a // g, b // g, c // g)
 
 
 def _cross(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -100,12 +96,31 @@ def lines_through_pairs(points) -> dict[ProjLine, set[int]]:
     indices of all the points on it.
 
     Every point on such a line spans it with another point on it, so the
-    pairs alone find every incidence.
+    pairs alone find every incidence.  The kernel works on the coordinate
+    triples: the cross product of each pair, made canonical as in
+    :func:`canonical_triple`, keys a dict of index sets, and one
+    :class:`ProjLine` is built per distinct line.  Raises
+    :class:`CoincidentPoints` when two of the points are equal.
     """
-    on: dict[ProjLine, set[int]] = {}
-    for i, j in combinations(range(len(points)), 2):
-        on.setdefault(line_through(points[i], points[j]), set()).update((i, j))
-    return on
+    coords = [p.coords for p in points]
+    on: dict[tuple[int, int, int], set[int]] = {}
+    for i, (a1, b1, c1) in enumerate(coords):
+        for j in range(i + 1, len(coords)):
+            a2, b2, c2 = coords[j]
+            a = b1 * c2 - c1 * b2
+            b = c1 * a2 - a1 * c2
+            c = a1 * b2 - b1 * a2
+            g = gcd(a, b, c)
+            if not g:
+                raise CoincidentPoints(f"no unique line through {points[i]} twice")
+            if a < 0 or not a and (b < 0 or not b and c < 0):
+                g = -g
+            key = (a // g, b // g, c // g)
+            if key in on:
+                on[key].update((i, j))
+            else:
+                on[key] = {i, j}
+    return {ProjLine(key): idx for key, idx in on.items()}
 
 
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
@@ -165,9 +180,12 @@ def line_basis(l: ProjLine) -> tuple[ProjPoint, ProjPoint]:
     return ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0))
 
 
-def random_point_on(l: ProjLine, rng: Random, bound: int = 50) -> ProjPoint:
-    """A random point incident to l, as an integer combination of a basis."""
-    b1, b2 = line_basis(l)
+def random_combination(
+    b1: ProjPoint, b2: ProjPoint, rng: Random, bound: int = 50
+) -> ProjPoint:
+    """A random point on the line through b1 and b2 (a :func:`line_basis`):
+    u*b1 + v*b2 for u, v drawn uniformly from [-bound, bound], redrawn
+    while both are zero."""
     while True:
         u = rng.randint(-bound, bound)
         v = rng.randint(-bound, bound)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from random import Random
@@ -23,12 +24,13 @@ from .geom import (
     ProjPoint,
     incident,
     line_from_json,
+    line_basis,
     line_through,
     lines_through_pairs,
     meet,
     point_from_json,
+    random_combination,
     random_line,
-    random_point_on,
     triple_to_json,
 )
 from .geom import json_array, json_field, json_int
@@ -102,6 +104,16 @@ class KConfiguration:
     def points(self) -> tuple[ProjPoint, ...]:
         return tuple(sorted({p for sub in self.subsets for p in sub}))
 
+    @cached_property
+    def pair_lines(self) -> dict[ProjLine, set[int]]:
+        """Each line through two of the points, mapped to the indices in
+        :meth:`points` of the points on it (:func:`lines_through_pairs`).
+
+        Computed once per configuration and shared, read-only, with the
+        schemes :func:`fatten` builds on it.
+        """
+        return lines_through_pairs(self.points())
+
     @property
     def s(self) -> int:
         return self.ktype.s
@@ -148,23 +160,33 @@ def require_valid(x: KConfiguration) -> KConfiguration:
 
 
 def fatten(x: KConfiguration, m: int) -> FatPointScheme:
-    """The homogeneous fat point scheme of multiplicity m on the points."""
+    """The homogeneous fat point scheme of multiplicity m on the points.
+
+    The scheme takes over the configuration's :attr:`~KConfiguration.pair_lines`:
+    both index the same sorted point tuple.
+    """
     if m < 1:
         raise ValueError("multiplicity must be positive")
-    return FatPointScheme.homogeneous(x.points(), m)
+    points = x.points()
+    z = FatPointScheme.homogeneous(points, m)
+    assert z.support() == points
+    object.__setattr__(z, "pair_lines", x.pair_lines)
+    return z
 
 
 def count_lines(x: KConfiguration, k: int) -> tuple[int, list[ProjLine]]:
     """Brute-force count of lines meeting X in exactly k points.
 
-    Enumerates the lines spanned by all point pairs, deduplicated via the
-    canonical form, with the points on each (:func:`lines_through_pairs`);
-    ground truth for everything else in the package.
+    Reads the lines spanned by all point pairs, deduplicated via the
+    canonical form, with the points on each (:attr:`KConfiguration.pair_lines`,
+    enumerated by :func:`lines_through_pairs`); ground truth for everything
+    else in the package.
     """
-    points = x.points()
-    if len(points) < 2:
+    if not x.pair_lines:  # fewer than two points
         raise ValueError("need at least two points to enumerate lines")
-    found = sorted(l for l, on in lines_through_pairs(points).items() if len(on) == k)
+    found = sorted(
+        (l for l, on in x.pair_lines.items() if len(on) == k), key=lambda l: l.coeffs
+    )
     return len(found), found
 
 
@@ -211,22 +233,37 @@ def _strongly_generic_point(
     line: ProjLine,
     other_lines,
     existing: list[ProjPoint],
+    spanned: set[ProjLine],
     bound: int,
 ) -> ProjPoint:
     """A point on ``line`` avoiding the other lines, all existing points,
     and every line spanned by two existing points (so it never becomes a
     third point of an accidental line).  Pairs already collinear with
-    ``line`` span the line itself and are exempt."""
+    ``line`` span the line itself and are exempt.
+
+    ``spanned`` holds the lines through two existing points; the caller
+    keeps it up to date with :func:`_place`, so no pair is enumerated
+    here.  The basis of ``line`` is taken once, before the rejection loop.
+    """
     forbidden = set(other_lines)
-    forbidden.update(l for l in lines_through_pairs(existing) if l != line)
+    forbidden.update(spanned)
+    forbidden.discard(line)
+    b1, b2 = line_basis(line)
     for _ in range(_MAX_TRIES):
-        p = random_point_on(line, rng, bound)
+        p = random_combination(b1, b2, rng, bound)
         if p in existing:
             continue
         if any(incident(p, l) for l in forbidden):
             continue
         return p
     raise GenerationFailed("could not place a generic point; raise the bound")
+
+
+def _place(p: ProjPoint, existing: list[ProjPoint], spanned: set[ProjLine]) -> None:
+    """Append ``p`` to ``existing`` and the lines through it and each
+    earlier point to ``spanned``."""
+    spanned.update(line_through(q, p) for q in existing)
+    existing.append(p)
 
 
 def generate_generic(ktype: KType, seed: int, bound: int = 50) -> KConfiguration:
@@ -236,7 +273,7 @@ def generate_generic(ktype: KType, seed: int, bound: int = 50) -> KConfiguration
     defining lines and never becomes the third point of any previously
     spanned line, so no accidental maximal lines appear.
     """
-    # random_point_on draws u*b1 + v*b2 with |u|, |v| <= bound, (u, v) != 0,
+    # random_combination draws u*b1 + v*b2 with |u|, |v| <= bound, (u, v) != 0,
     # and (u, v), (-u, -v) give one point: a line holds at most this many.
     if ktype.ds > ((2 * bound + 1) ** 2 - 1) // 2:
         raise GenerationFailed(
@@ -252,13 +289,16 @@ def generate_generic(ktype: KType, seed: int, bound: int = 50) -> KConfiguration
         try:
             subsets = []
             existing: list[ProjPoint] = []
+            spanned: set[ProjLine] = set()
             for i, di in enumerate(ktype.d):
                 others = [l for j, l in enumerate(lines) if j != i]
                 sub = []
                 for _ in range(di):
-                    p = _strongly_generic_point(rng, lines[i], others, existing, bound)
+                    p = _strongly_generic_point(
+                        rng, lines[i], others, existing, spanned, bound
+                    )
                     sub.append(p)
-                    existing.append(p)
+                    _place(p, existing, spanned)
                 subsets.append(tuple(sub))
         except GenerationFailed:
             continue
@@ -339,6 +379,7 @@ def _counted_instance(rng: Random, s: int, r: int, bound: int) -> KConfiguration
     special = lines[s - r :]  # the trailing r lines become the maximal ones
     subsets: list[tuple[ProjPoint, ...]] = []
     existing: list[ProjPoint] = []
+    spanned: set[ProjLine] = set()
     for i in range(s):
         line = lines[i]
         others = [l for j, l in enumerate(lines) if j != i]
@@ -350,11 +391,11 @@ def _counted_instance(rng: Random, s: int, r: int, bound: int) -> KConfiguration
         for p in forced:
             if p in existing:
                 raise GenerationFailed("coincident meets")
-            existing.append(p)
+            _place(p, existing, spanned)
         for _ in range(free_needed):
-            p = _strongly_generic_point(rng, line, others, existing, bound)
+            p = _strongly_generic_point(rng, line, others, existing, spanned, bound)
             sub.append(p)
-            existing.append(p)
+            _place(p, existing, spanned)
         subsets.append(tuple(sub))
     return KConfiguration(KType(tuple(range(1, s + 1))), tuple(subsets), tuple(lines))
 

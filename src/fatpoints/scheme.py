@@ -91,6 +91,16 @@ class FatPointScheme:
         return FatPointScheme(tuple(out))
 
     @cached_property
+    def pair_lines(self) -> dict[ProjLine, set[int]]:
+        """Each line through two support points, mapped to the indices in
+        :meth:`support` of the points on it (:func:`lines_through_pairs`).
+
+        Computed on first use; :func:`kconfig.fatten` hands over the map of
+        its configuration instead.  Read-only: the map may be shared.
+        """
+        return lines_through_pairs(self.support())
+
+    @cached_property
     def greedy_reduction(self) -> "ReductionVector | None":
         """The complete reduction vector of greedy peeling; None when empty.
 
@@ -108,8 +118,8 @@ class FatPointScheme:
             a, b, _ = points[0].coords
             on = {ProjLine((b, -a, 0) if a or b else (1, 0, 0)): {0}}
         else:
-            on = lines_through_pairs(points)
-        lines = sorted(on)
+            on = self.pair_lines
+        lines = sorted(on, key=lambda l: l.coeffs)
         members = [on[l] for l in lines]
         through = [[] for _ in points]
         for k, idx in enumerate(members):
@@ -144,10 +154,15 @@ class ReductionVector:
     def total(self) -> int:
         return sum(self.values)
 
+    @cached_property
+    def _tails(self) -> list[int]:
+        """sum_{j>i} v_j for i = 0 .. len(values), built once per vector."""
+        return list(accumulate(reversed(self.values), initial=0))[::-1]
+
     def upper_bound(self, t: int) -> int:
         """F_v(t) = min_i [C(t+2,2) - C(t-i+2,2) + sum_{j>i} v_j], an upper
         bound on H_Z(t) when the reduction of Z is complete (CHT)."""
-        tails = list(accumulate(reversed(self.values), initial=0))[::-1]
+        tails = self._tails
         c2 = [comb(max(t - i + 2, 0), 2) for i in range(len(tails))]
         return min(c2[0] - c + tail for c, tail in zip(c2, tails))
 

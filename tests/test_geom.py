@@ -1,5 +1,8 @@
+from itertools import combinations
+from math import gcd
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fatpoints.geom import (
     CoincidentLines,
@@ -145,3 +148,77 @@ def test_json_round_trip():
     # non-canonical input is canonicalized on read
     assert point_from_json(["2", "4", "6"]) == ProjPoint((1, 2, 3))
     assert line_from_json([0, -6, 4]) == ProjLine((0, 3, -2))
+
+
+# --- the pair-line kernel against a naive oracle ----------------------------
+
+def _pair_lines_oracle(points):
+    """One line_through per pair, then the index sets: what the kernel
+    computes, without its integer shortcuts."""
+    on = {}
+    for i, j in combinations(range(len(points)), 2):
+        on.setdefault(line_through(points[i], points[j]), set()).update((i, j))
+    return on
+
+
+small = st.integers(-3, 3)
+huge = st.integers(-(2**300), 2**300)
+
+
+@st.composite
+def point_sets(draw, coord):
+    """Distinct points in a drawn order: free points plus runs planted on
+    lines, each run u*b1 + v*b2 for a drawn pair b1, b2."""
+    triples = draw(st.lists(st.tuples(coord, coord, coord), max_size=7))
+    for _ in range(draw(st.integers(0, 2))):
+        b1 = draw(st.tuples(coord, coord, coord))
+        b2 = draw(st.tuples(coord, coord, coord))
+        for u, v in draw(st.lists(st.tuples(small, small), min_size=2, max_size=5)):
+            triples.append(tuple(u * x + v * y for x, y in zip(b1, b2)))
+    points = list(dict.fromkeys(ProjPoint(t) for t in triples if any(t)))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=150)
+@given(st.one_of(point_sets(small), point_sets(huge)))
+def test_lines_through_pairs_matches_oracle(points):
+    on = lines_through_pairs(points)
+    expected = _pair_lines_oracle(points)
+    assert on == expected
+    assert list(on) == list(expected)  # same insertion order as well
+    for l, idx in on.items():
+        assert idx == {i for i, p in enumerate(points) if incident(p, l)}
+
+
+@given(point_sets(st.one_of(small, huge)), st.data())
+def test_lines_through_pairs_rejects_a_repeated_point(points, data):
+    if not points:
+        return
+    p = data.draw(st.sampled_from(points))
+    k = data.draw(st.integers(-5, 5).filter(bool))
+    scaled = ProjPoint(tuple(k * v for v in p.coords))
+    where = data.draw(st.integers(0, len(points)))
+    with pytest.raises(CoincidentPoints):
+        lines_through_pairs(points[:where] + [scaled] + points[where:])
+
+
+wide_triples = st.tuples(
+    st.one_of(small, huge), st.one_of(small, huge), st.one_of(small, huge)
+)
+
+
+@given(wide_triples, st.one_of(small, huge).filter(bool))
+def test_canonical_triple_properties(triple, k):
+    if not any(triple):
+        with pytest.raises(ZeroTriple):
+            canonical_triple(triple)
+        return
+    once = canonical_triple(triple)
+    assert canonical_triple(once) == once
+    assert canonical_triple(tuple(k * v for v in triple)) == once
+    assert next(v for v in once if v) > 0
+    assert gcd(*once) == 1
+    # a multiple of the input: every 2x2 minor of (triple, once) vanishes
+    assert all(
+        triple[i] * once[j] == triple[j] * once[i] for i, j in combinations(range(3), 2)
+    )

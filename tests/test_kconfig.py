@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -316,3 +318,88 @@ def test_generators_deterministic():
     c = generate_generic(KType((1, 3)), seed=4, bound=12)
     d = generate_generic(KType((1, 3)), seed=4, bound=12)
     assert c == d
+
+
+# sha256 of the sorted-key JSON of generated configurations, keyed by the
+# generator's arguments and the coordinate bound.  However the rejection
+# loops test a candidate, they must draw the same random numbers, so these
+# stay fixed.  The small bounds make candidates hit spanned lines, so a
+# forbidden set that misses one changes the output.
+GENERIC_SHA256 = {
+    ((1, 2, 3), 0, 50): "2ce212e7ac4a059dae7da30b6718d9a41b68513029681ace4516caa0b7542937",
+    ((1, 2, 3), 1, 50): "6bb5261f5f478b8339135bb707d142e7c3016dc0780b58d8f340cdda57812dcc",
+    ((1, 2, 3), 2, 50): "4431ab85674b85e113a22c3d0be67e3e69e2751b68fdb22d97957496573f2955",
+    ((1, 2, 3, 4), 0, 50): "25c2590a3d6a7adf1c17fae5187cb59b7416cef160a8c8a6f985b2b6e833541d",
+    ((1, 2, 3, 4), 1, 50): "f57d160b8cc06b5b7d11d25a65650e177b03103a2f01f137289c1f715f01bc0b",
+    ((1, 2, 3, 4), 2, 50): "9537144b71594c651af52e45e30d21b849e4738b464bfcb3b75633889ecd274c",
+    ((1, 2, 3, 4, 5), 0, 50): "610173f9476566dcd8305b36c53f6b54250e62d4682aad768ab08de2481776e7",
+    ((1, 2, 3, 4, 5), 1, 50): "b260ceb20a65f7a53ccc937e4bd86f3d4e710e8ac12ea32f731850f04930600a",
+    ((1, 2, 3, 4, 5), 2, 50): "66e8b8e381675df83caf638941caebd9e81d628ad1590d3660a5304f9bfb3c13",
+    ((1, 3, 4, 5), 0, 50): "19b5209ea6b7a52e509468b4f942e39a223c28ae320cdd239853f125c9fec2de",
+    ((1, 3, 4, 5), 1, 50): "1afc2c815f08897792dd4d693ec7f392b4c116952f386b4af452c9b2c432033a",
+    ((1, 3, 4, 5), 2, 50): "093d0c4175dee3504e1c132e3b5360318b77e9b0dfb21bf5e58bb9ce47c2cc94",
+    ((3, 5, 7, 9), 0, 50): "3815c25ff77eb6f1d7d6b2463018d97c521877a921004b697cd9ed9f6a8e12ff",
+    ((3, 5, 7, 9), 1, 50): "4517802316f2f59366d52c5e4c9101a448db10e7e94eb2eedf6774af01d4c3a6",
+    ((3, 5, 7, 9), 2, 50): "94111eefd56541cc46d4b7637beae421084a0d186a8a6f0480c22b47bf05fca7",
+    ((1, 2, 3), 0, 4): "497c21b586e3bb220b0d549a7aca42569b2864ca29b3b45df46ed05902d641d2",
+    ((1, 2, 3), 1, 4): "cf90859f6f51a175cc66a573aa5eebab794918c7b08f66439931bc26f2b038db",
+    ((1, 2, 3), 2, 4): "0c06c98302116f80950630fa6037e06c14e5f32200b438924343b160b6b62653",
+    ((1, 2, 3, 4), 0, 4): "e70f42c91644bcc8c09a551ae5fd494d4779bc201ceafcd5faf5de17da0982f2",
+    ((1, 2, 3, 4), 1, 4): "039224ed75cc0f69ba234eab521b14755c4d0a702a52f65a6d2550f46b4c734d",
+    ((1, 2, 3, 4), 2, 4): "5614c4e96f6c859794ce815a7b37baa26fd1607138856aab84b5f128b8f3397e",
+    ((1, 2, 3, 4, 5), 0, 4): "9777c343d8c89f23287b7b8ee68b234cf359a454df3114ee6532cb127b6ed4d8",
+    ((1, 2, 3, 4, 5), 1, 4): "34cb7c68638b99d4d4b4faafc26ca4caa23154dd47cdb3fec172dd75988f1843",
+    ((1, 2, 3, 4, 5), 2, 4): "e94bbf0d312a59c9d9b7455202b97ddbf6b5b18b7e08fa958f847ef35fc31793",
+    ((1, 3, 4, 5), 0, 4): "bfb93aab90e65e7a71d23ecdb6f06c09087cd3b5493e529ca8cc370444f69f62",
+    ((1, 3, 4, 5), 1, 4): "bfb64e9ad1b54aba0377d62d1f4c40b6910e2b40127a6a865f83ed73b118ed1e",
+    ((1, 3, 4, 5), 2, 4): "f90c9059b9930b272c87a2b69b81c85882accf85efeb349af06480513b205b40",
+    ((3, 5, 7, 9), 0, 4): "d6fbfb6dfa06937ff49fa9fe1a0f8f587d2d06215990a8c1a5fbc2c2913a1ebb",
+    ((3, 5, 7, 9), 1, 4): "896c734f5032f74aa8fb3692e24fa6d14e8bf6dce4118ef9e36756a3a3868844",
+    ((3, 5, 7, 9), 2, 4): "5560fb4dfb157cd765aef1de108640c1096e9ea8a4562801968ba302ab250b15",
+}
+LINE_COUNT_SHA256 = {
+    (3, 1, 20): "18d5b69feae39d98d5491a80d60f821ecade60a6014d80503de51fd39944d7d0",
+    (3, 2, 20): "376973338b8e6cad3c4a46185a92102d2daf7969aacf6f73b9dd38406830dd4a",
+    (3, 3, 20): "cb76db13517386c198c15bf19b51257f0b99eb5010877f5890d0badbf95bcddd",
+    (3, 4, 20): "3eb5a2203cdd2e4fe12de10f242d7895df4565de0de2147fdac53837ded7fbda",
+    (4, 1, 20): "122e7dac4ea0abc6afe21d1d339479057c2b7a944520ed6119cd4b67afb62cdf",
+    (4, 2, 20): "dc0fa66b2e6b8d181c556dc474a9b2f8a24069a7cb8c1e1d899ba613301c4e53",
+    (4, 3, 20): "dbc63f31175b6f1eb5e7f5baf8bff729f5127338cd0d2aedf07bbde305736161",
+    (4, 4, 20): "f977c1894a87c1a6dd4c684285d39a0dca63e14c2f40638e433e3646b2f2994c",
+    (4, 5, 20): "cdf0ed80b32f2a60cca7524831926f6d24d0028954beb9ae4a18aaac898fb389",
+    (5, 1, 20): "53bc4262c5e514df63d800301062ab29b0ef0460e134962ee9762c0eefc97d1e",
+    (5, 2, 20): "44110b03a9281fe7f2b1f5f9361eb83f38a2a6f108746fa037d521b2ed3c8353",
+    (5, 3, 20): "18b7862859d4369e5926697b22110706a6568e36120dc23a300851afbd4e5492",
+    (5, 4, 20): "523d919f7c4003f0bbae3e0744159608e2f834292da5921907a50c149cb1b5ba",
+    (5, 5, 20): "548eb22c9ad9079e68eb8959a95b83cb82bed9369b8988ad59e173bd63e4b770",
+    (5, 6, 20): "85ca020b0f03f82fee72816b36675b8bf5de12a4193fb2f8e52f71c3d294ab1d",
+    (3, 1, 2): "a3f09da792ed40e62fa14ea967d996a97b7602db85ba1abe752a30eef3e86c5f",
+    (3, 2, 2): "db67b6a9a823cc48817d9c9739d45063f493aa4b3c3951176398e8cf1bcf8f86",
+    (3, 3, 2): "d8cc6b762d6cae59cc857a5aab87b49983f613af2d909632971b6ea0c27be896",
+    (3, 4, 2): "d55a6129ec0ed4a225adf706483865446d7a07e6446c529122db297ef04ab7ba",
+    (4, 1, 2): "43f45b1dbff0101053d82a90d4f1562853f0fe10b27c0c4f28c8c8fd73606e56",
+    (4, 2, 2): "194e188c5a01417a1869f6bfbfdaf9f294cf854f2ff8dfccf748b317874e3d53",
+    (4, 3, 2): "23924f3d2a9619a373d38b76137be849ef78fdcc0fad0122d016b706fa3cc690",
+    (4, 4, 2): "7fcdd3534aae1f9834b6dc62b520411059df6d61d2dd557399ecec684274166a",
+    (4, 5, 2): "0bbb46523553c145ae773c23e13e942db391c36906efab554e1b86c6daa615a3",
+    (5, 4, 2): "fae20815bb416712fd794d0c3965812e3f150cec85cca3141ab51878b45cf3b3",
+    (5, 5, 2): "cf3288b5f8bb4753405daffdfbe93d31e6de5524c6bf7bc8cedf52a603e8cf62",
+    (5, 6, 2): "a357af400d7fbcf2047f3a91f1b3c2e15477a22265ec9bd071e6c6fe9042fe3c",
+}
+
+
+def _sha256(x):
+    payload = json.dumps(kconfig_to_json(x), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("dvec, seed, bound", sorted(GENERIC_SHA256))
+def test_generate_generic_output_is_pinned(dvec, seed, bound):
+    x = generate_generic(KType(dvec), seed=seed, bound=bound)
+    assert _sha256(x) == GENERIC_SHA256[dvec, seed, bound]
+
+
+@pytest.mark.parametrize("s, r, bound", sorted(LINE_COUNT_SHA256))
+def test_generate_with_line_count_output_is_pinned(s, r, bound):
+    x = generate_with_line_count(s, r, seed=0, bound=bound)
+    assert _sha256(x) == LINE_COUNT_SHA256[s, r, bound]

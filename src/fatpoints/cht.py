@@ -69,15 +69,6 @@ class BoundReport:
     exact: int | None
     tight: bool
 
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "f_lower": self.f_lower,
-            "F_upper": self.F_upper,
-            "exact": self.exact,
-            "tight": self.tight,
-        }
-
 
 def bound_check(z: FatPointScheme, lines, t: int) -> BoundReport:
     """Compute v, f, F and the exact value, asserting f <= H <= F."""

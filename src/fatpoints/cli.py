@@ -7,12 +7,22 @@ throughout the package, as JSON, or as CSV rows for batch sweeps.  Every
 subcommand is deterministic given its full parameter set including the
 seed.  Exit status: 0 on success, 1 when a validation or an asserted
 property fails, 2 on usage errors.
+
+Report wire format, owned by this module alone: a report dataclass
+becomes a JSON object with one key per field, named after the field
+except ``ktype`` (``"type"``) and ``delta_value`` (``"delta"``).  Nested
+dataclasses become objects, tuples become arrays and map keys become
+strings.  JSON output sorts the keys; CSV output keeps the field order,
+one header row and one value row, with nested objects flattened to
+dotted keys (``infeasible.1``) and the ``str`` of each array item joined
+by spaces.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -27,7 +37,6 @@ from .scheme import (
     reduction_vector,
     residual_chain,
     scheme_from_json,
-    scheme_to_json,
 )
 from .geom import triple_to_json
 
@@ -44,11 +53,32 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _emit(args, payload: dict, text: str) -> None:
+# The report fields whose JSON key is not the field name.
+_KEYS = {"ktype": "type", "delta_value": "delta"}
+
+
+def _wire(value):
+    """``value`` as JSON data: dataclass fields in declaration order under
+    their :data:`_KEYS` names, tuples as lists, map keys as strings."""
+    if value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [v if isinstance(v, int) else _wire(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _wire(v) for k, v in value.items()}
+    return {
+        _KEYS.get(f.name, f.name): _wire(getattr(value, f.name))
+        for f in dataclasses.fields(value)
+    }
+
+
+def _emit(args, report, text: str) -> None:
+    """Print ``report`` (a report dataclass or JSON-ready dict) in the
+    requested format; ``text`` is its text rendering."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(_wire(report), indent=2, sort_keys=True))
     elif args.format == "csv":
-        flat = _flatten(payload)
+        flat = _flatten(_wire(report))
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(flat.keys())
@@ -127,8 +157,7 @@ def cmd_generate(args) -> int:
 def cmd_hilbert(args) -> int:
     z = _scheme_for(args)
     table = hilbert.hilbert_table(z, args.t_max)
-    payload = table.to_json()
-    _emit(args, payload, table.arrow_display())
+    _emit(args, table, table.arrow_display())
     return 0
 
 
@@ -140,7 +169,7 @@ def cmd_bounds(args) -> int:
         f"t={report.t} f={report.f_lower} F={report.F_upper} "
         f"H={report.exact}{' tight' if report.tight else ''}"
     )
-    _emit(args, report.to_json(), text)
+    _emit(args, report, text)
     return 0
 
 
@@ -168,7 +197,7 @@ def cmd_verify(args) -> int:
             f"m={m} delta={report.delta_value} lines={report.line_count} "
             f"{verdict}{note}"
         )
-        _emit(args, report.to_json(), text)
+        _emit(args, report, text)
         if report.asserted and not report.matches:
             status = 1
     return status
@@ -197,7 +226,7 @@ def cmd_family(args) -> int:
             report.supports_ok, report.probe_ok, report.pairwise_distinct
         )
     )
-    _emit(args, report.to_json(), "\n".join(lines))
+    _emit(args, report, "\n".join(lines))
     return 0 if report.ok else 1
 
 

@@ -211,13 +211,6 @@ class HilbertTable:
     deltas: tuple[int, ...]
     stabilized_at: int | None
 
-    def to_json(self) -> dict:
-        return {
-            "values": list(self.values),
-            "deltas": list(self.deltas),
-            "stabilized_at": self.stabilized_at,
-        }
-
     def arrow_display(self) -> str:
         """One-line rendering like ``1 3 6 10 15 18 18 ->``."""
         body = " ".join(str(v) for v in self.values)
@@ -261,6 +254,8 @@ def regularity_floor(z: FatPointScheme) -> int:
     degree t too.  Z meets that line in a degree-w subscheme of the line,
     whose Hilbert function min(t + 1, w) first reaches w at t = w - 1.
     """
+    if z.is_empty():
+        raise EmptyScheme("the empty scheme has no regularity index")
     return z.greedy_reduction.values[0] - 1
 
 
@@ -270,11 +265,10 @@ def regularity_index(z: FatPointScheme) -> int:
     H is nondecreasing and :func:`regularity_floor` is a proven lower
     bound, so the walk t = floor, floor + 1, ... stops at the first exact
     :func:`hilbert_value` that reaches deg: that t is the regularity index.
+    The empty scheme has none: the floor raises :class:`EmptyScheme`.
     """
-    if z.is_empty():
-        raise EmptyScheme("the empty scheme has no regularity index")
-    deg = z.degree()
     t = regularity_floor(z)
+    deg = z.degree()
     while hilbert_value(z, t) < deg:
         t += 1
     return t

@@ -129,7 +129,7 @@ class FatPointScheme:
         weight = [sum(mult[i] for i in idx) for idx in members]
         values, chosen = [], []
         while any(mult):
-            k = max(range(len(lines)), key=weight.__getitem__)
+            k = weight.index(max(weight))
             values.append(weight[k])
             chosen.append(lines[k])
             for i in members[k]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from . import hilbert, kconfig
@@ -58,21 +58,7 @@ class VerificationReport:
     matches: bool
     asserted: bool
     reduced_delta: int
-    ri: int | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "config_id": self.config_id,
-            "type": list(self.ktype),
-            "m": self.m,
-            "delta": self.delta_value,
-            "line_count": self.line_count,
-            "m0": self.m0,
-            "matches": self.matches,
-            "asserted": self.asserted,
-            "reduced_delta": self.reduced_delta,
-            "ri": self.ri,
-        }
+    ri: int | None
 
 
 def verify_main(x: KConfiguration, m: int, include_ri: bool = False) -> VerificationReport:
@@ -137,18 +123,6 @@ class ReducedBoundReport:
     support_expected: int
     ok: bool
 
-    def to_json(self) -> dict:
-        return {
-            "config_id": self.config_id,
-            "type": list(self.ktype),
-            "reduced_delta": self.reduced_delta,
-            "tail_length": self.tail_length,
-            "line_count": self.line_count,
-            "support_value": self.support_value,
-            "support_expected": self.support_expected,
-            "ok": self.ok,
-        }
-
 
 def verify_reduced_bound(x: KConfiguration) -> ReducedBoundReport:
     """The reduced first difference equals the tail length and caps the
@@ -175,15 +149,6 @@ class RegularityReport:
     expected: int
     ok: bool
 
-    def to_json(self) -> dict:
-        return {
-            "config_id": self.config_id,
-            "m": self.m,
-            "ri": self.ri,
-            "expected": self.expected,
-            "ok": self.ok,
-        }
-
 
 def verify_regularity(x: KConfiguration, m: int) -> RegularityReport:
     """ri(mX) = m * d_s - 1 for m >= s + 1; single points give m - 1."""
@@ -204,16 +169,6 @@ class LastNonzeroReport:
     last_delta: int
     line_count: int
     ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "config_id": self.config_id,
-            "m": self.m,
-            "last_t": self.last_t,
-            "last_delta": self.last_delta,
-            "line_count": self.line_count,
-            "ok": self.ok,
-        }
 
 
 def verify_last_nonzero(x: KConfiguration, m: int) -> LastNonzeroReport:
@@ -247,35 +202,14 @@ class FamilyReport:
     s: int
     m: int
     members: tuple[FamilyMember, ...]
-    infeasible: dict[int, str] = field(default_factory=dict)
-    supports_ok: bool = False
-    probe_ok: bool = False
-    pairwise_distinct: bool = False
+    infeasible: dict[int, str]
+    supports_ok: bool
+    probe_ok: bool
+    pairwise_distinct: bool
 
     @property
     def ok(self) -> bool:
         return self.supports_ok and self.probe_ok and self.pairwise_distinct
-
-    def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "m": self.m,
-            "members": [
-                {
-                    "r": mem.r,
-                    "config_id": mem.config_id,
-                    "support_values": list(mem.support_values),
-                    "fat_values": list(mem.fat_values),
-                    "value_at_probe": mem.value_at_probe,
-                    "degree": mem.degree,
-                }
-                for mem in self.members
-            ],
-            "infeasible": {str(k): v for k, v in self.infeasible.items()},
-            "supports_ok": self.supports_ok,
-            "probe_ok": self.probe_ok,
-            "pairwise_distinct": self.pairwise_distinct,
-        }
 
 
 def hilbert_family(s: int, m: int, seed: int = 0, bound: int = 20) -> FamilyReport:

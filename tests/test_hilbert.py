@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import LADDER, config_123_one, config_1234, config_1345, ladder_degrees
-from fatpoints import hilbert, linalg
+from fatpoints import cli, hilbert, linalg
 from fatpoints.geom import ProjPoint, random_point
 from fatpoints.linalg import _ELIM_PRIMES
 from fatpoints.hilbert import (
@@ -198,11 +198,13 @@ def test_regularity_index_walkthrough():
 def test_regularity_index_empty():
     with pytest.raises(EmptyScheme):
         regularity_index(FatPointScheme.from_points([], []))
+    with pytest.raises(EmptyScheme):
+        regularity_floor(FatPointScheme.from_points([], []))
 
 
 def test_table_json():
     tab = HilbertTable((1, 3, 3), (1, 2, 0), 1)
-    assert tab.to_json() == {"values": [1, 3, 3], "deltas": [1, 2, 0], "stabilized_at": 1}
+    assert cli._wire(tab) == {"values": [1, 3, 3], "deltas": [1, 2, 0], "stabilized_at": 1}
 
 
 def test_monomial_order_is_total_degree_consistent():

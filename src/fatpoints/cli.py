@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--t", type=int, required=True)
     b.set_defaults(func=cmd_bounds)
 
-    c = sub.add_parser("count-lines", help="brute-force maximal line count")
+    c = sub.add_parser("count-lines", help="count lines through exactly --k points (default d_s)")
     common(c)
     c.add_argument("--k", type=int, default=None)
     c.set_defaults(func=cmd_count_lines)

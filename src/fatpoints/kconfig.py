@@ -4,7 +4,7 @@ A configuration of type (d_1 < ... < d_s) is a union of subsets X_i of
 sizes d_i, each on its own line L_i, where every later line avoids all
 earlier subsets.  This module provides validation against those defining
 conditions, seeded generators for arbitrary types and for prescribed
-counts of maximal lines, the brute-force line-counting oracle, the
+counts of maximal lines, the count of lines meeting X in k points, the
 candidate-line shortlist, the relabelling that moves maximal lines into
 trailing positions, the three-way classification for types (1, ..., s),
 and the passage to fat point schemes.
@@ -102,6 +102,10 @@ class KConfiguration:
         object.__setattr__(self, "lines", tuple(self.lines))
 
     def points(self) -> tuple[ProjPoint, ...]:
+        return self._sorted_points
+
+    @cached_property
+    def _sorted_points(self) -> tuple[ProjPoint, ...]:
         return tuple(sorted({p for sub in self.subsets for p in sub}))
 
     @cached_property
@@ -175,12 +179,11 @@ def fatten(x: KConfiguration, m: int) -> FatPointScheme:
 
 
 def count_lines(x: KConfiguration, k: int) -> tuple[int, list[ProjLine]]:
-    """Brute-force count of lines meeting X in exactly k points.
+    """The lines meeting X in exactly k points, sorted by coefficients.
 
-    Reads the lines spanned by all point pairs, deduplicated via the
-    canonical form, with the points on each (:attr:`KConfiguration.pair_lines`,
-    enumerated by :func:`lines_through_pairs`); ground truth for everything
-    else in the package.
+    Reads :attr:`KConfiguration.pair_lines`: every line through two of the
+    points with the points on it, built once per configuration by
+    :func:`lines_through_pairs`.
     """
     if not x.pair_lines:  # fewer than two points
         raise ValueError("need at least two points to enumerate lines")
@@ -242,7 +245,7 @@ def _strongly_generic_point(
     ``line`` span the line itself and are exempt.
 
     ``spanned`` holds the lines through two existing points; the caller
-    keeps it up to date with :func:`_place`, so no pair is enumerated
+    (:func:`_place_points`) keeps it up to date, so no pair is enumerated
     here.  The basis of ``line`` is taken once, before the rejection loop.
     """
     forbidden = set(other_lines)
@@ -259,11 +262,46 @@ def _strongly_generic_point(
     raise GenerationFailed("could not place a generic point; raise the bound")
 
 
-def _place(p: ProjPoint, existing: list[ProjPoint], spanned: set[ProjLine]) -> None:
-    """Append ``p`` to ``existing`` and the lines through it and each
-    earlier point to ``spanned``."""
-    spanned.update(line_through(q, p) for q in existing)
-    existing.append(p)
+def _place_points(
+    rng: Random, ktype: KType, lines: list[ProjLine], forced: list, bound: int
+) -> KConfiguration:
+    """The configuration with subset i on ``lines[i]``: first the points
+    ``forced[i]``, then strongly generic points up to d_i.
+
+    The lines through two placed points are kept in one set as points are
+    added, so :func:`_strongly_generic_point` enumerates no pair.  A forced
+    point that was already placed raises :class:`GenerationFailed`.
+    """
+    subsets = []
+    existing: list[ProjPoint] = []
+    spanned: set[ProjLine] = set()
+    for i, (line, di, meets) in enumerate(zip(lines, ktype.d, forced)):
+        others = [l for j, l in enumerate(lines) if j != i]
+        for k in range(di):
+            if k < len(meets):
+                p = meets[k]
+                if p in existing:
+                    raise GenerationFailed("coincident meets")
+            else:
+                p = _strongly_generic_point(rng, line, others, existing, spanned, bound)
+            spanned.update(line_through(q, p) for q in existing)
+            existing.append(p)
+        subsets.append(existing[-di:])
+    return KConfiguration(ktype, subsets, lines)
+
+
+def _first_accepted(build, accept, failure: str) -> KConfiguration:
+    """The first of 60 candidates from ``build`` that is valid and passes
+    ``accept``; a candidate whose ``build`` raises :class:`GenerationFailed`
+    is skipped.  Raises ``GenerationFailed(failure)`` when none is found."""
+    for _ in range(60):
+        try:
+            x = build()
+        except GenerationFailed:
+            continue
+        if not validate(x) and accept(x):
+            return x
+    raise GenerationFailed(failure)
 
 
 def generate_generic(ktype: KType, seed: int, bound: int = 50) -> KConfiguration:
@@ -280,32 +318,18 @@ def generate_generic(ktype: KType, seed: int, bound: int = 50) -> KConfiguration
             f"coordinate bound {bound} is too small for {ktype.ds} points on a line"
         )
     rng = Random(f"generic:{ktype.d}:{seed}")
-    for _ in range(60):
-        lines = []
+
+    def build() -> KConfiguration:
+        lines: list[ProjLine] = []
         while len(lines) < ktype.s:
             l = random_line(rng, bound)
             if l not in lines:
                 lines.append(l)
-        try:
-            subsets = []
-            existing: list[ProjPoint] = []
-            spanned: set[ProjLine] = set()
-            for i, di in enumerate(ktype.d):
-                others = [l for j, l in enumerate(lines) if j != i]
-                sub = []
-                for _ in range(di):
-                    p = _strongly_generic_point(
-                        rng, lines[i], others, existing, spanned, bound
-                    )
-                    sub.append(p)
-                    _place(p, existing, spanned)
-                subsets.append(tuple(sub))
-        except GenerationFailed:
-            continue
-        x = KConfiguration(ktype, tuple(subsets), tuple(lines))
-        if not validate(x):
-            return x
-    raise GenerationFailed(f"no valid configuration of type {ktype.d} found")
+        return _place_points(rng, ktype, lines, [[]] * ktype.s, bound)
+
+    return _first_accepted(
+        build, lambda x: True, f"no valid configuration of type {ktype.d} found"
+    )
 
 
 def _general_position_lines(rng: Random, count: int, bound: int) -> list[ProjLine]:
@@ -327,13 +351,14 @@ def _general_position_lines(rng: Random, count: int, bound: int) -> list[ProjLin
 def generate_with_line_count(s: int, r: int, seed: int, bound: int = 50) -> KConfiguration:
     """A type (1, ..., s) configuration with exactly r maximal lines.
 
-    r = s + 1 realizes the star of s + 1 general lines; r <= s places the
-    r maximal lines last and stitches their pairwise meets into the later
-    subsets, topping each up with generic points.  The count is confirmed
-    post hoc with the brute-force oracle and the construction is resampled
-    on failure.  For s = 2 every configuration consists of three
-    non-collinear points whose pair lines all carry two points, so only
-    r = 3 exists.
+    Both start from lines in general position.  r = s + 1 is the star:
+    X_i is the meets of L_i with L_0, ..., L_{i-1} for s + 1 lines L_j.
+    For r <= s, X_i on one of the trailing r of s lines holds its meets
+    with the earlier trailing lines, and every X_i is topped up with
+    strongly generic points.  Up to 60 candidates are drawn until one is
+    valid and :func:`count_lines` finds r lines with s points.  For s = 2
+    every configuration consists of three non-collinear points whose pair
+    lines all carry two points, so only r = 3 exists.
     """
     if s < 2:
         raise ValueError("need s >= 2")
@@ -349,55 +374,22 @@ def generate_with_line_count(s: int, r: int, seed: int, bound: int = 50) -> KCon
         raise GenerationFailed(f"coordinate bound {bound} has too few lines")
     ktype = KType(tuple(range(1, s + 1)))
     rng = Random(f"line-count:{s}:{r}:{seed}")
-    for _ in range(60):
-        try:
-            x = _star_instance(rng, s, bound) if r == s + 1 else _counted_instance(
-                rng, s, r, bound
-            )
-        except GenerationFailed:
-            continue
-        if validate(x):
-            continue
-        count, _ = count_lines(x, s)
-        if count == r:
-            return x
-    raise GenerationFailed(f"no type {ktype.d} configuration with r={r} found")
 
+    def build() -> KConfiguration:
+        lines = _general_position_lines(rng, s + (r == s + 1), bound)
+        if r == s + 1:  # meets only: no generic point, no spanned lines
+            subsets = [[meet(lines[i], m) for m in lines[:i]] for i in range(1, s + 1)]
+            return KConfiguration(ktype, subsets, lines[1:])
+        forced = [
+            [meet(l, lines[j]) for j in range(s - r, i)] for i, l in enumerate(lines)
+        ]
+        return _place_points(rng, ktype, lines, forced, bound)
 
-def _star_instance(rng: Random, s: int, bound: int) -> KConfiguration:
-    lines = _general_position_lines(rng, s + 1, bound)
-    defining = [lines[i + 1] for i in range(s)]
-    subsets = []
-    for i in range(s):
-        sub = tuple(meet(lines[i + 1], lines[j]) for j in range(i + 1))
-        subsets.append(sub)
-    return KConfiguration(KType(tuple(range(1, s + 1))), tuple(subsets), tuple(defining))
-
-
-def _counted_instance(rng: Random, s: int, r: int, bound: int) -> KConfiguration:
-    lines = _general_position_lines(rng, s, bound)
-    special = lines[s - r :]  # the trailing r lines become the maximal ones
-    subsets: list[tuple[ProjPoint, ...]] = []
-    existing: list[ProjPoint] = []
-    spanned: set[ProjLine] = set()
-    for i in range(s):
-        line = lines[i]
-        others = [l for j, l in enumerate(lines) if j != i]
-        forced: list[ProjPoint] = []
-        if i >= s - r:
-            forced = [meet(line, lines[j]) for j in range(s - r, i)]
-        free_needed = (i + 1) - len(forced)
-        sub = list(forced)
-        for p in forced:
-            if p in existing:
-                raise GenerationFailed("coincident meets")
-            _place(p, existing, spanned)
-        for _ in range(free_needed):
-            p = _strongly_generic_point(rng, line, others, existing, spanned, bound)
-            sub.append(p)
-            _place(p, existing, spanned)
-        subsets.append(tuple(sub))
-    return KConfiguration(KType(tuple(range(1, s + 1))), tuple(subsets), tuple(lines))
+    return _first_accepted(
+        build,
+        lambda x: count_lines(x, s)[0] == r,
+        f"no type {ktype.d} configuration with r={r} found",
+    )
 
 
 # --- relabelling -----------------------------------------------------------

@@ -234,7 +234,9 @@ def hilbert_family(s: int, m: int, seed: int = 0, bound: int = 20) -> FamilyRepo
     expected_support = tuple(
         min(comb(t + 2, 2), support_cap) for t in range(s + 1)
     )
-    for r in range(1, s + 2):
+    # the star first: its up-front check on the bound fails at once, where
+    # another r would first exhaust its rejection loops
+    for r in (s + 1, *range(1, s + 1)):
         try:
             x = kconfig.generate_with_line_count(s, r, seed, bound)
         except InfeasibleLineCount as exc:
@@ -254,6 +256,7 @@ def hilbert_family(s: int, m: int, seed: int = 0, bound: int = 20) -> FamilyRepo
                 degree=z.degree(),
             )
         )
+    members.sort(key=lambda mem: mem.r)
     supports_ok = all(mem.support_values == expected_support for mem in members)
     probe_ok = all(mem.value_at_probe == mem.degree - mem.r for mem in members)
     seen = {mem.fat_values for mem in members}

@@ -13,6 +13,7 @@ import pytest
 
 from corpus import config_1345
 from fatpoints import cli, geom, kconfig
+from fatpoints.geom import meet
 from fatpoints.kconfig import (
     KType,
     fatten,
@@ -74,7 +75,12 @@ def test_generators_enumerate_no_pairs(pair_line_calls):
     for dvec in [(1, 2, 3, 4, 5), (3, 5, 7, 9)]:
         generate_generic(KType(dvec), seed=0, bound=50)
     for r in range(1, 6):
-        kconfig._counted_instance(Random(f"spy:{r}"), 5, r, 20)
+        rng = Random(f"spy:{r}")
+        lines = kconfig._general_position_lines(rng, 5, 20)
+        forced = [
+            [meet(l, lines[j]) for j in range(5 - r, i)] for i, l in enumerate(lines)
+        ]
+        kconfig._place_points(rng, KType((1, 2, 3, 4, 5)), lines, forced, 20)
     assert pair_line_calls == []
 
 
@@ -83,6 +89,7 @@ def test_count_lines_and_schemes_share_the_map(pair_line_calls):
     count, _ = kconfig.count_lines(x, 5)
     z1, z2 = fatten(x, 1), fatten(x, 3)
     assert z1.pair_lines is z2.pair_lines is x.pair_lines
+    assert x.points() is x.points()  # sorted once per configuration
     assert z1.greedy_reduction.values[0] == 5 and count == 3
     assert len(pair_line_calls) == 1
 

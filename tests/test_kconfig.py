@@ -356,8 +356,10 @@ GENERIC_SHA256 = {
     ((3, 5, 7, 9), 0, 4): "d6fbfb6dfa06937ff49fa9fe1a0f8f587d2d06215990a8c1a5fbc2c2913a1ebb",
     ((3, 5, 7, 9), 1, 4): "896c734f5032f74aa8fb3692e24fa6d14e8bf6dce4118ef9e36756a3a3868844",
     ((3, 5, 7, 9), 2, 4): "5560fb4dfb157cd765aef1de108640c1096e9ea8a4562801968ba302ab250b15",
-    # a generic point fails to place 2, 4, 11 and 2 times, so the lines
-    # are drawn again
+}
+# a generic point fails to place 2, 4, 11 and 2 times, so the lines are
+# drawn again
+GENERIC_RETRY_SHA256 = {
     ((1, 2, 3, 4), 0, 2): "717d8973f6f8e95365e2171982450e3cd8f99445399d2c6eb1792251eea3ed89",
     ((1, 2, 3, 4), 4, 2): "491e509e7c215f08f5dd395cb0fbfcb59b92b8795c2a7f80efbae83add8054ee",
     ((1, 2, 3, 4), 9, 2): "e92e87e6f5bbab367d7d761f4c955c5b716599cfba080652444bf8d72c283c43",
@@ -403,6 +405,12 @@ def _sha256(x):
 def test_generate_generic_output_is_pinned(dvec, seed, bound):
     x = generate_generic(KType(dvec), seed=seed, bound=bound)
     assert _sha256(x) == GENERIC_SHA256[dvec, seed, bound]
+
+
+@pytest.mark.parametrize("dvec, seed, bound", sorted(GENERIC_RETRY_SHA256))
+def test_generate_generic_retry_output_is_pinned(dvec, seed, bound):
+    x = generate_generic(KType(dvec), seed=seed, bound=bound)
+    assert _sha256(x) == GENERIC_RETRY_SHA256[dvec, seed, bound]
 
 
 @pytest.mark.parametrize("s, r, bound", sorted(LINE_COUNT_SHA256))

@@ -44,10 +44,17 @@ COMMANDS = {
         "1,2,3,4,5",
         "hilbert --config CONFIG --m 6 --t-max 30 --format json",
     ),
+    # the command of the family-small benchmark workload at pass seed 0
+    "family s=3 m=4": (None, "family --s 3 --m 4 --seed 0 --coord-bound 20 --format json"),
     "family s=4 m=5": (None, "family --s 4 --m 5 --seed 0 --coord-bound 20 --format json"),
     "family s=6 m=7": (None, "family --s 6 --m 7 --seed 0 --coord-bound 20 --format json"),
     # one span certificate: r = 5 at t = 21
     "family s=5 m=6": (None, "family --s 5 --m 6 --seed 0 --coord-bound 20 --format json"),
+    # the largest rung of the verify benchmark workload
+    "verify --ri (3,5,7,9)/3": (
+        "3,5,7,9",
+        "verify --config CONFIG --m 3 --ri --format json",
+    ),
     "verify --ri (1..9)/10": (
         "1,2,3,4,5,6,7,8,9",
         "verify --config CONFIG --m 10 --ri --format json",

@@ -8,8 +8,11 @@ Hilbert function is sandwiched for every degree t:
 
 with C(n, 2) = 0 for n < 2.  The summands of f are clamped at zero: a
 negative t - i + 1 cannot contribute a negative number of conditions.
-``f_lower`` and ``F_upper`` check completeness and call
-``ReductionVector.lower_bound`` and ``ReductionVector.upper_bound``.
+``ReductionVector.sandwich`` evaluates both in one pass over the first
+t + 1 entries, with running sums in place of binomials: C(t+2,2) -
+C(t-i+2,2) is the sum of max(t + 1 - k, 0) over k < i.  ``f_lower`` and
+``F_upper`` check completeness and read ``ReductionVector.lower_bound``
+and ``ReductionVector.upper_bound``, its two halves.
 
 ``peeling_sequence`` builds the standard line sequences whose reduction
 vectors make these bounds tight at the degrees of interest: repeated

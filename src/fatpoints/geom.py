@@ -91,16 +91,26 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     return ProjLine(_cross(p.coords, q.coords))
 
 
+def _canonical_line(key: tuple[int, int, int]) -> ProjLine:
+    """The :class:`ProjLine` of a triple that is already canonical, built
+    without running :func:`canonical_triple` on it again."""
+    line = object.__new__(ProjLine)
+    object.__setattr__(line, "coeffs", key)
+    return line
+
+
 def lines_through_pairs(points) -> dict[ProjLine, set[int]]:
     """Each line through two of the distinct ``points``, mapped to the
-    indices of all the points on it.
+    indices of all the points on it, in coefficient order.
 
     Every point on such a line spans it with another point on it, so the
     pairs alone find every incidence.  The kernel works on the coordinate
     triples: the cross product of each pair, made canonical as in
-    :func:`canonical_triple`, keys a dict of index sets, and one
-    :class:`ProjLine` is built per distinct line.  Raises
-    :class:`CoincidentPoints` when two of the points are equal.
+    :func:`canonical_triple`, keys a dict of index sets.  The keys are
+    then sorted, and each becomes its :class:`ProjLine` as it is, so the
+    map iterates in the order of ``ProjLine.coeffs`` (the order of
+    ``sorted`` on lines).  Raises :class:`CoincidentPoints` when two of
+    the points are equal.
     """
     coords = [p.coords for p in points]
     on: dict[tuple[int, int, int], set[int]] = {}
@@ -120,7 +130,7 @@ def lines_through_pairs(points) -> dict[ProjLine, set[int]]:
                 on[key].update((i, j))
             else:
                 on[key] = {i, j}
-    return {ProjLine(key): idx for key, idx in on.items()}
+    return {_canonical_line(key): on[key] for key in sorted(on)}
 
 
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:

@@ -186,19 +186,18 @@ def hilbert_value(z: FatPointScheme, t: int) -> int:
     """H_Z(t) = dim R_t - dim (I_Z)_t, exact.
 
     The scheme's greedy reduction vector v sandwiches the value, f_v(t)
-    <= H_Z(t) <= F_v(t) (CHT; see :class:`~fatpoints.scheme.ReductionVector`).
-    f_v follows from the residual sequence of each line L of v, which
-    gives H_Z(t) >= H_{Z:L}(t-1) + min(t + 1, deg(Z meet L)).  When the
-    two bounds meet, that is the value and no matrix is built; they meet
-    at every t for a single point.  Otherwise it is the rank of
-    :func:`conditions_matrix`, pinned (see :func:`linalg.rank`) against
-    F_v(t).
+    <= H_Z(t) <= F_v(t) (CHT), both from one pass of
+    :meth:`~fatpoints.scheme.ReductionVector.sandwich`.  f_v follows from
+    the residual sequence of each line L of v, which gives H_Z(t) >=
+    H_{Z:L}(t-1) + min(t + 1, deg(Z meet L)).  When the two bounds meet,
+    that is the value and no matrix is built; they meet at every t for a
+    single point.  Otherwise it is the rank of :func:`conditions_matrix`,
+    pinned (see :func:`linalg.rank`) against F_v(t).
     """
     if t < 0 or z.is_empty():
         return 0
-    v = z.greedy_reduction
-    upper = v.upper_bound(t)
-    if v.lower_bound(t) == upper:
+    lower, upper = z.greedy_reduction.sandwich(t)
+    if lower == upper:
         return upper
     return linalg.rank(conditions_matrix(z, t), upper=upper)
 

@@ -183,13 +183,11 @@ def count_lines(x: KConfiguration, k: int) -> tuple[int, list[ProjLine]]:
 
     Reads :attr:`KConfiguration.pair_lines`: every line through two of the
     points with the points on it, built once per configuration by
-    :func:`lines_through_pairs`.
+    :func:`lines_through_pairs`, already in coefficient order.
     """
     if not x.pair_lines:  # fewer than two points
         raise ValueError("need at least two points to enumerate lines")
-    found = sorted(
-        (l for l, on in x.pair_lines.items() if len(on) == k), key=lambda l: l.coeffs
-    )
+    found = [l for l, on in x.pair_lines.items() if len(on) == k]
     return len(found), found
 
 
@@ -304,6 +302,15 @@ def _first_accepted(build, accept, failure: str) -> KConfiguration:
     raise GenerationFailed(failure)
 
 
+def _points_per_line(bound: int) -> int:
+    """The most points :func:`random_combination` reaches on one line.
+
+    It draws u*b1 + v*b2 with |u|, |v| <= bound and (u, v) != 0, and
+    (u, v), (-u, -v) give one point.
+    """
+    return ((2 * bound + 1) ** 2 - 1) // 2
+
+
 def generate_generic(ktype: KType, seed: int, bound: int = 50) -> KConfiguration:
     """A seeded random configuration of the given type.
 
@@ -311,9 +318,7 @@ def generate_generic(ktype: KType, seed: int, bound: int = 50) -> KConfiguration
     defining lines and never becomes the third point of any previously
     spanned line, so no accidental maximal lines appear.
     """
-    # random_combination draws u*b1 + v*b2 with |u|, |v| <= bound, (u, v) != 0,
-    # and (u, v), (-u, -v) give one point: a line holds at most this many.
-    if ktype.ds > ((2 * bound + 1) ** 2 - 1) // 2:
+    if ktype.ds > _points_per_line(bound):
         raise GenerationFailed(
             f"coordinate bound {bound} is too small for {ktype.ds} points on a line"
         )
@@ -372,6 +377,12 @@ def generate_with_line_count(s: int, r: int, seed: int, bound: int = 50) -> KCon
     # to sign, so the bound allows at most this many.
     if s + (r == s + 1) > ((2 * bound + 1) ** 3 - 1) // 2:
         raise GenerationFailed(f"coordinate bound {bound} has too few lines")
+    # For r <= s the last line holds r - 1 meets and s - r + 1 generic points.
+    if r <= s and s - r + 1 > _points_per_line(bound):
+        raise GenerationFailed(
+            f"coordinate bound {bound} is too small for {s - r + 1} generic "
+            "points on a line"
+        )
     ktype = KType(tuple(range(1, s + 1)))
     rng = Random(f"line-count:{s}:{r}:{seed}")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from math import comb
 
 from .geom import ProjLine, ProjPoint, incident, lines_through_pairs
@@ -105,11 +104,12 @@ class FatPointScheme:
         """The complete reduction vector of greedy peeling; None when empty.
 
         Each step removes, among the lines through two support points, the
-        heaviest in the residual scheme (the first in sorted order among
-        equals).  Every point on it that still has a multiplicity loses
-        one, and so does the weight of every line through that point.  A
-        single point of multiplicity m takes one line through it m times,
-        so v = (m, m - 1, ..., 1) and f_v = F_v = H everywhere.
+        heaviest in the residual scheme (among equals, the first in
+        coefficient order, the order of :attr:`pair_lines`).  Every point
+        on it that still has a multiplicity loses one, and so does the
+        weight of every line through that point.  A single point of
+        multiplicity m takes one line through it m times, so v = (m,
+        m - 1, ..., 1) and f_v = F_v = H everywhere.
         """
         points = self.support()
         if not points:
@@ -119,14 +119,14 @@ class FatPointScheme:
             on = {ProjLine((b, -a, 0) if a or b else (1, 0, 0)): {0}}
         else:
             on = self.pair_lines
-        lines = sorted(on, key=lambda l: l.coeffs)
-        members = [on[l] for l in lines]
+        lines = list(on)
+        members = list(on.values())
         through = [[] for _ in points]
         for k, idx in enumerate(members):
             for i in idx:
                 through[i].append(k)
         mult = [m for _, m in self.entries]
-        weight = [sum(mult[i] for i in idx) for idx in members]
+        weight = [sum(map(mult.__getitem__, idx)) for idx in members]
         values, chosen = [], []
         while any(mult):
             k = weight.index(max(weight))
@@ -154,23 +154,38 @@ class ReductionVector:
     def total(self) -> int:
         return sum(self.values)
 
-    @cached_property
-    def _tails(self) -> list[int]:
-        """sum_{j>i} v_j for i = 0 .. len(values), built once per vector."""
-        return list(accumulate(reversed(self.values), initial=0))[::-1]
+    def sandwich(self, t: int) -> tuple[int, int]:
+        """(f_v(t), F_v(t)), the Cooper-Harbourne-Teitler bounds on H_Z(t).
+
+        f_v(t) = sum_i max(0, min(t - i + 1, v_{i+1})) bounds H_Z(t) below
+        for any line sequence (the residual-sequence proof is in
+        :mod:`fatpoints.hilbert`).  F_v(t) = min_i [C(t+2,2) - C(t-i+2,2) +
+        sum_{j>i} v_j] bounds it above when the reduction is complete.
+
+        One pass over the first t + 1 entries: C(t+2,2) - C(t-i+2,2) is the
+        running sum ``acc`` of max(t + 1 - k, 0) over k < i, and ``rest`` is
+        the running tail sum.  From i = t + 2 on, ``acc`` stays C(t+2,2) and
+        each term is at least it, with equality at the last i, so F_v(t) is
+        ``min(best, acc)``.  Both are 0 for t < 0, as the entries (line
+        degrees) are nonnegative.
+        """
+        f = acc = 0
+        rest = best = sum(self.values)
+        for room, v in zip(range(t + 1, 0, -1), self.values):
+            f += v if v < room else room
+            acc += room
+            rest -= v
+            if acc + rest < best:
+                best = acc + rest
+        return f, min(best, acc)
 
     def upper_bound(self, t: int) -> int:
-        """F_v(t) = min_i [C(t+2,2) - C(t-i+2,2) + sum_{j>i} v_j], an upper
-        bound on H_Z(t) when the reduction of Z is complete (CHT)."""
-        tails = self._tails
-        c2 = [comb(max(t - i + 2, 0), 2) for i in range(len(tails))]
-        return min(c2[0] - c + tail for c, tail in zip(c2, tails))
+        """F_v(t) of :meth:`sandwich`."""
+        return self.sandwich(t)[1]
 
     def lower_bound(self, t: int) -> int:
-        """f_v(t) = sum_i max(0, min(t - i + 1, v_{i+1})), a lower bound on
-        H_Z(t) for any line sequence (CHT; the residual-sequence proof is in
-        :mod:`fatpoints.hilbert`)."""
-        return sum(max(0, min(t - i + 1, val)) for i, val in enumerate(self.values))
+        """f_v(t) of :meth:`sandwich`."""
+        return self.sandwich(t)[0]
 
 
 def reduction_vector(z: FatPointScheme, lines) -> ReductionVector:

@@ -1,7 +1,8 @@
 import random
+from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from corpus import (
     config_123_exact,
@@ -133,6 +134,37 @@ def test_f_le_F_everywhere():
         v = _vec(vals)
         for t in range(0, 14):
             assert f_lower(v, t) <= F_upper(v, t)
+
+
+def _cht_oracle(values, t):
+    """f_v(t) and F_v(t) as the CHT formulas read, with C(n, 2) = 0 for
+    n < 2: the sum over every entry and the minimum over every split."""
+    def c2(n):
+        return comb(max(n, 0), 2)
+
+    f = sum(max(0, min(t - i + 1, v)) for i, v in enumerate(values))
+    F = min(c2(t + 2) - c2(t - i + 2) + sum(values[i:]) for i in range(len(values) + 1))
+    return f, F
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 40), max_size=14).map(tuple), st.integers(-4, 60))
+@example((), 0)
+@example((), 7)
+@example((), -1)
+@example((0, 0, 0), 2)
+@example((1, 5, 0, 7, 2), 3)
+@example(tuple(range(1000, 0, -1)), 5)
+@example(tuple(range(1000, 0, -1)), 999)
+@example(tuple(range(1000, 0, -1)), 1500)
+def test_sandwich_matches_the_cht_formulas(values, t):
+    # Zeros, non-monotone vectors, t < 0 and t past the last entry.
+    v = _vec(values)
+    assert v.sandwich(t) == _cht_oracle(values, t)
+    assert (v.lower_bound(t), v.upper_bound(t)) == v.sandwich(t)
+    assert (f_lower(v, t), F_upper(v, t)) == v.sandwich(t)
+    if t < 0:
+        assert v.sandwich(t) == (0, 0)
 
 
 def test_f_saturates_to_degree():

@@ -185,8 +185,10 @@ def test_lines_through_pairs_matches_oracle(points):
     on = lines_through_pairs(points)
     expected = _pair_lines_oracle(points)
     assert on == expected
-    assert list(on) == list(expected)  # same insertion order as well
+    # in coefficient order, and every key is the canonical ProjLine
+    assert list(on) == sorted(expected, key=lambda l: l.coeffs)
     for l, idx in on.items():
+        assert type(l) is ProjLine and l == ProjLine(l.coeffs)
         assert idx == {i for i, p in enumerate(points) if incident(p, l)}
 
 

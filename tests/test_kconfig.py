@@ -17,6 +17,7 @@ from corpus import (
     full_corpus,
     trichotomy_corpus,
 )
+from fatpoints import kconfig
 from fatpoints.geom import ProjLine, ProjPoint, incident, line_through
 from fatpoints.hilbert import hilbert_table
 from fatpoints.kconfig import (
@@ -115,6 +116,24 @@ def test_generate_generic_refuses_a_bound_too_small_for_one_line(dvec, bound):
     # 0 for bound 0 (where sampling would never end) and 4 for bound 1.
     with pytest.raises(GenerationFailed):
         generate_generic(KType(dvec), seed=0, bound=bound)
+
+
+def test_generate_with_line_count_refuses_too_many_generic_points(monkeypatch):
+    # For r <= s the last line needs s - r + 1 generic points; bound 1
+    # reaches at most 4 on a line, so (s, r) = (5, 1) fails before a draw.
+    draws = []
+    real = kconfig.random_combination
+
+    def counted(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kconfig, "random_combination", counted)
+    with pytest.raises(GenerationFailed):
+        generate_with_line_count(5, 1, 0, bound=1)
+    assert draws == []
+    generate_with_line_count(3, 1, 0, bound=12)
+    assert draws  # the counter sees the draws of a feasible call
 
 
 def test_generate_with_line_count_star():

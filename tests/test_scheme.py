@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from corpus import config_1234, config_1345
+from corpus import config_1234, config_1345, full_corpus
 from fatpoints.cht import REPEAT_DESCENDING, peeling_sequence
 from fatpoints.geom import ProjLine, ProjPoint, line_through, random_line, random_point
 from fatpoints.kconfig import fatten
@@ -194,23 +194,41 @@ def test_greedy_reduction_is_none_only_when_empty():
         assert reduction_vector(z, v.lines) == v
 
 
+def _sorted_peel(z):
+    """Greedy peeling written out: at each step the heaviest line through
+    two original support points, the first among equals once the lines are
+    sorted by their coefficients explicitly."""
+    pts = z.support()
+    candidates = sorted(
+        {line_through(p, q) for p, q in combinations(pts, 2)}, key=lambda l: l.coeffs
+    )
+    values, lines, cur = [], [], z
+    while not cur.is_empty():
+        line = max(candidates, key=cur.line_degree)  # the first maximum
+        values.append(cur.line_degree(line))
+        lines.append(line)
+        cur = cur.residual(line)
+    return tuple(values), tuple(lines)
+
+
 def test_greedy_reduction_takes_the_heaviest_line_first():
-    # Brute force: each step's line is the first, in sorted order, of the
-    # heaviest lines through two of the original support points.
+    # Every corpus scheme, its residual by each defining line and each
+    # scheme of its greedy residual chain, against the written-out peel.
     rng = random.Random(9)
-    for make, m in ((config_1345, 2), (config_1234, 3)):
-        z = fatten(make(), m)
-        pts = z.support()
-        candidates = sorted({line_through(p, q) for p, q in combinations(pts, 2)})
-        v = z.greedy_reduction
-        assert v.complete and reduction_vector(z, v.lines) == v
-        cur = z
-        for value, line in zip(v.values, v.lines):
-            best = max(cur.line_degree(l) for l in candidates)
-            assert value == best
-            assert line == next(l for l in candidates if cur.line_degree(l) == best)
-            cur = cur.residual(line)
-        assert cur.is_empty()
+    checked = 0
+    for x, _, _ in full_corpus():
+        for m in (1, 2, 3):
+            z = fatten(x, m)
+            schemes = [z, *(z.residual(l) for l in x.lines)]
+            schemes += residual_chain(z, z.greedy_reduction.lines)[1:]
+            for w in schemes:
+                if len(w) < 2:  # a single point peels along its own line
+                    continue
+                v = w.greedy_reduction
+                assert v.complete and reduction_vector(w, v.lines) == v
+                assert (v.values, v.lines) == _sorted_peel(w)
+                checked += 1
+    assert checked > 150
     for _ in range(20):
         pts = []
         while len(pts) < rng.randint(2, 6):
@@ -221,3 +239,4 @@ def test_greedy_reduction_takes_the_heaviest_line_first():
         v = z.greedy_reduction
         assert v.complete and v.total() == z.degree()
         assert reduction_vector(z, v.lines) == v
+        assert (v.values, v.lines) == _sorted_peel(z)

@@ -63,6 +63,13 @@ COMMANDS = {
         "1,2,3,4,5",
         "verify --config CONFIG --m-sweep 1:6 --ri --format json",
     ),
+    # the nine-point line of the largest verify rung, read off the incidence
+    "count-lines --k 9 (3,5,7,9)": (
+        "3,5,7,9",
+        "count-lines --config CONFIG --k 9 --format json",
+    ),
+    # bound 2 reaches 8 points on a line: refused before any draw
+    "generate --type 9 --coord-bound 2": (None, "generate --type 9 --seed 0 --coord-bound 2"),
     "cold python -m fatpoints verify --ri (1..5)/6": (
         "1,2,3,4,5",
         "verify --config CONFIG --m 6 --ri --format json",

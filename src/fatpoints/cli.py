@@ -6,7 +6,9 @@ wire formats; reports print as text mirroring the tabular displays used
 throughout the package, as JSON, or as CSV rows for batch sweeps.  Every
 subcommand is deterministic given its full parameter set including the
 seed.  Exit status: 0 on success, 1 when a validation or an asserted
-property fails, 2 on usage errors.
+property fails, 2 on usage errors.  ``count-lines --k`` takes k >= 2 (the
+default is d_s): infinitely many lines meet the points in one point or
+none, so a smaller k is a usage error.
 
 Report wire format, owned by this module alone: a report dataclass
 becomes a JSON object with one key per field, named after the field
@@ -211,6 +213,18 @@ def _sweep(text: str) -> list[int]:
     return list(range(int(lo), int(hi) + 1))
 
 
+def _line_size(text: str) -> int:
+    """A count of points on a line for ``count-lines --k``: at least 2,
+    since infinitely many lines meet a finite set in one point or none."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = None
+    if k is None or k < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
+    return k
+
+
 def cmd_family(args) -> int:
     report = verify.hilbert_family(
         args.s, args.m, args.seed, _coord_bound(args, default=20)
@@ -310,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("count-lines", help="count lines through exactly --k points (default d_s)")
     common(c)
-    c.add_argument("--k", type=int, default=None)
+    c.add_argument("--k", type=_line_size, default=None,
+                   help="points on a line, at least 2")
     c.set_defaults(func=cmd_count_lines)
 
     v = sub.add_parser("verify", help="first difference vs line count")

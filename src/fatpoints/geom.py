@@ -5,7 +5,10 @@ coordinates divided by their gcd, with the first nonzero coordinate
 positive.  Every projective point or line over Q has exactly one such
 representative, so equality and hashing are structural.  All operations
 are pure integer arithmetic; values are immutable and safe to share
-between threads.
+between threads.  The incidence of a point list with the lines through
+its pairs (:func:`lines_through_pairs`) keeps each line as its plain
+canonical triple; a :class:`ProjLine` is made only for a line a caller
+hands back (:func:`line_from_canonical`).
 
 Rank computations downstream are unaffected by working over Q instead of
 an algebraically closed field: matrix ranks are invariant under field
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from random import Random
+from typing import NamedTuple
 
 
 class ZeroTriple(ValueError):
@@ -48,7 +52,9 @@ def canonical_triple(triple) -> tuple[int, int, int]:
     return (a // g, b // g, c // g)
 
 
-def _cross(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
+def cross(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The cross product: the line through two points, or the meet of two
+    lines, as a triple not yet made canonical."""
     return (
         u[1] * v[2] - u[2] * v[1],
         u[2] * v[0] - u[0] * v[2],
@@ -88,32 +94,49 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """The unique line through two distinct points (cross product)."""
     if p == q:
         raise CoincidentPoints(f"no unique line through {p} twice")
-    return ProjLine(_cross(p.coords, q.coords))
+    return ProjLine(cross(p.coords, q.coords))
 
 
-def _canonical_line(key: tuple[int, int, int]) -> ProjLine:
-    """The :class:`ProjLine` of a triple that is already canonical, built
-    without running :func:`canonical_triple` on it again."""
+def line_from_canonical(key: tuple[int, int, int]) -> ProjLine:
+    """The :class:`ProjLine` of a triple that is already canonical (a key
+    of :class:`PairLines`), built without running :func:`canonical_triple`
+    on it again."""
     line = object.__new__(ProjLine)
     object.__setattr__(line, "coeffs", key)
     return line
 
 
-def lines_through_pairs(points) -> dict[ProjLine, set[int]]:
-    """Each line through two of the distinct ``points``, mapped to the
-    indices of all the points on it, in coefficient order.
+class PairLines(NamedTuple):
+    """The lines through two of a point list, as plain integer data.
+
+    ``lines[k]`` is the canonical coefficient triple of line k (its
+    ``ProjLine.coeffs``), in increasing order; ``members[k]`` lists the
+    indices of the points on it, increasing; ``through[i]`` lists the
+    indices of the lines through point i, increasing.  Shared read-only.
+    """
+
+    lines: list[tuple[int, int, int]]
+    members: list[list[int]]
+    through: list[list[int]]
+
+
+def lines_through_pairs(points) -> PairLines:
+    """The incidence of the distinct ``points`` with every line through two
+    of them (:class:`PairLines`).
 
     Every point on such a line spans it with another point on it, so the
     pairs alone find every incidence.  The kernel works on the coordinate
     triples: the cross product of each pair, made canonical as in
-    :func:`canonical_triple`, keys a dict of index sets.  The keys are
-    then sorted, and each becomes its :class:`ProjLine` as it is, so the
-    map iterates in the order of ``ProjLine.coeffs`` (the order of
-    ``sorted`` on lines).  Raises :class:`CoincidentPoints` when two of
-    the points are equal.
+    :func:`canonical_triple`, keys a dict of member lists.  Pairs (i, j)
+    come in lexicographic order, so a line is first met at its two lowest
+    members and then through its lowest member with each later one; a pair
+    whose first point is not the line's lowest adds nothing.  No
+    :class:`ProjLine` is built: callers make one with
+    :func:`line_from_canonical` for each line they return.  Raises
+    :class:`CoincidentPoints` when two of the points are equal.
     """
     coords = [p.coords for p in points]
-    on: dict[tuple[int, int, int], set[int]] = {}
+    on: dict[tuple[int, int, int], list[int]] = {}
     for i, (a1, b1, c1) in enumerate(coords):
         for j in range(i + 1, len(coords)):
             a2, b2, c2 = coords[j]
@@ -126,18 +149,25 @@ def lines_through_pairs(points) -> dict[ProjLine, set[int]]:
             if a < 0 or not a and (b < 0 or not b and c < 0):
                 g = -g
             key = (a // g, b // g, c // g)
-            if key in on:
-                on[key].update((i, j))
-            else:
-                on[key] = {i, j}
-    return {_canonical_line(key): on[key] for key in sorted(on)}
+            idx = on.get(key)
+            if idx is None:
+                on[key] = [i, j]
+            elif idx[0] == i:
+                idx.append(j)
+    lines = sorted(on)
+    members = [on[key] for key in lines]
+    through: list[list[int]] = [[] for _ in coords]
+    for k, idx in enumerate(members):
+        for i in idx:
+            through[i].append(k)
+    return PairLines(lines, members, through)
 
 
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     """The unique intersection point of two distinct lines."""
     if l1 == l2:
         raise CoincidentLines(f"no unique meet of {l1} with itself")
-    return ProjPoint(_cross(l1.coeffs, l2.coeffs))
+    return ProjPoint(cross(l1.coeffs, l2.coeffs))
 
 
 def incident(p: ProjPoint, l: ProjLine) -> bool:

@@ -14,15 +14,20 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
-from math import comb
+from math import gcd
+from operator import attrgetter
 from random import Random
 
 from .geom import (
+    PairLines,
     ProjLine,
     ProjPoint,
+    canonical_triple,
+    cross,
     incident,
+    line_from_canonical,
     line_from_json,
     line_basis,
     line_through,
@@ -89,6 +94,9 @@ class KType:
         return sum(self.d)
 
 
+_COORDS = attrgetter("coords")
+
+
 @dataclass(frozen=True)
 class KConfiguration:
     ktype: KType
@@ -96,8 +104,10 @@ class KConfiguration:
     lines: tuple[ProjLine, ...]
 
     def __post_init__(self):
+        # Sorted by coordinate triple: the order of ``sorted`` on points,
+        # with no ``ProjPoint.__lt__`` call per comparison.
         object.__setattr__(
-            self, "subsets", tuple(tuple(sorted(s)) for s in self.subsets)
+            self, "subsets", tuple(tuple(sorted(s, key=_COORDS)) for s in self.subsets)
         )
         object.__setattr__(self, "lines", tuple(self.lines))
 
@@ -106,15 +116,16 @@ class KConfiguration:
 
     @cached_property
     def _sorted_points(self) -> tuple[ProjPoint, ...]:
-        return tuple(sorted({p for sub in self.subsets for p in sub}))
+        return tuple(sorted({p for sub in self.subsets for p in sub}, key=_COORDS))
 
     @cached_property
-    def pair_lines(self) -> dict[ProjLine, set[int]]:
-        """Each line through two of the points, mapped to the indices in
-        :meth:`points` of the points on it (:func:`lines_through_pairs`).
+    def pair_lines(self) -> PairLines:
+        """The incidence of the points with every line through two of them,
+        indexed as :meth:`points` (:func:`lines_through_pairs`).
 
-        Computed once per configuration and shared, read-only, with the
-        schemes :func:`fatten` builds on it.
+        Computed once per configuration and shared, read-only, by
+        :func:`count_lines` and by the greedy peels of the schemes
+        :func:`fatten` builds on it.
         """
         return lines_through_pairs(self.points())
 
@@ -166,28 +177,37 @@ def require_valid(x: KConfiguration) -> KConfiguration:
 def fatten(x: KConfiguration, m: int) -> FatPointScheme:
     """The homogeneous fat point scheme of multiplicity m on the points.
 
-    The scheme takes over the configuration's :attr:`~KConfiguration.pair_lines`:
+    The entries are built directly from :meth:`KConfiguration.points`,
+    which are sorted and distinct, so no duplicate check runs.  The scheme
+    takes over the configuration's :attr:`~KConfiguration.pair_lines`:
     both index the same sorted point tuple.
     """
     if m < 1:
         raise ValueError("multiplicity must be positive")
     points = x.points()
-    z = FatPointScheme.homogeneous(points, m)
+    z = FatPointScheme(tuple((p, m) for p in points))
     assert z.support() == points
     object.__setattr__(z, "pair_lines", x.pair_lines)
     return z
 
 
 def count_lines(x: KConfiguration, k: int) -> tuple[int, list[ProjLine]]:
-    """The lines meeting X in exactly k points, sorted by coefficients.
+    """The lines meeting X in exactly k >= 2 points, sorted by coefficients.
 
     Reads :attr:`KConfiguration.pair_lines`: every line through two of the
     points with the points on it, built once per configuration by
-    :func:`lines_through_pairs`, already in coefficient order.
+    :func:`lines_through_pairs`, already in coefficient order.  A
+    :class:`ProjLine` is built only for each line returned.  Raises
+    ValueError for fewer than two points, and for k < 2: infinitely many
+    lines meet X in exactly one point, or in none.
     """
-    if not x.pair_lines:  # fewer than two points
+    keys, members, _ = x.pair_lines
+    if not keys:  # fewer than two points
         raise ValueError("need at least two points to enumerate lines")
-    found = [l for l, on in x.pair_lines.items() if len(on) == k]
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}: infinitely many lines "
+                         "meet the points in fewer than two")
+    found = [line_from_canonical(key) for key, on in zip(keys, members) if len(on) == k]
     return len(found), found
 
 
@@ -234,7 +254,7 @@ def _strongly_generic_point(
     line: ProjLine,
     other_lines,
     existing: list[ProjPoint],
-    spanned: set[ProjLine],
+    spanned: set[tuple[int, int, int]],
     bound: int,
 ) -> ProjPoint:
     """A point on ``line`` avoiding the other lines, all existing points,
@@ -242,19 +262,22 @@ def _strongly_generic_point(
     third point of an accidental line).  Pairs already collinear with
     ``line`` span the line itself and are exempt.
 
-    ``spanned`` holds the lines through two existing points; the caller
-    (:func:`_place_points`) keeps it up to date, so no pair is enumerated
-    here.  The basis of ``line`` is taken once, before the rejection loop.
+    ``spanned`` holds the canonical coefficient triples of the lines
+    through two existing points; the caller (:func:`_place_points`) keeps
+    it up to date, so no pair is enumerated here.  A candidate is rejected
+    by its dot product with each forbidden triple.  The basis of ``line``
+    is taken once, before the rejection loop.
     """
-    forbidden = set(other_lines)
+    forbidden = {l.coeffs for l in other_lines}
     forbidden.update(spanned)
-    forbidden.discard(line)
+    forbidden.discard(line.coeffs)
     b1, b2 = line_basis(line)
     for _ in range(_MAX_TRIES):
         p = random_combination(b1, b2, rng, bound)
         if p in existing:
             continue
-        if any(incident(p, l) for l in forbidden):
+        x0, x1, x2 = p.coords
+        if any(x0 * a + x1 * b + x2 * c == 0 for a, b, c in forbidden):
             continue
         return p
     raise GenerationFailed("could not place a generic point; raise the bound")
@@ -266,13 +289,14 @@ def _place_points(
     """The configuration with subset i on ``lines[i]``: first the points
     ``forced[i]``, then strongly generic points up to d_i.
 
-    The lines through two placed points are kept in one set as points are
-    added, so :func:`_strongly_generic_point` enumerates no pair.  A forced
-    point that was already placed raises :class:`GenerationFailed`.
+    The lines through two placed points are kept in one set of canonical
+    coefficient triples as points are added, so
+    :func:`_strongly_generic_point` enumerates no pair.  A forced point
+    that was already placed raises :class:`GenerationFailed`.
     """
     subsets = []
     existing: list[ProjPoint] = []
-    spanned: set[ProjLine] = set()
+    spanned: set[tuple[int, int, int]] = set()
     for i, (line, di, meets) in enumerate(zip(lines, ktype.d, forced)):
         others = [l for j, l in enumerate(lines) if j != i]
         for k in range(di):
@@ -282,7 +306,7 @@ def _place_points(
                     raise GenerationFailed("coincident meets")
             else:
                 p = _strongly_generic_point(rng, line, others, existing, spanned, bound)
-            spanned.update(line_through(q, p) for q in existing)
+            spanned.update(canonical_triple(cross(q.coords, p.coords)) for q in existing)
             existing.append(p)
         subsets.append(existing[-di:])
     return KConfiguration(ktype, subsets, lines)
@@ -302,13 +326,18 @@ def _first_accepted(build, accept, failure: str) -> KConfiguration:
     raise GenerationFailed(failure)
 
 
+@cache
 def _points_per_line(bound: int) -> int:
     """The most points :func:`random_combination` reaches on one line.
 
-    It draws u*b1 + v*b2 with |u|, |v| <= bound and (u, v) != 0, and
-    (u, v), (-u, -v) give one point.
+    It draws u*b1 + v*b2 with |u|, |v| <= bound and (u, v) != 0, and two
+    pairs give one point exactly when they are proportional.  So the count
+    is that of the primitive pairs (gcd(u, v) = 1) up to sign: 4, 8, 16,
+    24 and 40 for bounds 1 to 5.  Memoized per bound.
     """
-    return ((2 * bound + 1) ** 2 - 1) // 2
+    return sum(
+        gcd(u, v) == 1 for u in range(-bound, bound + 1) for v in range(-bound, bound + 1)
+    ) // 2
 
 
 def generate_generic(ktype: KType, seed: int, bound: int = 50) -> KConfiguration:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .geom import ProjLine, ProjPoint, incident, lines_through_pairs
+from .geom import PairLines, ProjLine, ProjPoint, incident
+from .geom import line_from_canonical, lines_through_pairs
 from .geom import json_array, json_field, json_int
 from .geom import line_from_json, point_from_json, triple_to_json
 
@@ -29,6 +30,12 @@ class NonPositiveMultiplicity(ValueError):
     """Raised when a multiplicity is not a positive integer."""
 
 
+def _entry_key(entry: tuple[ProjPoint, int]) -> tuple:
+    """The order of ``sorted`` on (point, multiplicity) entries, read off
+    the coordinate triple, so no ``ProjPoint.__lt__`` runs."""
+    return entry[0].coords, entry[1]
+
+
 @dataclass(frozen=True)
 class FatPointScheme:
     """Immutable multiset of (point, multiplicity), keyed canonically."""
@@ -36,7 +43,7 @@ class FatPointScheme:
     entries: tuple[tuple[ProjPoint, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=_entry_key)))
 
     @classmethod
     def from_points(cls, points, mults) -> "FatPointScheme":
@@ -90,12 +97,12 @@ class FatPointScheme:
         return FatPointScheme(tuple(out))
 
     @cached_property
-    def pair_lines(self) -> dict[ProjLine, set[int]]:
-        """Each line through two support points, mapped to the indices in
-        :meth:`support` of the points on it (:func:`lines_through_pairs`).
+    def pair_lines(self) -> PairLines:
+        """The incidence of the support with every line through two of its
+        points, indexed as :meth:`support` (:func:`lines_through_pairs`).
 
-        Computed on first use; :func:`kconfig.fatten` hands over the map of
-        its configuration instead.  Read-only: the map may be shared.
+        Computed on first use; :func:`kconfig.fatten` hands over the
+        incidence of its configuration instead.  Read-only: it may be shared.
         """
         return lines_through_pairs(self.support())
 
@@ -107,31 +114,28 @@ class FatPointScheme:
         heaviest in the residual scheme (among equals, the first in
         coefficient order, the order of :attr:`pair_lines`).  Every point
         on it that still has a multiplicity loses one, and so does the
-        weight of every line through that point.  A single point of
-        multiplicity m takes one line through it m times, so v = (m,
-        m - 1, ..., 1) and f_v = F_v = H everywhere.
+        weight of every line through that point.  The peel reads the
+        member and per-point line lists of :attr:`pair_lines` as they are
+        and builds a :class:`ProjLine` only for each line it chooses.  A
+        single point of multiplicity m takes one line through it m times,
+        so v = (m, m - 1, ..., 1) and f_v = F_v = H everywhere.
         """
         points = self.support()
         if not points:
             return None
         if len(points) == 1:
             a, b, _ = points[0].coords
-            on = {ProjLine((b, -a, 0) if a or b else (1, 0, 0)): {0}}
-        else:
-            on = self.pair_lines
-        lines = list(on)
-        members = list(on.values())
-        through = [[] for _ in points]
-        for k, idx in enumerate(members):
-            for i in idx:
-                through[i].append(k)
+            line = ProjLine((b, -a, 0) if a or b else (1, 0, 0))
+            m = self.entries[0][1]
+            return ReductionVector(tuple(range(m, 0, -1)), (line,) * m, True)
+        keys, members, through = self.pair_lines
         mult = [m for _, m in self.entries]
         weight = [sum(map(mult.__getitem__, idx)) for idx in members]
         values, chosen = [], []
         while any(mult):
             k = weight.index(max(weight))
             values.append(weight[k])
-            chosen.append(lines[k])
+            chosen.append(line_from_canonical(keys[k]))
             for i in members[k]:
                 if mult[i]:
                     mult[i] -= 1

@@ -83,6 +83,15 @@ def test_count_lines_cmd(tmp_path, capsys):
     assert payload["count"] == 3 and payload["k"] == 5
 
 
+@pytest.mark.parametrize("k", ["1", "0", "-1"])
+def test_count_lines_k_below_two_is_a_usage_error(k, tmp_path, capsys):
+    cfg = _write_config(tmp_path, config_1345())
+    with pytest.raises(SystemExit) as err:
+        main(["count-lines", "--config", cfg, "--k", k])
+    assert err.value.code == 2
+    assert "--k" in capsys.readouterr().err
+
+
 def test_verify_cmd_match(tmp_path, capsys):
     cfg = _write_config(tmp_path, config_1345())
     rc = main(["verify", "--config", cfg, "--m", "2"])

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from fatpoints.geom import (
     CoincidentLines,
     CoincidentPoints,
+    PairLines,
     ProjLine,
     ProjPoint,
     ZeroTriple,
     canonical_triple,
     collinear,
     incident,
+    line_from_canonical,
     line_from_json,
     line_through,
     lines_through_pairs,
@@ -95,12 +97,15 @@ def test_lines_through_pairs():
     # all three indices, and each of the other three lines two.
     pts = [ProjPoint((0, 0, 1)), ProjPoint((1, 1, 1)), ProjPoint((2, 2, 1)),
            ProjPoint((0, 1, 1))]
-    on = lines_through_pairs(pts)
-    assert on[ProjLine((1, -1, 0))] == {0, 1, 2}
-    assert sorted(len(idx) for idx in on.values()) == [2, 2, 2, 3]
-    for l, idx in on.items():
-        assert idx == {i for i, p in enumerate(pts) if incident(p, l)}
-    assert lines_through_pairs(pts[:1]) == {}
+    inc = lines_through_pairs(pts)
+    assert inc.members[inc.lines.index((1, -1, 0))] == [0, 1, 2]
+    assert sorted(len(idx) for idx in inc.members) == [2, 2, 2, 3]
+    for key, idx in zip(inc.lines, inc.members):
+        assert idx == [i for i, p in enumerate(pts) if incident(p, ProjLine(key))]
+    assert inc.through == [
+        [k for k, idx in enumerate(inc.members) if i in idx] for i in range(4)
+    ]
+    assert lines_through_pairs(pts[:1]) == PairLines([], [], [[]])
 
 
 nonzero_triples = st.tuples(
@@ -182,14 +187,19 @@ def point_sets(draw, coord):
 @settings(max_examples=150)
 @given(st.one_of(point_sets(small), point_sets(huge)))
 def test_lines_through_pairs_matches_oracle(points):
-    on = lines_through_pairs(points)
+    inc = lines_through_pairs(points)
     expected = _pair_lines_oracle(points)
-    assert on == expected
-    # in coefficient order, and every key is the canonical ProjLine
-    assert list(on) == sorted(expected, key=lambda l: l.coeffs)
-    for l, idx in on.items():
-        assert type(l) is ProjLine and l == ProjLine(l.coeffs)
-        assert idx == {i for i, p in enumerate(points) if incident(p, l)}
+    # the oracle's lines, each as its canonical triple, in coefficient order
+    assert inc.lines == sorted(l.coeffs for l in expected)
+    assert inc.members == [sorted(expected[ProjLine(key)]) for key in inc.lines]
+    for key, idx in zip(inc.lines, inc.members):
+        l = line_from_canonical(key)
+        assert type(l) is ProjLine and l == ProjLine(key) and l.coeffs == key
+        assert idx == [i for i, p in enumerate(points) if incident(p, l)]
+    # each point's lines: exactly those whose members hold it, in order
+    assert len(inc.through) == len(points)
+    for i, ks in enumerate(inc.through):
+        assert ks == [k for k, idx in enumerate(inc.members) if i in idx]
 
 
 @given(point_sets(st.one_of(small, huge)), st.data())

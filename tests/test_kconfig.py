@@ -18,7 +18,8 @@ from corpus import (
     trichotomy_corpus,
 )
 from fatpoints import kconfig
-from fatpoints.geom import ProjLine, ProjPoint, incident, line_through
+from fatpoints.geom import ProjLine, ProjPoint, incident, line_basis, line_through
+from fatpoints.geom import random_combination
 from fatpoints.hilbert import hilbert_table
 from fatpoints.kconfig import (
     Case,
@@ -110,30 +111,69 @@ def test_generate_generic_24_stabilizes():
     assert tab.stabilized_at is not None
 
 
-@pytest.mark.parametrize("dvec, bound", [((1,), 0), ((1, 2, 3, 4, 5), 1)])
-def test_generate_generic_refuses_a_bound_too_small_for_one_line(dvec, bound):
-    # A line holds at most ((2 * bound + 1)**2 - 1) / 2 sampled points:
-    # 0 for bound 0 (where sampling would never end) and 4 for bound 1.
-    with pytest.raises(GenerationFailed):
+@pytest.fixture
+def draws(monkeypatch):
+    """Every random line and point the generators draw, in order."""
+    seen = []
+    for name in ("random_line", "random_combination"):
+        real = getattr(kconfig, name)
+
+        def counted(*args, real=real):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kconfig, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "dvec, bound",
+    [((1,), 0), ((1, 2, 3, 4, 5), 1), ((9,), 2), ((12,), 2), ((1, 9), 2), ((17,), 3)],
+)
+def test_generate_generic_refuses_a_bound_too_small_for_one_line(dvec, bound, draws):
+    # A line holds at most as many sampled points as there are primitive
+    # (u, v) up to sign: 0 for bound 0 (where sampling would never end),
+    # then 4, 8 and 16 for bounds 1, 2 and 3.
+    with pytest.raises(GenerationFailed, match=f"too small for {dvec[-1]} points"):
         generate_generic(KType(dvec), seed=0, bound=bound)
+    assert draws == []
 
 
-def test_generate_with_line_count_refuses_too_many_generic_points(monkeypatch):
+def test_generate_with_line_count_refuses_too_many_generic_points(draws):
     # For r <= s the last line needs s - r + 1 generic points; bound 1
-    # reaches at most 4 on a line, so (s, r) = (5, 1) fails before a draw.
-    draws = []
-    real = kconfig.random_combination
-
-    def counted(*args):
-        draws.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(kconfig, "random_combination", counted)
-    with pytest.raises(GenerationFailed):
-        generate_with_line_count(5, 1, 0, bound=1)
+    # reaches at most 4 on a line and bound 2 at most 8, so (s, r) = (5, 1)
+    # at bound 1 and (9, 1) at bound 2 fail before a draw.
+    for s, r, bound in [(5, 1, 1), (9, 1, 2)]:
+        with pytest.raises(GenerationFailed, match=f"too small for {s - r + 1} generic"):
+            generate_with_line_count(s, r, 0, bound=bound)
     assert draws == []
     generate_with_line_count(3, 1, 0, bound=12)
     assert draws  # the counter sees the draws of a feasible call
+
+
+class _ScriptedRandom:
+    """Stands in for ``Random``: ``randint`` returns the given values."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randint(self, lo, hi):
+        value = next(self.values)
+        assert lo <= value <= hi
+        return value
+
+
+@pytest.mark.parametrize("bound", range(6))
+def test_points_per_line_counts_the_distinct_sampled_points(bound):
+    b1, b2 = line_basis(ProjLine((2, -3, 5)))
+    reached = {
+        random_combination(b1, b2, _ScriptedRandom((u, v)), bound)
+        for u in range(-bound, bound + 1)
+        for v in range(-bound, bound + 1)
+        if u or v
+    }
+    assert kconfig._points_per_line(bound) == len(reached)
+    assert len(reached) == [0, 4, 8, 16, 24, 40][bound]
 
 
 def test_generate_with_line_count_star():
@@ -211,6 +251,15 @@ def test_count_lines_corpus():
         assert count == expected
         for l in lines:
             assert sum(1 for p in x.points() if incident(p, l)) == k
+
+
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_count_lines_refuses_k_below_two(k):
+    with pytest.raises(ValueError, match="at least 2"):
+        count_lines(config_1345(), k)
+    # fewer than two points keeps its own error
+    with pytest.raises(ValueError, match="at least two points"):
+        count_lines(generate_generic(KType((1,)), seed=0), k)
 
 
 def test_count_lines_walkthrough_identifies_lines():

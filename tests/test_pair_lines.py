@@ -1,8 +1,9 @@
 """The pair lines of a configuration are enumerated once.
 
 A spy replaces ``lines_through_pairs`` in every ``fatpoints`` module that
-holds it and counts the calls: the configuration computes its map once,
-and :func:`kconfig.fatten` hands that map to every scheme built on it.
+holds it and counts the calls: the configuration computes its incidence
+(the lines, their members and the per-point line lists) once, and
+:func:`kconfig.fatten` hands that incidence to every scheme built on it.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 
 from corpus import config_1345
 from fatpoints import cli, geom, kconfig
-from fatpoints.geom import meet
+from fatpoints.geom import ProjLine, meet
 from fatpoints.kconfig import (
     KType,
     fatten,
@@ -91,7 +92,20 @@ def test_count_lines_and_schemes_share_the_map(pair_line_calls):
     assert z1.pair_lines is z2.pair_lines is x.pair_lines
     assert x.points() is x.points()  # sorted once per configuration
     assert z1.greedy_reduction.values[0] == 5 and count == 3
+    assert z2.greedy_reduction.values[0] == 15
+    # both peels read the per-point line lists of that one call
     assert len(pair_line_calls) == 1
+    assert len(x.pair_lines.through) == len(x.points())
+
+
+def test_returned_lines_are_canonical_proj_lines():
+    x = _fresh(config_1345())
+    _, counted = kconfig.count_lines(x, 5)
+    chosen = fatten(x, 3).greedy_reduction.lines
+    for l in (*counted, *chosen):
+        assert type(l) is ProjLine and l == ProjLine(l.coeffs)
+        assert hash(l) == hash(ProjLine(l.coeffs))
+    assert counted and chosen
 
 
 def test_schemes_built_otherwise_compute_their_own_map(pair_line_calls):

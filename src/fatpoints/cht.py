@@ -11,8 +11,8 @@ negative t - i + 1 cannot contribute a negative number of conditions.
 ``ReductionVector.sandwich`` evaluates both in one pass over the first
 t + 1 entries, with running sums in place of binomials: C(t+2,2) -
 C(t-i+2,2) is the sum of max(t + 1 - k, 0) over k < i.  ``f_lower`` and
-``F_upper`` check completeness and read ``ReductionVector.lower_bound``
-and ``ReductionVector.upper_bound``, its two halves.
+``F_upper`` check completeness and read its two halves; ``bound_check``
+checks once and takes both from one call.
 
 ``peeling_sequence`` builds the standard line sequences whose reduction
 vectors make these bounds tight at the degrees of interest: repeated
@@ -55,13 +55,13 @@ AUGMENTED = "augmented"
 def f_lower(v: ReductionVector, t: int) -> int:
     if not v.complete:
         raise IncompleteReduction("lower bound requires a complete reduction")
-    return v.lower_bound(t)
+    return v.sandwich(t)[0]
 
 
 def F_upper(v: ReductionVector, t: int) -> int:
     if not v.complete:
         raise IncompleteReduction("upper bound requires a complete reduction")
-    return v.upper_bound(t)
+    return v.sandwich(t)[1]
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,7 @@ def bound_check(z: FatPointScheme, lines, t: int) -> BoundReport:
         raise IncompleteReduction(
             "the supplied line sequence does not reduce the scheme to empty"
         )
-    f = f_lower(v, t)
-    F = F_upper(v, t)
+    f, F = v.sandwich(t)
     exact = hilbert.hilbert_value(z, t)
     if not f <= exact <= F:
         raise SandwichViolation(
@@ -131,12 +130,11 @@ def _augmented_sequence(x, m: int, seed: int) -> list[ProjLine]:
         raise StrategyInapplicable(
             "augmented peeling needs the full lines to be the defining lines"
         )
-    privates = {l: p for l, p in tri.privates.items()}
     s = x.ktype.s
-    p1 = privates[x.lines[0]]
-    p2 = privates[x.lines[1]]
+    p1 = tri.privates[x.lines[0]]
+    p2 = tri.privates[x.lines[1]]
     h = line_through(p1, p2)
-    off = sorted(p for p in privates.values() if not incident(p, h))
+    off = sorted(p for p in tri.privates.values() if not incident(p, h))
     rng = Random(seed)
     extras = []
     points = set(x.points())
@@ -146,10 +144,7 @@ def _augmented_sequence(x, m: int, seed: int) -> list[ProjLine]:
             aux = random_point(rng, bound=max(50, 4 * s))
             if aux == q:
                 continue
-            try:
-                cand = line_through(q, aux)
-            except ValueError:
-                continue
+            cand = line_through(q, aux)
             if any(incident(qq, cand) for qq in later):
                 continue
             if any(incident(pp, cand) for pp in points if pp != q):

@@ -6,9 +6,12 @@ wire formats; reports print as text mirroring the tabular displays used
 throughout the package, as JSON, or as CSV rows for batch sweeps.  Every
 subcommand is deterministic given its full parameter set including the
 seed.  Exit status: 0 on success, 1 when a validation or an asserted
-property fails, 2 on usage errors.  ``count-lines --k`` takes k >= 2 (the
-default is d_s): infinitely many lines meet the points in one point or
-none, so a smaller k is a usage error.
+property fails, 2 on usage errors.  Usage errors include a multiplicity
+below 1 (``--m`` or the low end of ``verify --m-sweep``), ``verify`` with
+both or neither of ``--m`` and ``--m-sweep``, and ``count-lines --k``
+below 2 (the default is d_s): infinitely many lines meet the points in one
+point or none.  ``--coord-bound`` defaults to 50 for ``generate`` and 20
+for ``family``; no environment variable changes it.
 
 Report wire format, owned by this module alone: a report dataclass
 becomes a JSON object with one key per field, named after the field
@@ -28,7 +31,6 @@ import dataclasses
 import functools
 import io
 import json
-import os
 import sys
 
 from . import cht, hilbert, kconfig, verify
@@ -41,13 +43,6 @@ from .scheme import (
     scheme_from_json,
 )
 from .geom import triple_to_json
-
-
-def _coord_bound(args, default: int = 50) -> int:
-    if getattr(args, "coord_bound", None) is not None:
-        return args.coord_bound
-    env = os.environ.get("KCONFIG_COORD_BOUND")
-    return int(env) if env else default
 
 
 def _load_json(path: str):
@@ -137,16 +132,15 @@ def _lines_for(args, z: FatPointScheme):
 
 
 def cmd_generate(args) -> int:
-    bound = _coord_bound(args)
     if args.r is not None:
         ktype = _parse_type(args.type)
         expected = tuple(range(1, ktype.s + 1))
         if ktype.d != expected:
             print("--r applies to types (1, 2, ..., s) only", file=sys.stderr)
             return 2
-        x = kconfig.generate_with_line_count(ktype.s, args.r, args.seed, bound)
+        x = kconfig.generate_with_line_count(ktype.s, args.r, args.seed, args.coord_bound)
     else:
-        x = kconfig.generate_generic(_parse_type(args.type), args.seed, bound)
+        x = kconfig.generate_generic(_parse_type(args.type), args.seed, args.coord_bound)
     text = json.dumps(kconfig.kconfig_to_json(x), indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -186,8 +180,6 @@ def cmd_count_lines(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.m is None and args.m_sweep is None:
-        args.usage_error("verify needs --m or --m-sweep")
     x = _load_config(args)
     ms = [args.m] if args.m_sweep is None else args.m_sweep
     status = 0
@@ -206,29 +198,32 @@ def cmd_verify(args) -> int:
 
 
 def _sweep(text: str) -> list[int]:
-    """The multiplicities of a nonempty inclusive range lo:hi."""
+    """The multiplicities of a nonempty inclusive range lo:hi, lo >= 1."""
     lo, _, hi = text.partition(":")
-    if not (lo.isdigit() and hi.isdigit() and int(lo) <= int(hi)):
-        raise argparse.ArgumentTypeError(f"expected a nonempty range lo:hi, got {text!r}")
+    if not (lo.isdigit() and hi.isdigit() and 1 <= int(lo) <= int(hi)):
+        raise argparse.ArgumentTypeError(
+            f"expected a nonempty range lo:hi with lo >= 1, got {text!r}"
+        )
     return list(range(int(lo), int(hi) + 1))
 
 
-def _line_size(text: str) -> int:
-    """A count of points on a line for ``count-lines --k``: at least 2,
-    since infinitely many lines meet a finite set in one point or none."""
-    try:
-        k = int(text)
-    except ValueError:
-        k = None
-    if k is None or k < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
-    return k
+def _at_least(low: int):
+    """An argparse type for an integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def cmd_family(args) -> int:
-    report = verify.hilbert_family(
-        args.s, args.m, args.seed, _coord_bound(args, default=20)
-    )
+    report = verify.hilbert_family(args.s, args.m, args.seed, args.coord_bound)
     lines = [
         f"r={mem.r} H_mX: " + " ".join(str(v) for v in mem.fat_values)
         for mem in report.members
@@ -281,8 +276,8 @@ def cmd_reduce(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: its defaults read no
-    environment (``_coord_bound`` reads ``KCONFIG_COORD_BOUND`` per call)."""
+    """The argument parser, built once per process: its defaults are
+    constants and read no environment."""
     parser = argparse.ArgumentParser(
         prog="fatpoints",
         description="Exact fat-point Hilbert functions on plane configurations",
@@ -295,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
             src = p.add_mutually_exclusive_group(required=True)
             src.add_argument("--config", help="k-configuration JSON file")
             src.add_argument("--scheme", help="fat point scheme JSON file")
-            p.add_argument("--m", type=int, default=1, help="multiplicity (with --config)")
+            p.add_argument("--m", type=_at_least(1), default=1,
+                           help="multiplicity (with --config)")
         else:
             p.add_argument("--config", required=True)
 
@@ -304,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--r", type=int, default=None,
                    help="exact number of maximal lines (types (1,...,s) only)")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--coord-bound", type=int, default=None)
+    g.add_argument("--coord-bound", type=int, default=50)
     g.add_argument("--output", "-o", default=None)
     g.set_defaults(func=cmd_generate)
 
@@ -324,22 +320,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("count-lines", help="count lines through exactly --k points (default d_s)")
     common(c)
-    c.add_argument("--k", type=_line_size, default=None,
+    c.add_argument("--k", type=_at_least(2), default=None,
                    help="points on a line, at least 2")
     c.set_defaults(func=cmd_count_lines)
 
     v = sub.add_parser("verify", help="first difference vs line count")
     common(v)
-    v.add_argument("--m", type=int, default=None)
-    v.add_argument("--m-sweep", type=_sweep, default=None, help="inclusive range lo:hi")
+    ms = v.add_mutually_exclusive_group(required=True)
+    ms.add_argument("--m", type=_at_least(1))
+    ms.add_argument("--m-sweep", type=_sweep, help="inclusive range lo:hi")
     v.add_argument("--ri", action="store_true", help="include the regularity index")
-    v.set_defaults(func=cmd_verify, usage_error=v.error)
+    v.set_defaults(func=cmd_verify)
 
     f = sub.add_parser("family", help="Hilbert functions across feasible line counts")
     f.add_argument("--s", type=int, required=True)
-    f.add_argument("--m", type=int, required=True)
+    f.add_argument("--m", type=_at_least(1), required=True)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--coord-bound", type=int, default=None)
+    f.add_argument("--coord-bound", type=int, default=20)
     f.add_argument("--format", choices=["text", "json", "csv"], default="text")
     f.set_defaults(func=cmd_family)
 

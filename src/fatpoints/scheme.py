@@ -60,12 +60,6 @@ class FatPointScheme:
             seen[p] = m
         return cls(tuple(seen.items()))
 
-    @classmethod
-    def homogeneous(cls, points, m: int) -> "FatPointScheme":
-        """The scheme with every point taken at the same multiplicity m."""
-        points = list(points)
-        return cls.from_points(points, [m] * len(points))
-
     def multiplicity(self, p: ProjPoint) -> int:
         for q, m in self.entries:
             if q == p:
@@ -155,9 +149,6 @@ class ReductionVector:
     lines: tuple[ProjLine, ...]
     complete: bool
 
-    def total(self) -> int:
-        return sum(self.values)
-
     def sandwich(self, t: int) -> tuple[int, int]:
         """(f_v(t), F_v(t)), the Cooper-Harbourne-Teitler bounds on H_Z(t).
 
@@ -183,30 +174,22 @@ class ReductionVector:
                 best = acc + rest
         return f, min(best, acc)
 
-    def upper_bound(self, t: int) -> int:
-        """F_v(t) of :meth:`sandwich`."""
-        return self.sandwich(t)[1]
-
-    def lower_bound(self, t: int) -> int:
-        """f_v(t) of :meth:`sandwich`."""
-        return self.sandwich(t)[0]
-
 
 def reduction_vector(z: FatPointScheme, lines) -> ReductionVector:
     """Record deg(L_i meet Z_{i-1}) along the residual chain.
 
-    The reduction is complete when the final residual scheme is empty,
-    equivalently when the entries sum to deg(Z); both the chain and the
-    flag stop with the supplied sequence, so partial reductions can be
-    studied as-is.
+    Each entry is a degree drop, deg Z_{i-1} - deg Z_i: a point of
+    multiplicity m on L_i goes down to m - 1 and so removes C(m+1,2) -
+    C(m,2) = m conditions, and the drop is the sum of the multiplicities
+    on L_i.  The reduction is complete when the final residual scheme is
+    empty; both the chain and the flag stop with the supplied sequence, so
+    partial reductions can be studied as-is.
     """
     lines = tuple(lines)
-    values = []
-    current = z
-    for l in lines:
-        values.append(current.line_degree(l))
-        current = current.residual(l)
-    return ReductionVector(tuple(values), lines, current.is_empty())
+    chain = residual_chain(z, lines)
+    degrees = [w.degree() for w in chain]
+    values = tuple(a - b for a, b in zip(degrees, degrees[1:]))
+    return ReductionVector(values, lines, chain[-1].is_empty())
 
 
 def residual_chain(z: FatPointScheme, lines) -> list[FatPointScheme]:

@@ -161,7 +161,6 @@ def test_sandwich_matches_the_cht_formulas(values, t):
     # Zeros, non-monotone vectors, t < 0 and t past the last entry.
     v = _vec(values)
     assert v.sandwich(t) == _cht_oracle(values, t)
-    assert (v.lower_bound(t), v.upper_bound(t)) == v.sandwich(t)
     assert (f_lower(v, t), F_upper(v, t)) == v.sandwich(t)
     if t < 0:
         assert v.sandwich(t) == (0, 0)

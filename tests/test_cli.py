@@ -213,13 +213,49 @@ def test_malformed_json_is_an_error(command, flag, data, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("sweep", ["3", "5:3"], ids=["no-colon", "empty"])
+@pytest.mark.parametrize("sweep", ["3", "5:3", "0:2"], ids=["no-colon", "empty", "zero"])
 def test_bad_sweep_is_a_usage_error(sweep, tmp_path, capsys):
     cfg = _write_config(tmp_path, config_123_one())
     with pytest.raises(SystemExit) as err:
         main(["verify", "--config", cfg, "--m-sweep", sweep])
     assert err.value.code == 2
-    assert "--m-sweep" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert "argument --m-sweep: expected a nonempty range lo:hi" in stderr
+    assert "Traceback" not in stderr
+
+
+# the arguments each command needs besides --m; CFG is the configuration
+_M_COMMANDS = {
+    "hilbert": ["--config", "CFG", "--t-max", "3"],
+    "bounds": ["--config", "CFG", "--t", "3"],
+    "reduce": ["--config", "CFG"],
+    "verify": ["--config", "CFG"],
+    "family": ["--s", "2"],
+}
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+@pytest.mark.parametrize("command", sorted(_M_COMMANDS))
+def test_multiplicity_below_one_is_a_usage_error(command, m, tmp_path, capsys):
+    cfg = _write_config(tmp_path, config_1345())
+    argv = [command] + [cfg if a == "CFG" else a for a in _M_COMMANDS[command]]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--m", m])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "argument --m: expected an integer >= 1" in stderr
+    assert "Traceback" not in stderr
+
+
+def test_verify_m_with_m_sweep_is_a_usage_error(tmp_path, capsys):
+    # --m used to be dropped silently in favour of the sweep
+    cfg = _write_config(tmp_path, config_1345())
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--config", cfg, "--m", "5", "--m-sweep", "1:2"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --m-sweep: not allowed with argument --m" in captured.err
 
 
 def test_family_coord_bound_sources(monkeypatch, capsys):
@@ -234,12 +270,9 @@ def test_family_coord_bound_sources(monkeypatch, capsys):
 
     monkeypatch.setattr(verify, "hilbert_family", spy)
     argv = ["family", "--s", "2", "--m", "3", "--format", "json"]
-    monkeypatch.delenv("KCONFIG_COORD_BOUND", raising=False)
-    assert main(argv) == 0  # neither flag nor variable: family's own default
-    monkeypatch.setenv("KCONFIG_COORD_BOUND", "9")
-    assert main(argv) == 0  # the variable applies
-    assert main(argv + ["--coord-bound", "7"]) == 0  # the flag wins
-    assert seen == [20, 9, 7]
+    assert main(argv) == 0  # no flag: family's own default
+    assert main(argv + ["--coord-bound", "7"]) == 0
+    assert seen == [20, 7]
     capsys.readouterr()
 
 
@@ -306,7 +339,7 @@ def test_cached_parser_matches_fresh_parsers(tmp_path, capsys):
         build_parser.cache_clear()
         fresh.append(_run_main(argv, capsys))
     assert [code for code, _, _ in cached] == [2, 0, 0]
-    assert "verify needs --m" in cached[0][2]
+    assert "one of the arguments --m --m-sweep is required" in cached[0][2]
     assert cached == fresh
 
 
@@ -326,7 +359,8 @@ def test_python_m_fatpoints_exit_code(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage: fatpoints verify")  # the subcommand's usage
-    assert "verify needs --m" in proc.stderr and "Traceback" not in proc.stderr
+    assert "one of the arguments --m --m-sweep is required" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 _COLD = """

@@ -179,7 +179,7 @@ def test_reduced_scheme_reaches_point_count():
         p = random_point(rng, 15)
         if p not in pts:
             pts.append(p)
-    z = FatPointScheme.homogeneous(pts, 1)
+    z = FatPointScheme.from_points(pts, [1] * len(pts))
     for t in range(7, 10):
         assert hilbert_value(z, t) == 7
 
@@ -302,12 +302,12 @@ def test_regularity_index_on_ladder_shapes(dvec, m, monkeypatch):
 @pytest.mark.parametrize("dvec, m", LADDER)
 def test_greedy_vector_recomputes_on_ladder_shapes(dvec, m):
     # f_v = F_v settles every value of these schemes that verify asks for,
-    # so the greedy vector is the whole proof there: recompute it through
-    # line_degree and residual, and check that it is complete.
+    # so the greedy vector is the whole proof there: recompute it along its
+    # residual chain, and check that it is complete.
     z = fatten(generate_generic(KType(dvec), seed=0, bound=50), m)
     v = z.greedy_reduction
     assert reduction_vector(z, v.lines) == v
-    assert v.total() == z.degree()
+    assert sum(v.values) == z.degree()
 
 
 def _refuse(*args, **kwargs):
@@ -319,10 +319,11 @@ def test_loose_value_ranks_one_pinned_matrix(monkeypatch):
     # is the rank of the conditions matrix, pinned once against F_v(6).
     z, t = fatten(config_1345(), 2), 6
     v = z.greedy_reduction
-    assert v.lower_bound(t) < v.upper_bound(t)
+    f, F = v.sandwich(t)
+    assert f < F
     ranked = _count_ranks(monkeypatch)
     h = hilbert_value(z, t)
-    assert ranked == [v.upper_bound(t)]
+    assert ranked == [F]
     assert h == linalg.bareiss_rank(conditions_matrix(z, t))
 
 
@@ -345,7 +346,8 @@ def test_sandwich_agrees_with_the_pinned_rank(monkeypatch):
     settled = 0
     for z, t in cases:
         v = z.greedy_reduction
-        settled += v.lower_bound(t) == v.upper_bound(t)
-        pinned = linalg.rank(conditions_matrix(z, t), upper=v.upper_bound(t))
+        f, F = v.sandwich(t)
+        settled += f == F
+        pinned = linalg.rank(conditions_matrix(z, t), upper=F)
         assert hilbert_value(z, t) == pinned
     assert 0 < settled < len(cases)  # both routes are compared

@@ -158,7 +158,7 @@ from fatpoints.scheme import FatPointScheme
 
 def _generic_matrix(dvec, m, t):
     z = fatten(generate_generic(KType(dvec), seed=0, bound=50), m)
-    return conditions_matrix(z, t), z.greedy_reduction.upper_bound(t)
+    return conditions_matrix(z, t), z.greedy_reduction.sandwich(t)[1]
 
 
 def _max_bits(M):
@@ -314,7 +314,7 @@ def test_certificate_on_the_family_matrix(monkeypatch):
     # value no bound pins.  315 x 253 of rank 252: the right nullity is 1
     # and the left nullity 63.
     z = fatten(generate_with_line_count(5, 5, seed=0, bound=20), 6)
-    assert z.greedy_reduction.upper_bound(21) > 252
+    assert z.greedy_reduction.sandwich(21)[1] > 252
     seen = _certificates(monkeypatch)
     assert hilbert_value(z, 21) == 252
     assert seen == [1, True]

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import config_1234, config_1345, full_corpus
 from fatpoints.cht import REPEAT_DESCENDING, peeling_sequence
@@ -11,6 +12,7 @@ from fatpoints.scheme import (
     DuplicatePoint,
     FatPointScheme,
     NonPositiveMultiplicity,
+    ReductionVector,
     lines_from_json,
     reduction_vector,
     residual_chain,
@@ -89,7 +91,7 @@ def test_reduction_vector_walkthrough():
     v = reduction_vector(z, peeling_sequence(x, 2, REPEAT_DESCENDING))
     assert v.values == (10, 9, 8, 3, 3, 3, 2, 1)
     assert v.complete
-    assert v.total() == z.degree()
+    assert sum(v.values) == z.degree()
 
 
 def test_reduction_vector_four_line_shape():
@@ -108,6 +110,54 @@ def test_reduction_vector_augmented_shape():
     v = reduction_vector(z, peeling_sequence(x, 2, AUGMENTED))
     assert v.values == (8, 7, 6, 5, 2, 1, 1)
     assert v.complete
+
+
+def _line_on(p):
+    """A line through the point p."""
+    a, b, _ = p.coords
+    return ProjLine((b, -a, 0) if a or b else (1, 0, 0))
+
+
+@st.composite
+def _scheme_and_lines(draw):
+    """A scheme of 0-6 points (coordinates in [-5, 5], multiplicities 1-4)
+    and a line sequence mixing lines through two support points, lines
+    through one, and arbitrary lines that may miss every point, with
+    repeats.  Sometimes a run of lines in the middle empties the scheme, so
+    the lines after it meet an empty scheme."""
+    coord = st.integers(-5, 5)
+    triple = st.tuples(coord, coord, coord).filter(any)
+    points = sorted({ProjPoint(c) for c in draw(st.lists(triple, max_size=6))})
+    mults = draw(st.lists(st.integers(1, 4), min_size=len(points), max_size=len(points)))
+    z = FatPointScheme.from_points(points, mults)
+    choices = [triple.map(ProjLine)]
+    if points:
+        choices.append(st.sampled_from(points).map(_line_on))
+    if len(points) >= 2:
+        pairs = list(combinations(points, 2))
+        choices.append(st.sampled_from(pairs).map(lambda pq: line_through(*pq)))
+    some_lines = st.lists(st.one_of(choices), max_size=8)
+    lines = draw(some_lines)
+    if lines:
+        lines.append(draw(st.sampled_from(lines)))  # a repeated line
+    if draw(st.booleans()):
+        lines += [_line_on(p) for p, m in z.entries for _ in range(m)]
+    lines += draw(some_lines)
+    return z, lines
+
+
+@settings(max_examples=200)
+@given(_scheme_and_lines())
+def test_reduction_vector_matches_the_explicit_walk(case):
+    # Entry i is deg(L_i meet Z_{i-1}), the line degree in the current
+    # residual, and the reduction is complete when the last residual is empty.
+    z, lines = case
+    values, cur = [], z
+    for l in lines:
+        values.append(cur.line_degree(l))
+        cur = cur.residual(l)
+    expected = ReductionVector(tuple(values), tuple(lines), cur.is_empty())
+    assert reduction_vector(z, lines) == expected
 
 
 def test_degree_examples():
@@ -140,11 +190,11 @@ def test_completeness_iff_total_degree():
             lines.append(l)
             cur = cur.residual(l)
         v = reduction_vector(z, lines)
-        assert v.complete and v.total() == z.degree()
+        assert v.complete and sum(v.values) == z.degree()
         if lines:
             partial = reduction_vector(z, lines[:-1])
             assert not partial.complete
-            assert partial.total() < z.degree()
+            assert sum(partial.values) < z.degree()
 
 
 def test_residual_degree_drop_is_line_degree():
@@ -237,6 +287,6 @@ def test_greedy_reduction_takes_the_heaviest_line_first():
                 pts.append(p)
         z = FatPointScheme.from_points(pts, [rng.randint(1, 4) for _ in pts])
         v = z.greedy_reduction
-        assert v.complete and v.total() == z.degree()
+        assert v.complete and sum(v.values) == z.degree()
         assert reduction_vector(z, v.lines) == v
         assert (v.values, v.lines) == _sorted_peel(z)

@@ -2,16 +2,23 @@
 
 Subcommands: generate, hilbert, bounds, count-lines, verify, family,
 reduce.  Configurations and schemes travel as UTF-8 JSON per the module
-wire formats; reports print as text mirroring the tabular displays used
+wire formats, and a ``--lines`` file is a JSON array of coefficient
+triples; reports print as text mirroring the tabular displays used
 throughout the package, as JSON, or as CSV rows for batch sweeps.  Every
 subcommand is deterministic given its full parameter set including the
-seed.  Exit status: 0 on success, 1 when a validation or an asserted
-property fails, 2 on usage errors.  Usage errors include a multiplicity
-below 1 (``--m`` or the low end of ``verify --m-sweep``), ``verify`` with
-both or neither of ``--m`` and ``--m-sweep``, and ``count-lines --k``
-below 2 (the default is d_s): infinitely many lines meet the points in one
-point or none.  ``--coord-bound`` defaults to 50 for ``generate`` and 20
-for ``family``; no environment variable changes it.
+seed, which bounds and reduce read for ``--strategy augmented`` only.
+``--m`` goes with ``--config`` (default 1); ``--coord-bound`` defaults to
+50 for ``generate`` and 20 for ``family``; no environment variable
+changes either.  Exit status: 0 on success, 1 when a validation or an
+asserted property fails, 2 on a usage error, raised before any input file
+is opened and with nothing on stdout: a multiplicity below 1 (``--m`` or
+the low end of ``verify --m-sweep``), ``verify`` with both or neither of
+``--m`` and ``--m-sweep``, ``count-lines --k`` below 2 (infinitely many
+lines meet the points in one point or none), ``hilbert --t-max`` below
+0, a ``--type`` that is not increasing positive integers, ``generate
+--r`` on a type other than (1, ..., s), ``--m`` with ``--scheme``,
+``--strategy`` with ``--lines``, or ``bounds``/``reduce --scheme``
+without ``--lines`` (a scheme has no defining lines to peel).
 
 Report wire format, owned by this module alone: a report dataclass
 becomes a JSON object with one key per field, named after the field
@@ -35,12 +42,11 @@ import sys
 
 from . import cht, hilbert, kconfig, verify
 from .scheme import (
-    FatPointScheme,
     lines_from_json,
     lines_to_json,
-    reduction_vector,
     residual_chain,
     scheme_from_json,
+    vector_of_chain,
 )
 from .geom import triple_to_json
 
@@ -98,8 +104,12 @@ def _flatten(payload: dict, prefix: str = "") -> dict:
     return out
 
 
-def _parse_type(text: str) -> kconfig.KType:
-    return kconfig.KType(tuple(int(v) for v in text.replace(",", " ").split()))
+def _ktype(text: str) -> kconfig.KType:
+    """An argparse type for a type such as ``1,2,3`` (commas or spaces)."""
+    try:
+        return kconfig.KType(tuple(int(v) for v in text.replace(",", " ").split()))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a type such as 1,2,3, got {text!r}") from None
 
 
 def _load_config(args) -> kconfig.KConfiguration:
@@ -112,35 +122,37 @@ def _load_config(args) -> kconfig.KConfiguration:
     return x
 
 
-def _scheme_for(args) -> FatPointScheme:
-    if getattr(args, "scheme", None):
-        return scheme_from_json(_load_json(args.scheme))
-    x = _load_config(args)
-    return kconfig.fatten(x, args.m)
+_STRATEGIES = {"repeat": cht.REPEAT_DESCENDING, "star": cht.STAR, "augmented": cht.AUGMENTED}
 
 
-def _lines_for(args, z: FatPointScheme):
-    if getattr(args, "lines", None):
-        return lines_from_json(_load_json(args.lines))
-    x = _load_config(args)
-    strategy = {
-        "repeat": cht.REPEAT_DESCENDING,
-        "star": cht.STAR,
-        "augmented": cht.AUGMENTED,
-    }[args.strategy]
-    return cht.peeling_sequence(x, args.m, strategy, seed=args.seed)
+def _inputs(args, peel: bool = False):
+    """The scheme of ``--config``/``--m`` or ``--scheme`` and, if ``peel``,
+    its lines: ``--lines``, or ``--strategy`` on the configuration, which is
+    loaded and validated once.  Flag clashes exit before any file is read."""
+    if args.scheme and args.m is not None:
+        args.usage_error("argument --m: not allowed with argument --scheme")
+    if peel and args.scheme and not args.lines:
+        args.usage_error("argument --scheme: needs --lines (a scheme has no lines to peel)")
+    m = args.m or 1
+    if args.scheme:
+        z = scheme_from_json(_load_json(args.scheme))
+    else:
+        x = _load_config(args)
+        z = kconfig.fatten(x, m)
+    if not peel:
+        return z, None
+    if args.lines:
+        return z, lines_from_json(_load_json(args.lines))
+    return z, cht.peeling_sequence(x, m, _STRATEGIES[args.strategy or "repeat"], seed=args.seed)
 
 
 def cmd_generate(args) -> int:
-    if args.r is not None:
-        ktype = _parse_type(args.type)
-        expected = tuple(range(1, ktype.s + 1))
-        if ktype.d != expected:
-            print("--r applies to types (1, 2, ..., s) only", file=sys.stderr)
-            return 2
-        x = kconfig.generate_with_line_count(ktype.s, args.r, args.seed, args.coord_bound)
+    if args.r is None:
+        x = kconfig.generate_generic(args.type, args.seed, args.coord_bound)
+    elif args.type.d != tuple(range(1, args.type.s + 1)):
+        args.usage_error("argument --r: applies to --type 1,2,...,s only")
     else:
-        x = kconfig.generate_generic(_parse_type(args.type), args.seed, args.coord_bound)
+        x = kconfig.generate_with_line_count(args.type.s, args.r, args.seed, args.coord_bound)
     text = json.dumps(kconfig.kconfig_to_json(x), indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -151,15 +163,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    z = _scheme_for(args)
+    z, _ = _inputs(args)
     table = hilbert.hilbert_table(z, args.t_max)
     _emit(args, table, table.arrow_display())
     return 0
 
 
 def cmd_bounds(args) -> int:
-    z = _scheme_for(args)
-    lines = _lines_for(args, z)
+    z, lines = _inputs(args, peel=True)
     report = cht.bound_check(z, lines, args.t)
     text = (
         f"t={report.t} f={report.f_lower} F={report.F_upper} "
@@ -240,10 +251,9 @@ def cmd_family(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    z = _scheme_for(args)
-    lines = _lines_for(args, z)
+    z, lines = _inputs(args, peel=True)
     chain = residual_chain(z, lines)
-    v = reduction_vector(z, lines)
+    v = vector_of_chain(chain, lines)
     steps = []
     for step, scheme in enumerate(chain):
         entry = {
@@ -277,77 +287,67 @@ def cmd_reduce(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: its defaults are
-    constants and read no environment."""
+    constants and read no environment.  A flag that several commands share
+    is declared once, in a parent parser; ``usage_error`` is the command's
+    own ``parser.error``, for the clashes argparse cannot see."""
     parser = argparse.ArgumentParser(
         prog="fatpoints",
         description="Exact fat-point Hilbert functions on plane configurations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parent = functools.partial(argparse.ArgumentParser, add_help=False)
 
-    def common(p, scheme_input=False):
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        if scheme_input:
-            src = p.add_mutually_exclusive_group(required=True)
-            src.add_argument("--config", help="k-configuration JSON file")
-            src.add_argument("--scheme", help="fat point scheme JSON file")
-            p.add_argument("--m", type=_at_least(1), default=1,
-                           help="multiplicity (with --config)")
-        else:
-            p.add_argument("--config", required=True)
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func, usage_error=p.error)
+        return p
 
-    g = sub.add_parser("generate", help="emit a seeded random configuration")
-    g.add_argument("--type", required=True, help="comma-separated type, e.g. 1,2,3")
-    g.add_argument("--r", type=int, default=None,
-                   help="exact number of maximal lines (types (1,...,s) only)")
+    fmt = parent()
+    fmt.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    config = parent()
+    config.add_argument("--config", required=True)
+    source = parent()
+    src = source.add_mutually_exclusive_group(required=True)
+    src.add_argument("--config", help="k-configuration JSON file")
+    src.add_argument("--scheme", help="fat point scheme JSON file")
+    source.add_argument("--m", type=_at_least(1), help="multiplicity (with --config, default 1)")
+    peel = parent()
+    seq = peel.add_mutually_exclusive_group()
+    seq.add_argument("--lines", help="JSON file with a line sequence")
+    seq.add_argument("--strategy", choices=list(_STRATEGIES), help="default repeat")
+    peel.add_argument("--seed", type=int, default=0)
+
+    g = command("generate", cmd_generate, "emit a seeded random configuration")
+    g.add_argument("--type", type=_ktype, required=True, help="comma-separated type, e.g. 1,2,3")
+    g.add_argument("--r", type=int, help="exact number of maximal lines (types (1,...,s) only)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--coord-bound", type=int, default=50)
     g.add_argument("--output", "-o", default=None)
-    g.set_defaults(func=cmd_generate)
 
-    h = sub.add_parser("hilbert", help="Hilbert table of a scheme")
-    common(h, scheme_input=True)
-    h.add_argument("--t-max", type=int, required=True)
-    h.set_defaults(func=cmd_hilbert)
+    h = command("hilbert", cmd_hilbert, "Hilbert table of a scheme", fmt, source)
+    h.add_argument("--t-max", type=_at_least(0), required=True)
 
-    b = sub.add_parser("bounds", help="reduction-vector bounds vs the exact value")
-    common(b, scheme_input=True)
-    b.add_argument("--lines", help="JSON file with a line sequence")
-    b.add_argument("--strategy", choices=["repeat", "star", "augmented"],
-                   default="repeat")
-    b.add_argument("--seed", type=int, default=0)
+    b = command("bounds", cmd_bounds, "reduction-vector bounds vs the exact value",
+                fmt, source, peel)
     b.add_argument("--t", type=int, required=True)
-    b.set_defaults(func=cmd_bounds)
 
-    c = sub.add_parser("count-lines", help="count lines through exactly --k points (default d_s)")
-    common(c)
-    c.add_argument("--k", type=_at_least(2), default=None,
-                   help="points on a line, at least 2")
-    c.set_defaults(func=cmd_count_lines)
+    c = command("count-lines", cmd_count_lines,
+                "count lines through exactly --k points (default d_s)", fmt, config)
+    c.add_argument("--k", type=_at_least(2), help="points on a line, at least 2")
 
-    v = sub.add_parser("verify", help="first difference vs line count")
-    common(v)
+    v = command("verify", cmd_verify, "first difference vs line count", fmt, config)
     ms = v.add_mutually_exclusive_group(required=True)
     ms.add_argument("--m", type=_at_least(1))
     ms.add_argument("--m-sweep", type=_sweep, help="inclusive range lo:hi")
     v.add_argument("--ri", action="store_true", help="include the regularity index")
-    v.set_defaults(func=cmd_verify)
 
-    f = sub.add_parser("family", help="Hilbert functions across feasible line counts")
+    f = command("family", cmd_family, "Hilbert functions across feasible line counts", fmt)
     f.add_argument("--s", type=int, required=True)
     f.add_argument("--m", type=_at_least(1), required=True)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--coord-bound", type=int, default=20)
-    f.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    f.set_defaults(func=cmd_family)
 
-    r = sub.add_parser("reduce", help="print the full residual chain")
-    common(r, scheme_input=True)
-    r.add_argument("--lines", help="JSON file with a line sequence")
-    r.add_argument("--strategy", choices=["repeat", "star", "augmented"],
-                   default="repeat")
-    r.add_argument("--seed", type=int, default=0)
-    r.set_defaults(func=cmd_reduce)
-
+    command("reduce", cmd_reduce, "print the full residual chain", fmt, source, peel)
     return parser
 
 

@@ -176,7 +176,14 @@ class ReductionVector:
 
 
 def reduction_vector(z: FatPointScheme, lines) -> ReductionVector:
-    """Record deg(L_i meet Z_{i-1}) along the residual chain.
+    """Record deg(L_i meet Z_{i-1}) along the residual chain (see
+    :func:`vector_of_chain`)."""
+    lines = tuple(lines)
+    return vector_of_chain(residual_chain(z, lines), lines)
+
+
+def vector_of_chain(chain: list[FatPointScheme], lines) -> ReductionVector:
+    """The reduction vector of ``lines`` read off their residual chain.
 
     Each entry is a degree drop, deg Z_{i-1} - deg Z_i: a point of
     multiplicity m on L_i goes down to m - 1 and so removes C(m+1,2) -
@@ -185,11 +192,9 @@ def reduction_vector(z: FatPointScheme, lines) -> ReductionVector:
     empty; both the chain and the flag stop with the supplied sequence, so
     partial reductions can be studied as-is.
     """
-    lines = tuple(lines)
-    chain = residual_chain(z, lines)
     degrees = [w.degree() for w in chain]
     values = tuple(a - b for a, b in zip(degrees, degrees[1:]))
-    return ReductionVector(values, lines, chain[-1].is_empty())
+    return ReductionVector(values, tuple(lines), chain[-1].is_empty())
 
 
 def residual_chain(z: FatPointScheme, lines) -> list[FatPointScheme]:

@@ -258,6 +258,96 @@ def test_verify_m_with_m_sweep_is_a_usage_error(tmp_path, capsys):
     assert "argument --m-sweep: not allowed with argument --m" in captured.err
 
 
+# --- --config | --scheme with --lines | --strategy: one input path ----------
+
+@pytest.mark.parametrize("source", ["config", "scheme"])
+def test_bounds_and_reduce_read_lines(source, tmp_path, capsys):
+    from fatpoints.cht import bound_check
+    from fatpoints.kconfig import fatten
+    from fatpoints.scheme import lines_to_json, reduction_vector, scheme_to_json
+
+    x = config_1345()
+    cfg = _write_config(tmp_path, x)
+    # ascending line order, which no --strategy gives
+    lines, z = list(x.lines) * 2, fatten(x, 2)
+    lines_path, z_path = tmp_path / "lines.json", tmp_path / "z.json"
+    lines_path.write_text(json.dumps(lines_to_json(lines)))
+    z_path.write_text(json.dumps(scheme_to_json(z)))
+    src = ["--config", cfg, "--m", "2"] if source == "config" else ["--scheme", str(z_path)]
+    for t in (3, 8):
+        assert main(["bounds", *src, "--lines", str(lines_path), "--t", str(t),
+                     "--format", "json"]) == 0
+        report = bound_check(z, lines, t)
+        assert json.loads(capsys.readouterr().out) == {
+            "t": t, "f_lower": report.f_lower, "F_upper": report.F_upper,
+            "exact": report.exact, "tight": report.tight}
+    assert main(["reduce", *src, "--lines", str(lines_path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    v = reduction_vector(z, lines)
+    assert payload["reduction_vector"] == list(v.values) != [10, 9, 8, 3, 3, 3, 2, 1]
+    assert payload["complete"] is v.complete is True
+    assert [step["removed"] for step in payload["chain"]] == [None, *v.values]
+
+
+def test_reduce_walks_the_residual_chain_once(tmp_path, monkeypatch, capsys):
+    from fatpoints.scheme import FatPointScheme
+
+    calls = []
+    real = FatPointScheme.residual
+    monkeypatch.setattr(FatPointScheme, "residual",
+                        lambda z, line: calls.append(line) or real(z, line))
+    cfg = _write_config(tmp_path, config_1345())
+    assert main(["reduce", "--config", cfg, "--m", "2", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["chain"]) == 9
+    assert len(calls) == 8  # one residual per line, not one per line per walk
+
+
+def test_bounds_loads_the_configuration_once(tmp_path, monkeypatch, capsys):
+    from fatpoints import kconfig
+
+    seen = []
+    for name in ("kconfig_from_json", "validate"):
+        real = getattr(kconfig, name)
+        monkeypatch.setattr(kconfig, name,
+                            lambda data, name=name, real=real: seen.append(name) or real(data))
+    cfg = _write_config(tmp_path, config_1345())
+    argv = ["bounds", "--config", cfg, "--m", "2", "--strategy", "repeat", "--t", "8"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == "t=8 f=36 F=36 H=36 tight"
+    assert seen == ["kconfig_from_json", "validate"]
+
+
+# Each input path names a missing file: a usage error must exit before any
+# file is opened, or the run would exit 1 on the missing file instead.
+@pytest.mark.parametrize(
+    "argv, flags",
+    [("hilbert --scheme missing.json --m 2 --t-max 3", ["--m", "--scheme"]),
+     ("bounds --scheme missing.json --m 2 --lines missing.json --t 3", ["--m", "--scheme"]),
+     ("reduce --scheme missing.json --m 2 --lines missing.json", ["--m", "--scheme"]),
+     ("bounds --config missing.json --lines missing.json --strategy star --t 3",
+      ["--strategy", "--lines"]),
+     ("reduce --config missing.json --lines missing.json --strategy repeat",
+      ["--strategy", "--lines"]),
+     ("bounds --scheme missing.json --t 3", ["--scheme", "--lines"]),
+     ("reduce --scheme missing.json", ["--scheme", "--lines"]),
+     ("generate --type 3,2", ["--type"]),
+     ("generate --type abc", ["--type"]),
+     ("generate --type 1,3 --r 2 -o missing/out.json", ["--r", "--type"]),
+     ("hilbert --config missing.json --t-max -1", ["--t-max"])],
+    ids=["hilbert-m-scheme", "bounds-m-scheme", "reduce-m-scheme",
+         "bounds-strategy-lines", "reduce-strategy-lines", "bounds-scheme-no-lines",
+         "reduce-scheme-no-lines", "type-decreasing", "type-letters", "r-on-1-3",
+         "t-max-negative"],
+)
+def test_flag_clashes_are_usage_errors(argv, flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run_main(argv.split(), capsys)
+    assert code == 2
+    assert out == ""
+    assert all(flag in err.splitlines()[-1] for flag in flags), err
+    assert "Traceback" not in err
+
+
 def test_family_coord_bound_sources(monkeypatch, capsys):
     from fatpoints import verify
 

@@ -8,10 +8,16 @@ exit, which take in the interpreter start, the imports and anything
 ``main`` loads on its first call; the number of ``linalg.rank`` calls and
 of the span certificates and Bareiss runs that ``linalg`` started; and the
 sha256 of the command's standard output (equal hashes mean byte-identical
-output).  A ``cold`` command runs as a bare ``python -m fatpoints`` process
-(``-m fatpoints.cli`` in a checkout without ``fatpoints/__main__.py``), so
-its record has only the exit code, ``process_s`` and the hash.
-Configurations are generated first, in this process, and are not timed.
+output); and ``peak_rss_mb``, the child's peak resident memory (its
+``ru_maxrss`` from ``os.wait4``).  A ``cold`` command runs as a bare
+``python -m fatpoints`` process (``-m fatpoints.cli`` in a checkout without
+``fatpoints/__main__.py``), so its record has only the exit code,
+``process_s``, ``peak_rss_mb`` and the hash; the other children also hold
+this script's own imports.  Linux starts a child's ``ru_maxrss`` at the
+peak of the process that spawned it, so this process imports neither
+``fatpoints`` nor ``hashlib`` before its last child exits: configurations
+are generated first, in child processes that are not timed, and outputs
+are hashed at the end.
 The file sits outside ``tests/`` so the test suite does not collect it.
 Run it with::
 
@@ -27,13 +33,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -80,6 +87,8 @@ COLD = {"cold python -m fatpoints verify --ri (1..5)/6"}
 
 
 def _sha256(text: str) -> str:
+    import hashlib  # loads OpenSSL: only after the last child has exited
+
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -103,42 +112,61 @@ def _run_one(argv: list[str]) -> dict:
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     seconds = time.perf_counter() - start
-    return {"exit": code, "s": round(seconds, 3), **counts, "sha256": _sha256(out.getvalue())}
+    return {"exit": code, "s": round(seconds, 3), **counts, "stdout": out.getvalue()}
+
+
+def _entry() -> list[str]:
+    """``python -m`` of the package, found without importing it."""
+    package = Path(importlib.util.find_spec("fatpoints").origin).parent
+    module = "fatpoints" if (package / "__main__.py").exists() else "fatpoints.cli"
+    return [sys.executable, "-m", module]
 
 
 def _generate(names, tmp: str) -> dict[str, str]:
     """Configuration file per type of the named commands (seed 0, bound 50)."""
-    from fatpoints import cli
-
     configs = {}
     for name in names:
         dvec = COMMANDS[name][0]
         if dvec is not None and dvec not in configs:
             configs[dvec] = str(Path(tmp) / f"config{len(configs)}.json")
-            with contextlib.redirect_stdout(io.StringIO()):
-                cli.main(["generate", "--type", dvec, "--seed", "0",
-                          "--coord-bound", "50", "-o", configs[dvec]])
+            subprocess.run([*_entry(), "generate", "--type", dvec, "--seed", "0",
+                            "--coord-bound", "50", "-o", configs[dvec]], check=True)
     return configs
 
 
 def _spawn(name: str, configs: dict[str, str], timeout: float | None) -> dict:
-    """One command in a child process, timed from spawn to exit."""
+    """One command in a child process, timed from spawn to exit.  The child
+    is reaped with ``os.wait4``, which also gives its resource usage."""
     dvec, command = COMMANDS[name]
     argv = [configs[dvec] if a == "CONFIG" else a for a in command.split()]
     if name in COLD:
-        entry = "fatpoints" if importlib.util.find_spec("fatpoints.__main__") else "fatpoints.cli"
-        child = [sys.executable, "-m", entry, *argv]
+        child = [*_entry(), *argv]
     else:
         child = [sys.executable, __file__, "--child", json.dumps(argv)]
-    start = time.perf_counter()
-    proc = subprocess.run(child, capture_output=True, text=True, timeout=timeout,
-                          check=name not in COLD)
-    seconds = time.perf_counter() - start
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(child, stdout=out, stderr=err)
+        killer = threading.Timer(timeout, proc.kill) if timeout else None
+        if killer:
+            killer.start()
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if killer:
+            killer.cancel()
+            if seconds >= timeout:
+                raise subprocess.TimeoutExpired(child, timeout)
+        out.seek(0)
+        stdout = out.read()
+        if proc.returncode and name not in COLD:
+            err.seek(0)
+            raise subprocess.CalledProcessError(proc.returncode, child, stdout, err.read())
     if name in COLD:
-        record = {"exit": proc.returncode, "sha256": _sha256(proc.stdout)}
+        record = {"exit": proc.returncode, "stdout": stdout}
     else:
-        record = json.loads(proc.stdout)
+        record = json.loads(stdout)
     record["process_s"] = round(seconds, 3)
+    record["peak_rss_mb"] = round(usage.ru_maxrss / 1024, 2)  # Linux: kilobytes
     return record
 
 
@@ -160,6 +188,9 @@ def main() -> None:
                 results[name] = _spawn(name, configs, args.timeout)
             except subprocess.TimeoutExpired:
                 results[name] = {"timeout_s": args.timeout}
+    for record in results.values():
+        if "stdout" in record:
+            record["sha256"] = _sha256(record.pop("stdout"))
     print(json.dumps(results, indent=1))
 
 

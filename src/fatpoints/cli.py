@@ -15,10 +15,11 @@ is opened and with nothing on stdout: a multiplicity below 1 (``--m`` or
 the low end of ``verify --m-sweep``), ``verify`` with both or neither of
 ``--m`` and ``--m-sweep``, ``count-lines --k`` below 2 (infinitely many
 lines meet the points in one point or none), ``hilbert --t-max`` below
-0, a ``--type`` that is not increasing positive integers, ``generate
---r`` on a type other than (1, ..., s), ``--m`` with ``--scheme``,
-``--strategy`` with ``--lines``, or ``bounds``/``reduce --scheme``
-without ``--lines`` (a scheme has no defining lines to peel).
+0, ``family --s`` below 2, a ``--type`` that is not increasing positive
+integers, ``generate --r`` on a type other than (1, ..., s) with s >= 2
+or outside 1 .. s + 1, ``--m`` with ``--scheme``, ``--strategy`` with
+``--lines``, or ``bounds``/``reduce --scheme`` without ``--lines`` (a
+scheme has no defining lines to peel).
 
 Report wire format, owned by this module alone: a report dataclass
 becomes a JSON object with one key per field, named after the field
@@ -33,7 +34,6 @@ by spaces.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import io
@@ -81,6 +81,8 @@ def _emit(args, report, text: str) -> None:
     if args.format == "json":
         print(json.dumps(_wire(report), indent=2, sort_keys=True))
     elif args.format == "csv":
+        import csv
+
         flat = _flatten(_wire(report))
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -147,12 +149,15 @@ def _inputs(args, peel: bool = False):
 
 
 def cmd_generate(args) -> int:
+    s = args.type.s
     if args.r is None:
         x = kconfig.generate_generic(args.type, args.seed, args.coord_bound)
-    elif args.type.d != tuple(range(1, args.type.s + 1)):
-        args.usage_error("argument --r: applies to --type 1,2,...,s only")
+    elif args.type.d != tuple(range(1, s + 1)) or s < 2:
+        args.usage_error("argument --r: applies to --type 1,2,...,s with s >= 2 only")
+    elif not 1 <= args.r <= s + 1:
+        args.usage_error(f"argument --r: expected 1 .. {s + 1} for this --type, got {args.r}")
     else:
-        x = kconfig.generate_with_line_count(args.type.s, args.r, args.seed, args.coord_bound)
+        x = kconfig.generate_with_line_count(s, args.r, args.seed, args.coord_bound)
     text = json.dumps(kconfig.kconfig_to_json(x), indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -342,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--ri", action="store_true", help="include the regularity index")
 
     f = command("family", cmd_family, "Hilbert functions across feasible line counts", fmt)
-    f.add_argument("--s", type=int, required=True)
+    f.add_argument("--s", type=_at_least(2), required=True)
     f.add_argument("--m", type=_at_least(1), required=True)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--coord-bound", type=int, default=20)

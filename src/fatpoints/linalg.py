@@ -49,12 +49,12 @@ geometric coefficients elsewhere in the package remain rational.
 
 numpy is imported inside the functions that touch arrays, not when this
 module loads, so it loads with the first ``rank`` of a nonempty matrix.
-A command whose every Hilbert value the sandwich settles never loads it.
+A command whose every Hilbert value the sandwich settles never loads it,
+nor ``fractions``, which only the span certificate's reconstruction uses.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import TYPE_CHECKING
 
@@ -217,6 +217,8 @@ def _modp_eliminate(A: np.ndarray, p: int):
 
 def _rational_reconstruct(x: int, modulus: int):
     """Wang's rational reconstruction of x mod modulus, or None."""
+    from fractions import Fraction
+
     bound = isqrt((modulus - 1) // 2)
     r0, r1 = modulus, x % modulus
     s0, s1 = 0, 1

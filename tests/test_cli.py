@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from corpus import config_123_one, config_1234, config_1345
+from corpus import LADDER, config_123_one, config_1234, config_1345
 from fatpoints.cli import main
-from fatpoints.kconfig import kconfig_from_json, kconfig_to_json, validate
+from fatpoints.kconfig import KType, generate_generic, kconfig_from_json, kconfig_to_json, validate
+from fatpoints.verify import config_id
 
 
 def _write_config(tmp_path, x, name="cfg.json"):
@@ -333,11 +335,15 @@ def test_bounds_loads_the_configuration_once(tmp_path, monkeypatch, capsys):
      ("generate --type 3,2", ["--type"]),
      ("generate --type abc", ["--type"]),
      ("generate --type 1,3 --r 2 -o missing/out.json", ["--r", "--type"]),
-     ("hilbert --config missing.json --t-max -1", ["--t-max"])],
+     ("hilbert --config missing.json --t-max -1", ["--t-max"]),
+     ("generate --type 1,2,3 --r 0 -o missing/out.json", ["--r"]),
+     ("generate --type 1,2,3 --r 5 -o missing/out.json", ["--r"]),
+     ("generate --type 1 --r 1 -o missing/out.json", ["--r", "--type"]),
+     ("family --s 1 --m 2", ["--s"])],
     ids=["hilbert-m-scheme", "bounds-m-scheme", "reduce-m-scheme",
          "bounds-strategy-lines", "reduce-strategy-lines", "bounds-scheme-no-lines",
          "reduce-scheme-no-lines", "type-decreasing", "type-letters", "r-on-1-3",
-         "t-max-negative"],
+         "t-max-negative", "r-zero", "r-above-star", "r-on-1", "family-s-one"],
 )
 def test_flag_clashes_are_usage_errors(argv, flags, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -491,3 +497,63 @@ def test_cold_start_loads_numpy_only_for_a_rank():
     assert seen["eager"] == [True, True] and seen["mpz"]
     # the one value of config_1345 at m = 2 that f_v < F_v leaves open
     assert seen["loose"] == 28 and seen["after_rank"]
+
+
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from fatpoints.cli import main
+
+cfg = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["family", "--s", "3", "--m", "4", "--format", "json"]),
+             main(["generate", "--type", "1,2,3", "--seed", "0", "-o", cfg]),
+             main(["verify", "--config", cfg, "--m", "4", "--ri", "--format", "json"])]
+unused = ["_hashlib", "hashlib", "csv", "fractions", "decimal", "numpy"]
+print(json.dumps({"codes": codes, "loaded": [m for m in unused if m in sys.modules]}))
+"""
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    # -S keeps the imports of site and its .pth files out of the child
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FOOTPRINT, str(tmp_path / "cfg.json")],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "loaded": []}
+
+
+def _ladder_json():
+    return [kconfig_to_json(generate_generic(KType(dvec), seed=0, bound=50))
+            for dvec, _ in LADDER]
+
+
+def _hashlib_id(data) -> str:
+    payload = json.dumps(data, sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+
+def test_config_id_is_hashlib_sha256():
+    for data in _ladder_json():
+        assert config_id(kconfig_from_json(data)) == _hashlib_id(data)
+
+
+_NO_BUILTIN_SHA2 = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from fatpoints import verify
+from fatpoints.kconfig import kconfig_from_json
+
+ids = [verify.config_id(kconfig_from_json(d)) for d in json.load(sys.stdin)]
+print(json.dumps({"ids": ids, "hashlib": verify.sha256 is hashlib.sha256}))
+"""
+
+
+def test_config_id_without_builtin_sha2():
+    # a CPython build without the built-in SHA-2 module hashes through hashlib
+    data = _ladder_json()
+    proc = subprocess.run([sys.executable, "-c", _NO_BUILTIN_SHA2], input=json.dumps(data),
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"ids": [_hashlib_id(d) for d in data], "hashlib": True}

@@ -10,7 +10,6 @@ from .geom import (
     ProjPoint,
     ZeroTriple,
     canonical_triple,
-    collinear,
     incident,
     line_through,
     meet,
@@ -26,16 +25,8 @@ from .kconfig import (
     fatten,
     generate_generic,
     generate_with_line_count,
-    relabel_canonical,
     validate,
 )
-from .verify import (
-    hilbert_family,
-    m0,
-    verify_last_nonzero,
-    verify_main,
-    verify_reduced_bound,
-    verify_regularity,
-)
+from .verify import hilbert_family, m0, verify_main
 
 __version__ = "0.1.0"

@@ -361,7 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, kconfig.GenerationFailed) as exc:
+    except (ValueError, OSError, kconfig.GenerationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -177,23 +177,6 @@ def incident(p: ProjPoint, l: ProjLine) -> bool:
     return pa * la + pb * lb + pc * lc == 0
 
 
-def collinear(points) -> bool:
-    """True iff all points lie on one common line.
-
-    Vacuously true for fewer than three distinct points.
-    """
-    distinct = []
-    for p in points:
-        if p not in distinct:
-            distinct.append(p)
-        if len(distinct) > 2:
-            break
-    else:
-        return True
-    l = line_through(distinct[0], distinct[1])
-    return all(incident(p, l) for p in points)
-
-
 def random_point(rng: Random, bound: int = 50) -> ProjPoint:
     """A random point with coordinates sampled uniformly from [-bound, bound]."""
     while True:
@@ -267,10 +250,13 @@ def json_field(data, key: str) -> list:
     """The array under ``key`` of a JSON object, else ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object with {key!r}, got {data!r}")
+    if key not in data:
+        raise ValueError(f"missing key {key!r} in the JSON object")
     return json_array(data[key], repr(key))
 
 
 def json_int(value) -> int:
-    if not isinstance(value, (int, str)):
+    # bool is a subclass of int: JSON true would read as 1
+    if not isinstance(value, (int, str)) or isinstance(value, bool):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)

@@ -45,10 +45,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class OutOfRange(IndexError):
-    """Raised when a table is consulted beyond its computed range."""
-
-
 class EmptyScheme(ValueError):
     """Raised when an operation requires a nonempty scheme."""
 
@@ -234,13 +230,6 @@ def hilbert_table(z: FatPointScheme, t_max: int) -> HilbertTable:
             stabilized = t
     deltas = tuple(v - u for v, u in zip(values, [0] + values[:-1]))
     return HilbertTable(tuple(values), deltas, stabilized)
-
-
-def delta(table: HilbertTable, t: int) -> int:
-    """First difference with H(-1) = 0."""
-    if t < 0 or t >= len(table.values):
-        raise OutOfRange(f"degree {t} outside the computed table")
-    return table.deltas[t]
 
 
 def regularity_floor(z: FatPointScheme) -> int:

@@ -5,9 +5,8 @@ sizes d_i, each on its own line L_i, where every later line avoids all
 earlier subsets.  This module provides validation against those defining
 conditions, seeded generators for arbitrary types and for prescribed
 counts of maximal lines, the count of lines meeting X in k points, the
-candidate-line shortlist, the relabelling that moves maximal lines into
-trailing positions, the three-way classification for types (1, ..., s),
-and the passage to fat point schemes.
+three-way classification for types (1, ..., s), and the passage to fat
+point schemes.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .geom import (
     line_from_canonical,
     line_from_json,
     line_basis,
-    line_through,
     lines_through_pairs,
     meet,
     point_from_json,
@@ -80,18 +78,8 @@ class KType:
     def ds(self) -> int:
         return self.d[-1]
 
-    def tail_length(self) -> int:
-        """Number of consecutive integers ending the type vector."""
-        t = 1
-        while t < len(self.d) and self.d[-t - 1] == self.d[-t] - 1:
-            t += 1
-        return t
-
     def is_single_point(self) -> bool:
         return self.d == (1,)
-
-    def total_points(self) -> int:
-        return sum(self.d)
 
 
 _COORDS = attrgetter("coords")
@@ -167,13 +155,6 @@ def validate(x: KConfiguration) -> list[str]:
     return problems
 
 
-def require_valid(x: KConfiguration) -> KConfiguration:
-    problems = validate(x)
-    if problems:
-        raise ValueError("invalid configuration: " + "; ".join(problems))
-    return x
-
-
 def fatten(x: KConfiguration, m: int) -> FatPointScheme:
     """The homogeneous fat point scheme of multiplicity m on the points.
 
@@ -209,39 +190,6 @@ def count_lines(x: KConfiguration, k: int) -> tuple[int, list[ProjLine]]:
                          "meet the points in fewer than two")
     found = [line_from_canonical(key) for key, on in zip(keys, members) if len(on) == k]
     return len(found), found
-
-
-def candidate_lines(x: KConfiguration) -> list[ProjLine]:
-    """A guaranteed superset of the lines meeting X in d_s points.
-
-    For d_s > s only the defining lines qualify; for d_s = s the line
-    through the first subset's point and either point of the second
-    subset may join them.
-    """
-    if x.ktype.is_single_point():
-        raise TypeMismatch("candidate lines are undefined for a single point")
-    out = list(x.lines)
-    if x.ktype.ds == x.ktype.s:
-        p = x.subsets[0][0]
-        for q in x.subsets[1]:
-            extra = line_through(p, q)
-            if extra not in out:
-                out.append(extra)
-    return out
-
-
-def line_count_consequence_holds(x: KConfiguration) -> bool:
-    """If a defining line meets X in d_s points, the tail of the type is
-    forced to be consecutive from that index on."""
-    d = x.ktype.d
-    s = x.ktype.s
-    points = x.points()
-    for i in range(s):
-        hits = sum(1 for p in points if incident(p, x.lines[i]))
-        if hits == x.ktype.ds:
-            if any(d[j] != x.ktype.ds - s + (j + 1) for j in range(i, s)):
-                return False
-    return True
 
 
 # --- generators ------------------------------------------------------------
@@ -430,71 +378,6 @@ def generate_with_line_count(s: int, r: int, seed: int, bound: int = 50) -> KCon
         lambda x: count_lines(x, s)[0] == r,
         f"no type {ktype.d} configuration with r={r} found",
     )
-
-
-# --- relabelling -----------------------------------------------------------
-
-def relabel_canonical(x: KConfiguration) -> KConfiguration:
-    """Reorganize subsets and lines so the maximal defining lines trail.
-
-    Repeatedly applies the transplant: when lines s, s-1, ... down to
-    s - j meet X in d_s points but line s - i (i > j) is the next one
-    that does, the points T of the intermediate subsets lying on line
-    s - i move into its subset, the intermediate subsets shift down one
-    slot each, and line s - i takes the slot above them.  The point set,
-    the type, and validity are preserved.  Returns the input unchanged
-    when the maximal defining lines already occupy the trailing positions.
-    """
-    if x.ktype.s < 2:
-        return x
-    require_valid(x)
-    current = x
-    for _ in range(x.ktype.s + 1):
-        step = _relabel_step(current)
-        if step is None:
-            return current
-        current = require_valid(step)
-    raise AssertionError("relabelling failed to terminate")
-
-
-def _relabel_step(x: KConfiguration):
-    s = x.ktype.s
-    ds = x.ktype.ds
-    points = x.points()
-    hits = [sum(1 for p in points if incident(p, l)) for l in x.lines]
-    j = 0
-    while j < s and hits[s - 1 - j] == ds:
-        j += 1
-    # j = number of trailing maximal lines; lemma guarantees j >= 1
-    i = j
-    while i < s and hits[s - 1 - i] != ds:
-        i += 1
-    if i >= s:
-        return None  # already canonical
-    j -= 1  # largest index with L_{s-k} maximal for k = 0..j
-    lo = s - i - 1  # 0-based position of the line being promoted
-    between = range(s - i, s - j - 1)  # 0-based positions shifting down
-    line_lo = x.lines[lo]
-    transplant = {
-        p
-        for pos in between
-        for p in x.subsets[pos]
-        if incident(p, line_lo)
-    }
-    if len(transplant) != i - j - 1:
-        raise AssertionError("transplant size contradicts the relabelling lemma")
-    subsets = list(x.subsets)
-    lines = list(x.lines)
-    new_subsets = subsets[:lo]
-    new_lines = lines[:lo]
-    for pos in between:
-        new_subsets.append(tuple(p for p in subsets[pos] if p not in transplant))
-        new_lines.append(lines[pos])
-    new_subsets.append(tuple(sorted(set(subsets[lo]) | transplant)))
-    new_lines.append(line_lo)
-    new_subsets.extend(subsets[s - j - 1 :])
-    new_lines.extend(lines[s - j - 1 :])
-    return KConfiguration(x.ktype, tuple(new_subsets), tuple(new_lines))
 
 
 # --- trichotomy ------------------------------------------------------------

@@ -7,12 +7,18 @@ meeting the configuration in exactly d_s points, once m reaches the
 threshold m0 (2 when d_s > s, s + 1 when d_s = s).  Below the threshold
 the identity can fail and reports record the mismatch without asserting.
 
-Also covered: the reduced-scheme bound (the first difference of the
-support's Hilbert function at d_s - 1 equals the tail length of the
-type, and the line count never exceeds it by more than one), the
-regularity index of multiples, the last nonzero first difference, and
-the family of pairwise distinct Hilbert functions obtained by sweeping
-the feasible maximal-line counts for type (1, ..., s).
+The paper's companion statements are read off the fields of the same
+:class:`VerificationReport`, computed with ``include_ri``:
+
+- the regularity index of mX is m*d_s - 1: ``ri`` equals t* = m*d_s - 1;
+- when ``ri`` equals t*, H(t*) = deg, so ``delta_value`` is the last
+  nonzero first difference, and it equals ``line_count``;
+- the reduced-scheme bound: ``reduced_delta``, the first difference of the
+  support's Hilbert function at d_s - 1, equals the tail length of the
+  type, and ``line_count`` is at most ``reduced_delta`` + 1.
+
+Also covered: the family of pairwise distinct Hilbert functions obtained
+by sweeping the feasible maximal-line counts for type (1, ..., s).
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from math import comb
 
 from . import hilbert, kconfig
 from .kconfig import InfeasibleLineCount, KConfiguration, KType, count_lines, fatten
-from .scheme import FatPointScheme
 
 # The interpreter's built-in SHA-256: hashlib would load OpenSSL's libcrypto.
 try:
@@ -101,7 +106,9 @@ def verify_main(x: KConfiguration, m: int, include_ri: bool = False) -> Verifica
     delta = upper - lower
     count, _ = count_lines(x, ds)
     threshold = m0(x.ktype)
-    _, red_delta = _reduced_delta(x)
+    reduced = fatten(x, 1)
+    h_reduced = hilbert.hilbert_value(reduced, ds - 1)
+    red_delta = h_reduced - hilbert.hilbert_value(reduced, ds - 2)
     return VerificationReport(
         config_id=config_id(x),
         ktype=x.ktype.d,
@@ -114,88 +121,6 @@ def verify_main(x: KConfiguration, m: int, include_ri: bool = False) -> Verifica
         reduced_delta=red_delta,
         ri=ri,
     )
-
-
-def _reduced_delta(x: KConfiguration) -> tuple[int, int]:
-    """(H_X(d_s - 1), its first difference) for the reduced scheme X."""
-    reduced, t = fatten(x, 1), x.ktype.ds - 1
-    h1 = hilbert.hilbert_value(reduced, t)
-    return h1, h1 - hilbert.hilbert_value(reduced, t - 1)
-
-
-@dataclass(frozen=True)
-class ReducedBoundReport:
-    config_id: str
-    ktype: tuple[int, ...]
-    reduced_delta: int
-    tail_length: int
-    line_count: int
-    support_value: int
-    support_expected: int
-    ok: bool
-
-
-def verify_reduced_bound(x: KConfiguration) -> ReducedBoundReport:
-    """The reduced first difference equals the tail length and caps the
-    line count at one more; the support value at d_s - 1 is the total
-    point count."""
-    if x.ktype.is_single_point():
-        raise SinglePointType("the bound needs at least two points")
-    ds = x.ktype.ds
-    h1, delta = _reduced_delta(x)
-    tail = x.ktype.tail_length()
-    count, _ = count_lines(x, ds)
-    expected = x.ktype.total_points()
-    ok = delta == tail and count <= delta + 1 and h1 == expected
-    return ReducedBoundReport(
-        config_id(x), x.ktype.d, delta, tail, count, h1, expected, ok
-    )
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    config_id: str
-    m: int
-    ri: int
-    expected: int
-    ok: bool
-
-
-def verify_regularity(x: KConfiguration, m: int) -> RegularityReport:
-    """ri(mX) = m * d_s - 1 for m >= s + 1; single points give m - 1."""
-    if not x.ktype.is_single_point() and m < x.ktype.s + 1:
-        raise MultiplicityBelowThreshold(
-            f"regularity statement needs m >= {x.ktype.s + 1}"
-        )
-    ri = hilbert.regularity_index(fatten(x, m))
-    expected = m * x.ktype.ds - 1
-    return RegularityReport(config_id(x), m, ri, expected, ri == expected)
-
-
-@dataclass(frozen=True)
-class LastNonzeroReport:
-    config_id: str
-    m: int
-    last_t: int
-    last_delta: int
-    line_count: int
-    ok: bool
-
-
-def verify_last_nonzero(x: KConfiguration, m: int) -> LastNonzeroReport:
-    """The last nonzero first difference sits at m*d_s - 1 and equals the
-    maximal-line count.  Needs m >= m0 (and m >= s + 1 for d_s = s)."""
-    if x.ktype.is_single_point():
-        raise SinglePointType("the statement needs at least two points")
-    if m < m0(x.ktype):
-        raise MultiplicityBelowThreshold(f"needs m >= {m0(x.ktype)}")
-    z = fatten(x, m)
-    ri = hilbert.regularity_index(z)
-    last_delta = z.degree() - hilbert.hilbert_value(z, ri - 1)
-    count, _ = count_lines(x, x.ktype.ds)
-    expected_t = m * x.ktype.ds - 1
-    ok = ri == expected_t and last_delta == count
-    return LastNonzeroReport(config_id(x), m, ri, last_delta, count, ok)
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,34 @@ def test_malformed_json_is_an_error(command, flag, data, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, data, key",
+    [(["verify", "--m", "2", "--config"], {"type": [1, 2]}, "subsets"),
+     (["hilbert", "--t-max", "3", "--scheme"], {"points": [["1", "0", "0"]]}, "mults")],
+    ids=["config-subsets", "scheme-mults"],
+)
+def test_missing_json_key_is_named(argv, data, key, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(argv + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: missing key '{key}' in the JSON object\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"points": [["1", "0", "0"]], "mults": [True]},
+     {"points": [["1", True, "0"]], "mults": ["1"]}],
+    ids=["multiplicity", "coordinate"],
+)
+def test_json_booleans_are_not_integers(data, tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    assert main(["hilbert", "--t-max", "3", "--scheme", str(path)]) == 1
+    assert capsys.readouterr().err == "error: expected an integer, got True\n"
+
+
 @pytest.mark.parametrize("sweep", ["3", "5:3", "0:2"], ids=["no-colon", "empty", "zero"])
 def test_bad_sweep_is_a_usage_error(sweep, tmp_path, capsys):
     cfg = _write_config(tmp_path, config_123_one())

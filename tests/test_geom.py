@@ -12,7 +12,6 @@ from fatpoints.geom import (
     ProjPoint,
     ZeroTriple,
     canonical_triple,
-    collinear,
     incident,
     line_from_canonical,
     line_from_json,
@@ -81,15 +80,6 @@ def test_meet_coincident():
 def test_incident_basic():
     assert incident(ProjPoint((1, 0, 0)), ProjLine((0, 1, 0)))
     assert not incident(ProjPoint((1, 1, 1)), ProjLine((1, 0, 0)))
-
-
-def test_collinear_examples():
-    pts = [ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0)), ProjPoint((1, 1, 0))]
-    assert collinear(pts)
-    assert not collinear([ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0)), ProjPoint((0, 0, 1))])
-    assert collinear([])
-    assert collinear([ProjPoint((1, 2, 3))])
-    assert collinear([ProjPoint((1, 2, 3)), ProjPoint((1, 2, 3))])
 
 
 def test_lines_through_pairs():

@@ -12,9 +12,7 @@ from fatpoints.linalg import _ELIM_PRIMES
 from fatpoints.hilbert import (
     EmptyScheme,
     HilbertTable,
-    OutOfRange,
     conditions_matrix,
-    delta,
     hilbert_table,
     hilbert_value,
     monomial_exponents,
@@ -137,13 +135,12 @@ def test_empty_scheme_table():
 
 def test_delta_examples():
     tab = hilbert_table(fatten(config_123_one(), 2), 6)
-    assert delta(tab, 5) == 3
-    assert delta(tab, 0) == tab.values[0] == 1
-    with pytest.raises(OutOfRange):
-        delta(tab, 7)
+    assert tab.deltas[5] == 3
+    assert tab.deltas[0] == tab.values[0] == 1
+    assert len(tab.deltas) == len(tab.values) == 7
     z = fatten(config_1345(), 2)
     tab2 = hilbert_table(z, 9)
-    assert delta(tab2, 9) == 3
+    assert tab2.deltas[9] == 3
 
 
 def test_monotone_and_capped():

@@ -29,7 +29,6 @@ from fatpoints.kconfig import (
     KConfiguration,
     KType,
     TypeMismatch,
-    candidate_lines,
     classify_case,
     count_lines,
     fatten,
@@ -37,9 +36,13 @@ from fatpoints.kconfig import (
     generate_with_line_count,
     kconfig_from_json,
     kconfig_to_json,
+    validate,
+)
+from lemmas import (
+    candidate_lines,
     line_count_consequence_holds,
     relabel_canonical,
-    validate,
+    tail_length,
 )
 
 
@@ -54,11 +57,11 @@ def test_ktype_validation():
 
 
 def test_tail_length():
-    assert KType((1, 2, 3)).tail_length() == 3
-    assert KType((1, 3, 4, 5)).tail_length() == 3
-    assert KType((2, 5)).tail_length() == 1
-    assert KType((1, 3)).tail_length() == 1
-    assert KType((1,)).tail_length() == 1
+    assert tail_length(KType((1, 2, 3))) == 3
+    assert tail_length(KType((1, 3, 4, 5))) == 3
+    assert tail_length(KType((2, 5))) == 1
+    assert tail_length(KType((1, 3))) == 1
+    assert tail_length(KType((1,))) == 1
 
 
 def test_validate_corpus_ok():

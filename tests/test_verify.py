@@ -8,20 +8,17 @@ from corpus import (
     config_123_star,
     config_1234,
     config_1345,
-    full_corpus,
 )
 from fatpoints import hilbert
-from fatpoints.kconfig import KType, generate_generic, generate_with_line_count
+from fatpoints.kconfig import KType, fatten, generate_generic, generate_with_line_count
 from fatpoints.verify import (
     MultiplicityBelowThreshold,
     SinglePointType,
     hilbert_family,
     m0,
-    verify_last_nonzero,
     verify_main,
-    verify_reduced_bound,
-    verify_regularity,
 )
+from lemmas import tail_length
 
 
 def test_m0_values():
@@ -61,68 +58,75 @@ def test_verify_main_single_point_refused():
         verify_main(x, 2)
 
 
+def _support_value(x):
+    """H_X(d_s - 1) of the reduced scheme: the report carries only its
+    first difference."""
+    return hilbert.hilbert_value(fatten(x, 1), x.ktype.ds - 1)
+
+
 def test_reduced_bound_consecutive_type():
     for x, expected_count in [
         (config_123_one(), 1),
         (config_123_star(), 4),
     ]:
-        rep = verify_reduced_bound(x)
-        assert rep.reduced_delta == 3 == rep.tail_length
+        rep = verify_main(x, 4, include_ri=True)
+        assert rep.reduced_delta == 3 == tail_length(x.ktype)
         assert rep.line_count == expected_count <= rep.reduced_delta + 1
-        assert rep.support_value == 6 == rep.support_expected
-        assert rep.ok
+        assert _support_value(x) == 6 == sum(x.ktype.d)
 
 
 def test_reduced_bound_walkthrough_type():
-    rep = verify_reduced_bound(config_1345())
-    assert rep.tail_length == 3
-    assert rep.line_count == 3 <= 4
-    assert rep.support_value == 13
-    assert rep.ok
+    x = config_1345()
+    rep = verify_main(x, 2, include_ri=True)
+    assert rep.reduced_delta == 3 == tail_length(x.ktype)
+    assert rep.line_count == 3 <= rep.reduced_delta + 1
+    assert _support_value(x) == 13 == sum(x.ktype.d)
 
 
 def test_reduced_bound_sparse_type():
     x = generate_generic(KType((2, 5)), seed=3, bound=15)
-    rep = verify_reduced_bound(x)
-    assert rep.tail_length == 1
-    assert rep.line_count <= 2
-    assert rep.ok
+    rep = verify_main(x, 2, include_ri=True)
+    assert rep.reduced_delta == 1 == tail_length(x.ktype)
+    assert rep.line_count <= rep.reduced_delta + 1 == 2
+    assert _support_value(x) == 7 == sum(x.ktype.d)
 
 
 def test_verify_regularity_small():
-    rep = verify_regularity(config_123_one(), 4)
-    assert rep.ri == 11 and rep.ok
+    rep = verify_main(config_123_one(), 4, include_ri=True)
+    assert rep.ri == 11 == 4 * 3 - 1
 
 
 def test_verify_regularity_threshold():
-    with pytest.raises(MultiplicityBelowThreshold):
-        verify_regularity(config_123_one(), 3)
+    # below m0 = s + 1 the report records the values without asserting
+    rep = verify_main(config_123_one(), 3, include_ri=True)
+    assert rep.m0 == 4 and rep.asserted is False
 
 
 def test_verify_regularity_single_point():
+    # verify_main refuses one point; its regularity index is m - 1
     x = generate_generic(KType((1,)), seed=1)
     for m in (1, 2, 5):
-        rep = verify_regularity(x, m)
-        assert rep.ri == m - 1 and rep.ok
+        assert hilbert.regularity_index(fatten(x, m)) == m - 1
 
 
 def test_verify_last_nonzero_walkthrough():
-    rep = verify_last_nonzero(config_1345(), 2)
-    assert rep.last_t == 9 and rep.last_delta == 3 == rep.line_count
-    assert rep.ok
+    # ri = t*, so H(t*) = deg and delta_value is the last nonzero difference
+    rep = verify_main(config_1345(), 2, include_ri=True)
+    assert rep.ri == 9 == 2 * 5 - 1
+    assert rep.delta_value == 3 == rep.line_count
 
 
 def test_verify_last_nonzero_counterexample_resolves():
-    rep = verify_last_nonzero(config_123_one(), 4)
-    assert rep.last_t == 11 and rep.last_delta == 1 == rep.line_count
-    assert rep.ok
+    rep = verify_main(config_123_one(), 4, include_ri=True)
+    assert rep.ri == 11 == 4 * 3 - 1
+    assert rep.delta_value == 1 == rep.line_count
 
 
 def test_verify_last_nonzero_small_star():
     x = generate_with_line_count(2, 3, seed=0, bound=12)
-    rep = verify_last_nonzero(x, 3)
-    assert rep.last_t == 5 and rep.last_delta == 3 == rep.line_count
-    assert rep.ok
+    rep = verify_main(x, 3, include_ri=True)
+    assert rep.ri == 5 == 3 * 2 - 1
+    assert rep.delta_value == 3 == rep.line_count
 
 
 def test_family_s2_is_singleton():

@@ -256,7 +256,12 @@ def json_field(data, key: str) -> list:
 
 
 def json_int(value) -> int:
-    # bool is a subclass of int: JSON true would read as 1
-    if not isinstance(value, (int, str)) or isinstance(value, bool):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    """A JSON integer, or a string of ASCII digits after an optional ``-``;
+    ``int`` alone would also read "1_0", " 1 ", "+1" and non-ASCII digits."""
+    if isinstance(value, str):
+        digits = value.removeprefix("-")
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+    elif isinstance(value, int) and not isinstance(value, bool):  # JSON true is not 1
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")

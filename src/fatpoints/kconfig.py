@@ -117,10 +117,6 @@ class KConfiguration:
         """
         return lines_through_pairs(self.points())
 
-    @property
-    def s(self) -> int:
-        return self.ktype.s
-
 
 def validate(x: KConfiguration) -> list[str]:
     """All violations of the defining conditions; empty means valid."""

@@ -3,46 +3,35 @@
 :func:`fatpoints.hilbert.hilbert_value` calls here only for a value that
 the Cooper-Harbourne-Teitler bounds f_v <= H <= F_v of the scheme's
 greedy reduction vector leave open; where they meet it builds no matrix.
-Two cooperating engines, both exact:
 
-* ``bareiss_rank`` -- fraction-free (Bareiss-style) elimination on
-  arbitrary-precision integers.  Entries stay integral throughout; the
-  divisions are exact by Sylvester's determinant identity.  This is the
-  reference engine and the fallback for every other path.
+``rank`` is the one engine at run time, multi-modular at every size.  A
+matrix with a ``mod(p)`` method (a conditions matrix from
+:mod:`fatpoints.hilbert`) builds its own int64 residues; other integer
+rows are reduced cell by cell.  An elimination mod p is a rank lower
+bound (a nonzero minor mod p is nonzero over Z) that pins the rank when
+it reaches a proven upper bound: ``min(rows, cols)``, or the sharper
+``upper`` that ``hilbert_value`` passes, the scheme's greedy
+Cooper-Harbourne-Teitler bound.  Otherwise a span certificate proves the
+rank: an integer kernel basis on the side of the smaller nullity, solved
+by p-adic lifting modulo the prime that found the pivots and checked
+against the exact rows, which nothing else reads.  Every returned value
+is therefore exact, and so is ``has_full_row_rank``.  ``bareiss_rank``,
+fraction-free elimination on arbitrary-precision integers, is the exact
+reference that the tests compare with; ``rank`` never calls it.
 
-* ``rank`` -- one certified multi-modular path at every size.  Residues
-  come first: a matrix with a ``mod(p)`` method (a conditions matrix from
-  :mod:`fatpoints.hilbert`) builds its own int64 residues, any other
-  sequence of integer rows is reduced cell by cell, and the exact rows
-  are read only by the span certificate and Bareiss.  An elimination
-  mod p yields a rank lower bound (a nonzero minor mod p is nonzero over
-  Z) and candidate pivot rows/columns.  When that lower bound reaches a
-  proven upper bound the rank is pinned exactly, with no certificate and
-  no Bareiss run.  The default bound is ``min(rows, cols)``; a caller that
-  holds a sharper one passes ``rank(rows, upper=...)``, as ``hilbert_value``
-  does with the scheme's greedy Cooper-Harbourne-Teitler bound.  Otherwise
-  the upper bound is proved by a span certificate: an integer kernel basis
-  on the side of the smaller nullity, solved by p-adic lifting modulo the
-  prime that found the pivots and checked against the whole matrix in
-  exact integer arithmetic.  If the check fails the matrix goes to
-  Bareiss.
-
-Every returned value is therefore exact regardless of which path
-produced it, and so is ``has_full_row_rank``, which compares ``rank``
-with the row count.
-
-All modular work is modulo the two ``_ELIM_PRIMES``, below 2**20, in
-float64.  The eliminations that pin a rank are blocked and right-looking,
-with delayed modular reduction and one BLAS matrix product per panel of
-columns, after FFLAS-FFPACK (Dumas, Giorgi and Pernet, "Dense linear
-algebra over word-size prime fields: the FFLAS and FFPACK packages", ACM
-TOMS 35(3), 2008).  Every float they hold is an integer below 2**53 in
-absolute value, so every product and sum is exact whatever order BLAS
-adds in: residues are below p, and a cell is reduced again before it
-carries more than ``(2**53 - p) // (p - 1)**2`` products of two residues
-(8192 for a 20-bit p, more than any matrix here needs).  The span
-certificate lifts with the pivot block's inverse mod the same prime and
-the block split into 16-bit limbs, so its float64 products are exact too.
+All modular work is modulo primes below 2**20, the two ``_ELIM_PRIMES``
+first, in float64.  The eliminations that pin a rank are blocked and
+right-looking, with delayed modular reduction and one BLAS matrix product
+per panel of columns, after FFLAS-FFPACK (Dumas, Giorgi and Pernet, "Dense
+linear algebra over word-size prime fields: the FFLAS and FFPACK
+packages", ACM TOMS 35(3), 2008).  Every float they hold is an integer
+below 2**53 in absolute value, so every product and sum is exact whatever
+order BLAS adds in: residues are below p, and a cell is reduced again
+before it carries more than ``(2**53 - p) // (p - 1)**2`` products of two
+residues (8192 for a 20-bit p, more than any matrix here needs).  The
+span certificate lifts with the pivot block's inverse mod the same prime
+and the block split into 16-bit limbs, so its float64 products are exact
+too.
 
 The modular arithmetic here is an internal certification device only;
 geometric coefficients elsewhere in the package remain rational.
@@ -66,8 +55,8 @@ try:
 except ImportError:  # gmpy2 is an optional extra: ``pip install .[gmpy2]``
     mpz = int  # Python int gives the same exact results, only slower
 
-# Primes below 2**20 for the float64 eliminations that pin ranks and for
-# the p-adic lifting of the span certificate.
+# The two largest primes below 2**20, the first that ``rank`` eliminates
+# modulo: in float64 every product of two residues is exact.
 _ELIM_PRIMES = (1048573, 1048571)
 # Columns per panel of ``_modp_eliminate``: one BLAS product per panel.
 _PANEL = 32
@@ -128,6 +117,15 @@ def bareiss_rank(rows) -> int:
         if pr == n:
             break
     return rank
+
+
+def _primes():
+    """The odd primes below 2**20, largest first: ``_ELIM_PRIMES``, then on
+    down by trial division."""
+    yield from _ELIM_PRIMES
+    for q in range(_ELIM_PRIMES[-1] - 2, 2, -2):
+        if all(q % d for d in range(3, isqrt(q) + 1, 2)):
+            yield q
 
 
 def _modp_matrix(rows, p: int) -> np.ndarray:
@@ -347,17 +345,19 @@ def _span_certificate(rows, piv_rows, piv_cols, p: int) -> bool:
     ``Y[:, j]`` on the pivot columns and ``-den`` times unit vector j on the
     others, so the vectors are independent.  They annihilate the pivot
     rows by ``A Y == den * B``; False means another row is not annihilated,
-    so the true rank is above r.
+    so the true rank is above r.  ``ValueError`` when r and p are too large
+    for exact float64 lifting: 2**15 pivots for a 20-bit p.
     """
     import numpy as np
 
     M = np.array(rows, dtype=object)
+    if len(piv_rows) * (p // 2) ** 2 >= 2**53:
+        raise ValueError(f"{len(piv_rows)} pivots of a {M.shape[0]}x{M.shape[1]} matrix "
+                         f"are too many for exact float64 lifting mod {p}")
     if M.shape[1] >= M.shape[0]:  # the left nullity is no larger
         M, piv_rows, piv_cols = M.T, piv_cols, piv_rows
     if not piv_rows:  # the kernel is everything: the matrix must be zero
         return not M.any()
-    if len(piv_rows) * (p // 2) ** 2 >= 2**53:
-        return False  # too large for exact float64 lifting; Bareiss decides
     free = np.setdiff1d(np.arange(M.shape[1]), piv_cols)
     Y, den = _lift(M[np.ix_(piv_rows, piv_cols)], M[np.ix_(piv_rows, free)], p)
     rest = M[np.setdiff1d(np.arange(M.shape[0]), piv_rows)]
@@ -365,43 +365,45 @@ def _span_certificate(rows, piv_rows, piv_cols, p: int) -> bool:
 
 
 def rank(rows, upper: int | None = None) -> int:
-    """Exact rank of an integer matrix; certified fast paths, Bareiss fallback.
+    """Exact rank of an integer matrix, pinned or certified mod p.
 
     ``upper``, when given, must be a proven upper bound on the rank over Q;
-    it tightens the default bound ``min(rows, cols)``.  Each elimination
-    mod p gives a lower bound, so one that reaches the bound pins the rank
-    exactly; a mod-p rank above ``upper`` raises ``ValueError``.
-
-    The residues come first, from ``rows.mod(p)`` when the matrix has it;
-    the exact rows are read only after a missed pin, at any size.  The
-    matrix is eliminated in float64 mod each of the two ``_ELIM_PRIMES``
-    (below 2**20, so every product is exact; see :func:`_modp_eliminate`),
-    the second only when the first misses the bound, since an unlucky
-    prime can lose rank.  When both miss, one span certificate
-    (:func:`_span_certificate`) proves the larger mod-p rank with the
-    pivots and the prime that found it, and Bareiss settles what it
-    cannot.
+    it tightens the default bound ``min(rows, cols)``.  The matrix is
+    eliminated modulo one prime after another (:func:`_primes`,
+    :func:`_modp_eliminate`).  Each elimination is a lower bound: one
+    that reaches the bound pins the rank, one above ``upper`` raises
+    ``ValueError``, and the largest so far is the floor.  From the second
+    prime on, an elimination that reaches the floor sends the
+    higher-ranked of the last two eliminations (the earlier on a tie) to
+    :func:`_span_certificate`.  That proves the rank, or proves a row
+    outside the span of its pivot rows: the floor is then one more, and
+    primes that stay below it get no certificate.  A prime loses rank
+    only if it divides every nonzero maximal minor, and the primes
+    multiply to about 2**1510000; if they run out, ``ValueError``.
     """
     n = len(rows)
     if n == 0:
         return 0
-    first = _modp_matrix(rows, _ELIM_PRIMES[0])
-    m = first.shape[1]
-    bound = min(n, m) if upper is None else min(n, m, upper)
-    best = None
-    for p in _ELIM_PRIMES:
-        residues = first if p == _ELIM_PRIMES[0] else _modp_matrix(rows, p)
-        found = _modp_eliminate(residues, p)
-        if found[0] > bound:
-            raise ValueError(f"upper bound {upper} is below the mod-p rank {found[0]}")
-        if found[0] == bound:
-            return found[0]
-        if best is None or found[0] > best[0][0]:
-            best = found, p
-    (rp, piv_rows, piv_cols), p = best
-    if _span_certificate(rows, piv_rows, piv_cols, p):
-        return rp
-    return bareiss_rank(rows)
+    floor, last = 0, None
+    for p in _primes():
+        residues = _modp_matrix(rows, p)
+        bound = min(n, residues.shape[1], n if upper is None else upper)
+        found = _modp_eliminate(residues, p), p
+        r = found[0][0]
+        if r > bound:
+            raise ValueError(f"upper bound {upper} is below the mod-p rank {r}")
+        if r == bound:
+            return r
+        if last is not None and r >= floor:
+            (r, piv_rows, piv_cols), q = max(last, found, key=lambda f: f[0][0])
+            if _span_certificate(rows, piv_rows, piv_cols, q):
+                return r
+            r += 1  # a row outside the span of r rows
+            if r == bound:
+                return r
+        floor, last = max(floor, r), found
+    m = residues.shape[1]
+    raise ValueError(f"no prime below 2**20 settles the rank of a {n}x{m} matrix")
 
 
 def has_full_row_rank(rows) -> bool:

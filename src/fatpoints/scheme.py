@@ -60,12 +60,6 @@ class FatPointScheme:
             seen[p] = m
         return cls(tuple(seen.items()))
 
-    def multiplicity(self, p: ProjPoint) -> int:
-        for q, m in self.entries:
-            if q == p:
-                return m
-        return 0
-
     def support(self) -> tuple[ProjPoint, ...]:
         return tuple(p for p, _ in self.entries)
 
@@ -74,10 +68,6 @@ class FatPointScheme:
 
     def is_empty(self) -> bool:
         return not self.entries
-
-    def line_degree(self, l: ProjLine) -> int:
-        """Sum of multiplicities of the points incident to l."""
-        return sum(m for p, m in self.entries if incident(p, l))
 
     def residual(self, l: ProjLine) -> "FatPointScheme":
         """Decrement every multiplicity on l by one, dropping zeros."""

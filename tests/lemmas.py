@@ -6,13 +6,26 @@ exact Hilbert values, not off these lemmas.  They live with the tests as
 independent checks of the configurations the package generates: the tail
 length of a type, the candidate-line shortlist, the consequence of a
 maximal defining line for the type, and the relabelling that moves the
-maximal defining lines into trailing positions.
+maximal defining lines into trailing positions.  Two readings of a fat
+point scheme that only the tests take, its multiplicity at a point and
+its degree on a line, live here too.
 """
 
 from __future__ import annotations
 
-from fatpoints.geom import ProjLine, incident, line_through
+from fatpoints.geom import ProjLine, ProjPoint, incident, line_through
 from fatpoints.kconfig import KConfiguration, KType, TypeMismatch, validate
+from fatpoints.scheme import FatPointScheme
+
+
+def multiplicity(z: FatPointScheme, p: ProjPoint) -> int:
+    """The multiplicity of z at p, 0 off its support."""
+    return dict(z.entries).get(p, 0)
+
+
+def line_degree(z: FatPointScheme, l: ProjLine) -> int:
+    """Sum of multiplicities of the points of z incident to l."""
+    return sum(m for p, m in z.entries if incident(p, l))
 
 
 def tail_length(ktype: KType) -> int:

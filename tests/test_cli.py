@@ -231,16 +231,23 @@ def test_missing_json_key_is_named(argv, data, key, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "data",
-    [{"points": [["1", "0", "0"]], "mults": [True]},
-     {"points": [["1", True, "0"]], "mults": ["1"]}],
-    ids=["multiplicity", "coordinate"],
+    "data, bad",
+    [({"points": [["1", "0", "0"]], "mults": [True]}, True),
+     ({"points": [["1", True, "0"]], "mults": ["1"]}, True),
+     ({"points": [["1_0", "1", "1"]], "mults": [2]}, "1_0"),
+     ({"points": [[" 1 ", "1", "1"]], "mults": [2]}, " 1 "),
+     ({"points": [["\u0663", "1", "1"]], "mults": [2]}, "\u0663"),
+     ({"points": [["0", "1", "1"]], "mults": ["+1"]}, "+1")],
+    ids=["multiplicity", "coordinate", "underscore", "spaces", "arabic-indic-digit",
+         "plus-sign"],
 )
-def test_json_booleans_are_not_integers(data, tmp_path, capsys):
-    path = tmp_path / "bool.json"
+def test_json_integers_are_ints_or_decimal_strings(data, bad, tmp_path, capsys):
+    # ``int`` reads each of these strings; the wire format's decimal strings
+    # are ASCII digits after an optional minus sign, and JSON true is not an int.
+    path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert main(["hilbert", "--t-max", "3", "--scheme", str(path)]) == 1
-    assert capsys.readouterr().err == "error: expected an integer, got True\n"
+    assert capsys.readouterr().err == f"error: expected an integer, got {bad!r}\n"
 
 
 @pytest.mark.parametrize("sweep", ["3", "5:3", "0:2"], ids=["no-colon", "empty", "zero"])

@@ -1,8 +1,10 @@
 """The rank engines against each other and against a Fraction oracle."""
 
+import math
 import random
 
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -108,10 +110,12 @@ def test_has_full_row_rank():
     [[[0, 0, 0]], [[0], [0]], [[_ELIM_PRIMES[0] * _ELIM_PRIMES[1]]]],
     ids=["zero_row", "zero_column", "product_of_elimination_primes"],
 )
-def test_rank_zero_modulo_both_primes(M):
+def test_rank_zero_modulo_both_primes(M, monkeypatch):
     # No pivot mod either prime: zero rows have rank 0 with no solve, and a
-    # nonzero matrix goes to Bareiss.
-    assert rank(M) == bareiss_rank(M)
+    # nonzero matrix fails the certificate, which proves its rank above 0.
+    expected = bareiss_rank(M)
+    monkeypatch.setattr(linalg, "bareiss_rank", _refuse)
+    assert rank(M) == expected
 
 
 @given(st.integers(1, 10**9), st.integers(2, 60))
@@ -178,7 +182,7 @@ def test_pin_is_tight_on_small_conditions_matrix(t, monkeypatch):
         patch.setattr(linalg, "bareiss_rank", _refuse)
         patch.setattr(linalg, "_span_certificate", _refuse)
         assert rank(M, upper=F) == expected == F
-    # A bound that is not tight falls through to Bareiss.
+    # A bound that is not tight falls through to the span certificate.
     assert rank(M, upper=F + 1) == expected
 
 
@@ -338,7 +342,7 @@ def test_certificate_lifts_past_spurious_reconstructions(monkeypatch):
     assert sum(f is not None for f in found) > 1
 
 
-def test_certificate_refuses_a_rank_both_primes_lose():
+def test_certificate_refuses_a_rank_both_primes_lose(monkeypatch):
     # q vanishes mod both elimination primes: each finds the one pivot (0, 0),
     # whose kernel vector does not annihilate the row (0, q).
     q = _ELIM_PRIMES[0] * _ELIM_PRIMES[1]
@@ -346,7 +350,15 @@ def test_certificate_refuses_a_rank_both_primes_lose():
     for p in _ELIM_PRIMES:
         assert linalg._modp_eliminate(np.array(M) % p, p) == (1, [0], [0])
         assert linalg._span_certificate(M, [0], [0], p) is False
+    monkeypatch.setattr(linalg, "bareiss_rank", _refuse)
     assert rank(M) == 2
+
+
+def test_certificate_refuses_a_prime_too_large_for_float64_lifting():
+    # One pivot mod a 31-bit prime already passes 2**53 in the lifting's
+    # products; no verdict is a safe answer, since False would prove rank 2.
+    with pytest.raises(ValueError, match="2x2 matrix"):
+        linalg._span_certificate([[1, 0], [0, 1]], [0], [0], 2147483647)
 
 
 @given(st.lists(st.integers(-(2**300), 2**300), min_size=1, max_size=12))
@@ -366,6 +378,53 @@ def test_inverse_modp_is_exact_without_reducing_every_cell():
     inv = linalg._inverse_modp(A, p)
     assert np.abs(inv).max() <= p // 2
     assert ((A @ inv) % p == np.eye(200)).all()
+
+
+# --- primes past the elimination primes --------------------------------------
+
+
+def _largest_primes(count):
+    """The ``count`` largest primes below 2**20, by a sieve of Eratosthenes."""
+    sieve = np.ones(2**20, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, 2**10):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    return [int(q) for q in np.flatnonzero(sieve)[::-1][:count]]
+
+
+def test_primes_start_with_the_elimination_primes():
+    primes = list(islice(linalg._primes(), 20))
+    assert primes[:2] == list(_ELIM_PRIMES)
+    assert primes == _largest_primes(20)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_rank_goes_past_primes_that_lose_rank(k, monkeypatch):
+    # q is the product of the k largest primes, so each of them loses rank on
+    # [[1, 0], [0, q]] and on the conditions matrices where (q, 1, 1) and
+    # (0, 1, 1) coincide mod p.  One certificate per such matrix fails and
+    # raises the floor above the rank those primes find, so they get no
+    # second one, and a later prime settles the value.
+    q = math.prod(_largest_primes(k))
+    pts = [ProjPoint((q, 1, 1)), ProjPoint((0, 1, 1)), ProjPoint((1, 0, 1)),
+           ProjPoint((2, 3, 1)), ProjPoint((-3, 1, 2)), ProjPoint((5, -2, 3))]
+    z = FatPointScheme.from_points(pts, [3] * 6)
+    matrices = [[[1, 0], [0, q]], *(conditions_matrix(z, t) for t in range(12))]
+    expected = [bareiss_rank(M) for M in matrices]
+    verdicts = []
+    real_certificate = linalg._span_certificate
+
+    def certificate(*args):
+        verdicts[-1].append(real_certificate(*args))
+        return verdicts[-1][-1]
+
+    monkeypatch.setattr(linalg, "_span_certificate", certificate)
+    monkeypatch.setattr(linalg, "bareiss_rank", _refuse)
+    for M, value in zip(matrices, expected):
+        verdicts.append([])
+        assert rank(M) == value
+    assert [v.count(False) for v in verdicts] == [1] + [0] * 6 + [1] * 6
 
 
 # --- the float64 kernel against the int64 reference --------------------------

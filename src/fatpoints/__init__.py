@@ -16,11 +16,10 @@ from .geom import (
 )
 from .scheme import FatPointScheme, ReductionVector, reduction_vector
 from .hilbert import HilbertTable, hilbert_table, hilbert_value, regularity_index
-from .cht import BoundReport, F_upper, bound_check, f_lower, peeling_sequence
+from .cht import BoundReport, F_upper, bound_check, peeling_sequence
 from .kconfig import (
     KConfiguration,
     KType,
-    classify_case,
     count_lines,
     fatten,
     generate_generic,

@@ -10,18 +10,21 @@ with C(n, 2) = 0 for n < 2.  The summands of f are clamped at zero: a
 negative t - i + 1 cannot contribute a negative number of conditions.
 ``ReductionVector.sandwich`` evaluates both in one pass over the first
 t + 1 entries, with running sums in place of binomials: C(t+2,2) -
-C(t-i+2,2) is the sum of max(t + 1 - k, 0) over k < i.  ``f_lower`` and
-``F_upper`` check completeness and read its two halves; ``bound_check``
-checks once and takes both from one call.
+C(t-i+2,2) is the sum of max(t + 1 - k, 0) over k < i.  ``F_upper``
+checks completeness and reads its upper half; ``bound_check`` checks once
+and takes both from one call.
 
 ``peeling_sequence`` builds the standard line sequences whose reduction
 vectors make these bounds tight at the degrees of interest: repeated
 descending passes over the defining lines, the analogous passes over the
 s + 1 full lines of a star, and the augmented variant that finishes with
 the line through two private points plus one line per leftover private
-point.  They serve the ``bounds`` and ``reduce`` commands only; exact
-Hilbert values use the bounds of ``FatPointScheme.greedy_reduction``,
-which settle a value where f_v = F_v and pin its rank where they differ.
+point.  For a type (1, ..., s) the full lines are the s-point lines that
+:func:`fatpoints.kconfig.count_lines` returns, and the private point of
+one is its least point on no other full line.  The sequences serve the
+``bounds`` and ``reduce`` commands only; exact Hilbert values use the
+bounds of ``FatPointScheme.greedy_reduction``, which settle a value where
+f_v = F_v and pin its rank where they differ.
 """
 
 from __future__ import annotations
@@ -50,12 +53,6 @@ class StrategyInapplicable(ValueError):
 REPEAT_DESCENDING = "repeat_descending"
 STAR = "star"
 AUGMENTED = "augmented"
-
-
-def f_lower(v: ReductionVector, t: int) -> int:
-    if not v.complete:
-        raise IncompleteReduction("lower bound requires a complete reduction")
-    return v.sandwich(t)[0]
 
 
 def F_upper(v: ReductionVector, t: int) -> int:
@@ -105,39 +102,45 @@ def peeling_sequence(x, m: int, strategy: str, seed: int = 0) -> list[ProjLine]:
     if strategy == REPEAT_DESCENDING:
         return descending * m
     if strategy == STAR:
-        if x.ktype.ds != x.ktype.s:
-            raise StrategyInapplicable("star peeling needs type (1, ..., s)")
-        tri = _kconfig.classify_case(x)
-        if tri.case != _kconfig.Case.MANY:
-            raise StrategyInapplicable("star peeling needs s + 1 full lines")
-        full = sorted(tri.full_lines, reverse=True)
-        passes = -(-m // 2)
-        return full * passes
+        full = _full_lines(x, "star", star=True)
+        return sorted(full, reverse=True) * -(-m // 2)
     if strategy == AUGMENTED:
         return _augmented_sequence(x, m, seed)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def _full_lines(x, strategy: str, star: bool) -> list[ProjLine]:
+    """The s-point lines of a type (1, ..., s) configuration with s >= 2:
+    s + 1 of them (the star) when ``star`` is true, exactly s otherwise."""
+    s = x.ktype.s
+    if x.ktype.ds != s or s < 2:
+        raise StrategyInapplicable(f"{strategy} peeling needs type (1, ..., s)")
+    r, full = _kconfig.count_lines(x, s)
+    if r != s + star:
+        wanted = "s + 1" if star else "exactly s"
+        raise StrategyInapplicable(f"{strategy} peeling needs {wanted} full lines")
+    return full
+
+
 def _augmented_sequence(x, m: int, seed: int) -> list[ProjLine]:
     if m < 2:
         raise StrategyInapplicable("the augmented peeling needs m >= 2")
-    if x.ktype.ds != x.ktype.s:
-        raise StrategyInapplicable("augmented peeling needs type (1, ..., s)")
-    tri = _kconfig.classify_case(x)
-    if tri.case != _kconfig.Case.EXACT:
-        raise StrategyInapplicable("augmented peeling needs exactly s full lines")
-    if set(tri.full_lines) != set(x.lines):
+    full = _full_lines(x, "augmented", star=False)
+    if set(full) != set(x.lines):
         raise StrategyInapplicable(
             "augmented peeling needs the full lines to be the defining lines"
         )
     s = x.ktype.s
-    p1 = tri.privates[x.lines[0]]
-    p2 = tri.privates[x.lines[1]]
-    h = line_through(p1, p2)
-    off = sorted(p for p in tri.privates.values() if not incident(p, h))
+    points = x.points()
+    privates = [
+        min(p for p in points
+            if incident(p, l) and not any(incident(p, o) for o in full if o != l))
+        for l in x.lines
+    ]
+    h = line_through(privates[0], privates[1])
+    off = sorted(p for p in privates if not incident(p, h))
     rng = Random(seed)
     extras = []
-    points = set(x.points())
     for i, q in enumerate(off):
         later = off[i + 1 :]
         while True:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, perm
 from typing import TYPE_CHECKING
 
 from . import linalg
@@ -52,21 +52,6 @@ class EmptyScheme(ValueError):
 def monomial_exponents(t: int) -> list[tuple[int, int, int]]:
     """Exponent triples of the degree-t monomials, in a fixed order."""
     return [(t - b - c, b, c) for b in range(t + 1) for c in range(t - b + 1)]
-
-
-def _falling_table(n: int, k: int) -> list[list[int]]:
-    """F[e][a] = e (e - 1) ... (e - a + 1) for 0 <= e <= n, 0 <= a <= k.
-
-    F[e][a] = 0 when a > e, which is what zeroes a derivative whose order
-    exceeds the monomial's exponent.
-    """
-    table = []
-    for e in range(n + 1):
-        row = [1]
-        for a in range(k):
-            row.append(row[-1] * (e - a))
-        table.append(row)
-    return table
 
 
 def _mod(a, p: int | None):
@@ -99,7 +84,8 @@ def _stencil(t: int, order: int, p: int | None):
     c = cols[None, :, 2] - ops[:, None, 2]
     index = b * (d + 1) - b * (b - 1) // 2 + c  # position in monomial_exponents(d)
     shift = index.clip(0, len(shifted) - 1)
-    F = np.array([[_mod(f, p) for f in row] for row in _falling_table(t, order)],
+    # F[e, a] = e (e - 1) ... (e - a + 1), which is 0 when a > e
+    F = np.array([[_mod(perm(e, a), p) for a in range(order + 1)] for e in range(t + 1)],
                  dtype=object if p is None else np.int64)
     E, A = cols[None, :, :], ops[:, None, :]
     coefficients = _mod(F[E[..., 0], A[..., 0]] * F[E[..., 1], A[..., 1]], p)

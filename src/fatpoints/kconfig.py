@@ -4,14 +4,12 @@ A configuration of type (d_1 < ... < d_s) is a union of subsets X_i of
 sizes d_i, each on its own line L_i, where every later line avoids all
 earlier subsets.  This module provides validation against those defining
 conditions, seeded generators for arbitrary types and for prescribed
-counts of maximal lines, the count of lines meeting X in k points, the
-three-way classification for types (1, ..., s), and the passage to fat
-point schemes.
+counts of maximal lines, the count of lines meeting X in k points, and
+the passage to fat point schemes.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
@@ -46,10 +44,6 @@ class InvalidLineCount(ValueError):
 
 class InfeasibleLineCount(ValueError):
     """Requested count is in range but no such configuration exists."""
-
-
-class TypeMismatch(ValueError):
-    """Operation requires a different configuration type."""
 
 
 class GenerationFailed(RuntimeError):
@@ -374,57 +368,6 @@ def generate_with_line_count(s: int, r: int, seed: int, bound: int = 50) -> KCon
         lambda x: count_lines(x, s)[0] == r,
         f"no type {ktype.d} configuration with r={r} found",
     )
-
-
-# --- trichotomy ------------------------------------------------------------
-
-class Case(enum.Enum):
-    MANY = "many"    # s + 1 maximal lines: the star
-    EXACT = "exact"  # exactly s maximal lines, one private point each
-    FEW = "few"      # 1 <= r < s maximal lines
-
-
-@dataclass(frozen=True)
-class Trichotomy:
-    case: Case
-    r: int
-    full_lines: tuple[ProjLine, ...]
-    privates: dict[ProjLine, ProjPoint]
-
-
-def classify_case(x: KConfiguration) -> Trichotomy:
-    """Classify a type (1, ..., s) configuration by its maximal line count.
-
-    For the star case the points are checked to be exactly the pairwise
-    meets of the s + 1 lines; for the middle case each maximal line is
-    checked to carry a point on no other maximal line.
-    """
-    if x.ktype.ds != x.ktype.s or x.ktype.s < 2:
-        raise TypeMismatch("classification applies to types (1, 2, ..., s), s >= 2")
-    s = x.ktype.s
-    points = set(x.points())
-    r, full = count_lines(x, s)
-    if r == s + 1:
-        meets = {meet(a, b) for a, b in combinations(full, 2)}
-        if meets != points:
-            raise AssertionError("star case without the star structure")
-        return Trichotomy(Case.MANY, r, tuple(full), {})
-    if r == s:
-        privates = {}
-        for l in full:
-            mine = [
-                p
-                for p in points
-                if incident(p, l)
-                and not any(incident(p, o) for o in full if o != l)
-            ]
-            if not mine:
-                raise AssertionError("a maximal line has no private point")
-            privates[l] = sorted(mine)[0]
-        return Trichotomy(Case.EXACT, r, tuple(full), privates)
-    if not 1 <= r < s:
-        raise AssertionError(f"impossible maximal line count {r}")
-    return Trichotomy(Case.FEW, r, tuple(full), {})
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -38,8 +38,7 @@ geometric coefficients elsewhere in the package remain rational.
 
 numpy is imported inside the functions that touch arrays, not when this
 module loads, so it loads with the first ``rank`` of a nonempty matrix.
-A command whose every Hilbert value the sandwich settles never loads it,
-nor ``fractions``, which only the span certificate's reconstruction uses.
+A command whose every Hilbert value the sandwich settles never loads it.
 """
 
 from __future__ import annotations
@@ -50,10 +49,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # gmpy2 is an optional extra: ``pip install .[gmpy2]``
-    mpz = int  # Python int gives the same exact results, only slower
+# The big-integer type, always Python int.  Only perfbench/run.py's stamp
+# reads it, until ROADMAP item 1 drops that read and this name with it.
+mpz = int
 
 # The two largest primes below 2**20, the first that ``rank`` eliminates
 # modulo: in float64 every product of two residues is exact.
@@ -75,13 +73,13 @@ def bareiss_rank(rows) -> int:
     must be applied to every remaining row, including rows whose leading
     entry is zero (those still pick up the ``pivot / prev`` scaling).
     """
-    M = [[mpz(v) for v in row] for row in rows]
+    M = [[int(v) for v in row] for row in rows]
     n = len(M)
     if n == 0 or not M[0]:
         return 0
     ncols = len(M[0])
     rank = 0
-    prev = mpz(1)
+    prev = 1
     pr = 0
     for pc in range(ncols):
         piv = None
@@ -106,7 +104,7 @@ def bareiss_rank(rows) -> int:
             lead = row_r[pc]
             if lead:
                 M[r] = [(pivval * a - lead * b) // prev for a, b in zip(row_r, row_p)]
-                M[r][pc] = mpz(0)
+                M[r][pc] = 0
             elif prev != 1:
                 M[r] = [(pivval * a) // prev for a in row_r]
             else:
@@ -214,9 +212,8 @@ def _modp_eliminate(A: np.ndarray, p: int):
 
 
 def _rational_reconstruct(x: int, modulus: int):
-    """Wang's rational reconstruction of x mod modulus, or None."""
-    from fractions import Fraction
-
+    """Wang's rational reconstruction of x mod modulus as (num, den) in
+    lowest terms with den > 0, or None."""
     bound = isqrt((modulus - 1) // 2)
     r0, r1 = modulus, x % modulus
     s0, s1 = 0, 1
@@ -229,7 +226,7 @@ def _rational_reconstruct(x: int, modulus: int):
     num, den = (r1, s1) if s1 > 0 else (-r1, -s1)
     if gcd(abs(num), den) != 1:
         return None
-    return Fraction(num, den)
+    return num, den
 
 
 def _inverse_modp(A: np.ndarray, p: int) -> np.ndarray:
@@ -270,9 +267,9 @@ def _reconstruct(X: np.ndarray, modulus: int):
         if min(y, modulus - y) <= bound:
             continue
         f = _rational_reconstruct(y, modulus)
-        if f is None or den * f.denominator > bound:
+        if f is None or den * f[1] > bound:
             return None
-        den *= f.denominator
+        den *= f[1]
     Y = den * X % modulus
     return np.where(Y > modulus // 2, Y - modulus, Y), den
 

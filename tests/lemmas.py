@@ -9,13 +9,30 @@ maximal defining line for the type, and the relabelling that moves the
 maximal defining lines into trailing positions.  Two readings of a fat
 point scheme that only the tests take, its multiplicity at a point and
 its degree on a line, live here too.
+
+The trichotomy oracle, :func:`classify_case`, sorts a type (1, ..., s)
+configuration by r, its number of s-point lines: the star (r = s + 1),
+whose points it checks to be the pairwise meets of the s + 1 lines;
+exactly s, where it checks that each line carries a private point, on no
+other full line, and takes the least; and fewer.  The star and augmented
+peels of :func:`fatpoints.cht.peeling_sequence` read the same lines and
+points straight off :func:`fatpoints.kconfig.count_lines`, and the tests
+compare them with it.
 """
 
 from __future__ import annotations
 
-from fatpoints.geom import ProjLine, ProjPoint, incident, line_through
-from fatpoints.kconfig import KConfiguration, KType, TypeMismatch, validate
+import enum
+from dataclasses import dataclass
+from itertools import combinations
+
+from fatpoints.geom import ProjLine, ProjPoint, incident, line_through, meet
+from fatpoints.kconfig import KConfiguration, KType, count_lines, validate
 from fatpoints.scheme import FatPointScheme
+
+
+class TypeMismatch(ValueError):
+    """Operation requires a different configuration type."""
 
 
 def multiplicity(z: FatPointScheme, p: ProjPoint) -> int:
@@ -138,3 +155,52 @@ def _relabel_step(x: KConfiguration):
     new_subsets.extend(subsets[s - j - 1 :])
     new_lines.extend(lines[s - j - 1 :])
     return KConfiguration(x.ktype, tuple(new_subsets), tuple(new_lines))
+
+
+class Case(enum.Enum):
+    MANY = "many"    # s + 1 maximal lines: the star
+    EXACT = "exact"  # exactly s maximal lines, one private point each
+    FEW = "few"      # 1 <= r < s maximal lines
+
+
+@dataclass(frozen=True)
+class Trichotomy:
+    case: Case
+    r: int
+    full_lines: tuple[ProjLine, ...]
+    privates: dict[ProjLine, ProjPoint]
+
+
+def classify_case(x: KConfiguration) -> Trichotomy:
+    """Classify a type (1, ..., s) configuration by its maximal line count.
+
+    For the star case the points are checked to be exactly the pairwise
+    meets of the s + 1 lines; for the middle case each maximal line is
+    checked to carry a point on no other maximal line.
+    """
+    if x.ktype.ds != x.ktype.s or x.ktype.s < 2:
+        raise TypeMismatch("classification applies to types (1, 2, ..., s), s >= 2")
+    s = x.ktype.s
+    points = set(x.points())
+    r, full = count_lines(x, s)
+    if r == s + 1:
+        meets = {meet(a, b) for a, b in combinations(full, 2)}
+        if meets != points:
+            raise AssertionError("star case without the star structure")
+        return Trichotomy(Case.MANY, r, tuple(full), {})
+    if r == s:
+        privates = {}
+        for l in full:
+            mine = [
+                p
+                for p in points
+                if incident(p, l)
+                and not any(incident(p, o) for o in full if o != l)
+            ]
+            if not mine:
+                raise AssertionError("a maximal line has no private point")
+            privates[l] = sorted(mine)[0]
+        return Trichotomy(Case.EXACT, r, tuple(full), privates)
+    if not 1 <= r < s:
+        raise AssertionError(f"impossible maximal line count {r}")
+    return Trichotomy(Case.FEW, r, tuple(full), {})

@@ -10,6 +10,8 @@ from corpus import (
     config_123_star,
     config_1234,
     config_1345,
+    full_corpus,
+    trichotomy_corpus,
 )
 from fatpoints.cht import (
     AUGMENTED,
@@ -19,14 +21,14 @@ from fatpoints.cht import (
     IncompleteReduction,
     StrategyInapplicable,
     bound_check,
-    f_lower,
     peeling_sequence,
 )
 from fatpoints.geom import ProjLine, ProjPoint, incident, line_through, random_point
 from fatpoints.hilbert import conditions_matrix, hilbert_value, regularity_index
-from fatpoints.kconfig import fatten
+from fatpoints.kconfig import fatten, generate_with_line_count
 from fatpoints.linalg import bareiss_rank
 from fatpoints.scheme import FatPointScheme, ReductionVector, reduction_vector
+from lemmas import Case, TypeMismatch, classify_case
 
 
 def _vec(values):
@@ -34,12 +36,12 @@ def _vec(values):
 
 
 def test_f_lower_walkthrough():
-    assert f_lower(_vec([10, 9, 8, 3, 3, 3, 2, 1]), 8) == 36
+    assert _vec([10, 9, 8, 3, 3, 3, 2, 1]).sandwich(8)[0] == 36
 
 
 def test_f_lower_four_line_tables():
-    assert f_lower(_vec([8, 7, 6, 5, 1, 1, 1, 1]), 6) == 25
-    assert f_lower(_vec([8, 7, 6, 5, 2, 1, 1]), 6) == 26
+    assert _vec([8, 7, 6, 5, 1, 1, 1, 1]).sandwich(6)[0] == 25
+    assert _vec([8, 7, 6, 5, 2, 1, 1]).sandwich(6)[0] == 26
 
 
 def test_F_upper_walkthrough():
@@ -57,8 +59,6 @@ def test_F_upper_single_point():
 
 def test_incomplete_reduction_rejected():
     v = ReductionVector((3,), (), complete=False)
-    with pytest.raises(IncompleteReduction):
-        f_lower(v, 2)
     with pytest.raises(IncompleteReduction):
         F_upper(v, 2)
 
@@ -127,13 +127,60 @@ def test_peeling_strategy_errors():
         peeling_sequence(x4, 1, AUGMENTED)
 
 
+def _configurations(s):
+    """The hand-built corpora for s = None; otherwise the type (1, ..., s)
+    configurations with every feasible count r of s-point lines, seeds 0-2."""
+    if s is None:
+        return [x for x, _ in trichotomy_corpus()] + [x for x, _, _ in full_corpus()]
+    return [generate_with_line_count(s, r, seed, 20)
+            for r in range(1 if s > 2 else 3, s + 2) for seed in range(3)]
+
+
+@pytest.mark.parametrize("s", [None, 2, 3, 4, 5, 6])
+def test_star_and_augmented_peels_match_the_trichotomy_oracle(s):
+    # The peels read the full lines and private points off count_lines; the
+    # oracle classify_case takes them with its lemma checks.  Where the
+    # oracle rules a strategy out, the peel refuses it.
+    for x in _configurations(s):
+        try:
+            tri = classify_case(x)
+        except TypeMismatch:
+            tri = None
+        if tri is not None and tri.case == Case.EXACT:
+            # the private point of each full line is unique
+            for l in tri.full_lines:
+                on = [p for p in x.points() if incident(p, l)]
+                assert sum(not any(incident(p, o) for o in tri.full_lines if o != l)
+                           for p in on) == 1
+        for m in range(1, 6):
+            if tri is None or tri.case != Case.MANY:
+                with pytest.raises(StrategyInapplicable):
+                    peeling_sequence(x, m, STAR)
+            else:
+                expected = sorted(tri.full_lines, reverse=True) * -(-m // 2)
+                assert peeling_sequence(x, m, STAR) == expected
+            if (tri is None or tri.case != Case.EXACT or m < 2
+                    or set(tri.full_lines) != set(x.lines)):
+                with pytest.raises(StrategyInapplicable):
+                    peeling_sequence(x, m, AUGMENTED)
+                continue
+            h = line_through(tri.privates[x.lines[0]], tri.privates[x.lines[1]])
+            off = sorted(p for p in tri.privates.values() if not incident(p, h))
+            seq = peeling_sequence(x, m, AUGMENTED, seed=m)
+            head = list(reversed(x.lines)) * (m - 1) + [h]
+            assert seq[: len(head)] == head and len(seq) == len(head) + len(off)
+            # one line per private point off h, in order, through no other point
+            for q, extra in zip(off, seq[len(head):]):
+                assert [p for p in x.points() if incident(p, extra)] == [q]
+
+
 def test_f_le_F_everywhere():
     rng = random.Random(13)
     for _ in range(25):
         vals = tuple(rng.randint(0, 9) for _ in range(rng.randint(1, 8)))
         v = _vec(vals)
         for t in range(0, 14):
-            assert f_lower(v, t) <= F_upper(v, t)
+            assert v.sandwich(t)[0] <= F_upper(v, t)
 
 
 def _cht_oracle(values, t):
@@ -161,7 +208,7 @@ def test_sandwich_matches_the_cht_formulas(values, t):
     # Zeros, non-monotone vectors, t < 0 and t past the last entry.
     v = _vec(values)
     assert v.sandwich(t) == _cht_oracle(values, t)
-    assert (f_lower(v, t), F_upper(v, t)) == v.sandwich(t)
+    assert F_upper(v, t) == v.sandwich(t)[1]
     if t < 0:
         assert v.sandwich(t) == (0, 0)
 
@@ -169,8 +216,8 @@ def test_sandwich_matches_the_cht_formulas(values, t):
 def test_f_saturates_to_degree():
     v = _vec([10, 9, 8, 3, 3, 3, 2, 1])
     t = len(v.values) - 1 + max(v.values)
-    assert f_lower(v, t) == sum(v.values)
-    assert f_lower(v, t + 3) == sum(v.values)
+    assert v.sandwich(t)[0] == sum(v.values)
+    assert v.sandwich(t + 3)[0] == sum(v.values)
 
 
 def _random_scheme(rng, max_pts=6, max_mult=3):
@@ -207,7 +254,7 @@ def test_sandwich_randomized_mini():
         t, h = 0, 0
         while h < z.degree():
             h = bareiss_rank(conditions_matrix(z, t))
-            assert f_lower(v, t) <= h <= F_upper(v, t)
+            assert v.sandwich(t)[0] <= h <= F_upper(v, t)
             t += 1
 
 
@@ -268,7 +315,7 @@ def test_greedy_sandwich_against_bareiss(z):
     t = 0
     while True:
         h = bareiss_rank(conditions_matrix(z, t))
-        assert f_lower(v, t) <= h <= F_upper(v, t)
+        assert v.sandwich(t)[0] <= h <= F_upper(v, t)
         assert hilbert_value(z, t) == h
         if h == deg:
             break

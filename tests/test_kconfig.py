@@ -22,14 +22,11 @@ from fatpoints.geom import ProjLine, ProjPoint, incident, line_basis, line_throu
 from fatpoints.geom import random_combination
 from fatpoints.hilbert import hilbert_table
 from fatpoints.kconfig import (
-    Case,
     GenerationFailed,
     InfeasibleLineCount,
     InvalidLineCount,
     KConfiguration,
     KType,
-    TypeMismatch,
-    classify_case,
     count_lines,
     fatten,
     generate_generic,
@@ -39,7 +36,10 @@ from fatpoints.kconfig import (
     validate,
 )
 from lemmas import (
+    Case,
+    TypeMismatch,
     candidate_lines,
+    classify_case,
     line_count_consequence_holds,
     relabel_canonical,
     tail_length,

@@ -122,11 +122,11 @@ def test_rank_zero_modulo_both_primes(M, monkeypatch):
 def test_rational_reconstruct_round_trip(den, nbits):
     num = (1 << nbits) - 3
     modulus = (2147483647 * 2147483629) ** 3
-    if Fraction(num, den).denominator != den:
+    if math.gcd(num, den) != 1:
         return
     x = (num * pow(den, -1, modulus)) % modulus
     got = _rational_reconstruct(x, modulus)
-    assert got == Fraction(num, den)
+    assert got == (num, den)
 
 
 def test_row_content_stripping_preserves_rank():

@@ -1,53 +1,82 @@
 """Every module-level function and class under ``src/``, and every public
 method and property of those classes, has a caller outside the tests: test
-oracles live in ``tests/``, not in the package.  A method counts as called
-when its name is used outside the tests, so one that shares its name with
-another definition (``KType.s`` and a ``KConfiguration.s``) is not told
-apart from it."""
+oracles live in ``tests/``, not in the package.
+
+A module-level definition counts as called when its name is used bare, as
+a string constant, or as an attribute read off a module of the package
+(``cht.bound_check``, ``_kconfig.count_lines``, ``pkg.linalg.mpz``).  A
+dataclass field declared under the same name, or read off some other
+object (``report.F_upper``), is no use of it.  A method counts as called
+when its name is used in any of these ways or as any attribute, so one
+that shares its name with another definition (``KType.s`` and a
+``KConfiguration.s``) is not told apart from it."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fatpoints"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 # The writer that pairs with ``scheme_from_json``: the wire format is
 # defined by both directions, though only the tests write schemes.
 ALLOWED = {"scheme.scheme_to_json"}
 
 
-def _references(path: Path) -> set[str]:
-    """Names, attribute names and string constants used in a file.  The
-    imports of ``__init__.py`` are re-exports, and no import is a use."""
-    refs = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
-            refs.add(node.id)
+def _module_aliases(tree) -> set[str]:
+    """The package's module names and the names a file imports them under
+    (``from . import kconfig as _kconfig``)."""
+    aliases = set(MODULES)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.asname and alias.name.rpartition(".")[2] in MODULES:
+                    aliases.add(alias.asname)
+    return aliases
+
+
+def _references(path: Path) -> tuple[set[str], set[str]]:
+    """(uses, attributes) of a file.  Uses are names read, string constants
+    and attributes read off a module of the package; attributes are every
+    attribute name.  The imports of ``__init__.py`` are re-exports, and no
+    import is a use."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = _module_aliases(tree)
+    uses, attributes = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            uses.add(node.id)  # not a field declared under the same name
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            attributes.add(node.attr)
+            owner = node.value
+            if getattr(owner, "id", getattr(owner, "attr", None)) in modules:
+                uses.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            refs.add(node.value)  # perfbench/spans.py wraps functions by name
-    return refs
+            uses.add(node.value)  # perfbench/spans.py wraps functions by name
+    return uses, attributes
 
 
 def _definitions(path: Path):
-    """(qualified name, name) of each module-level function and class of a
-    file, and of each public method and property of its classes; dunders
-    and private names are skipped."""
+    """(qualified name, name, is a method) of each module-level function
+    and class of a file, and of each public method and property of its
+    classes; dunders and private names are skipped."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, (*functions, ast.ClassDef)):
-            yield f"{path.stem}.{node.name}", node.name
+            yield f"{path.stem}.{node.name}", node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, functions) and not item.name.startswith("_"):
-                    yield f"{path.stem}.{node.name}.{item.name}", item.name
+                    yield f"{path.stem}.{node.name}.{item.name}", item.name, True
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
     callers = [PACKAGE, ROOT / "perfbench", ROOT / "bench"]
-    used = set().union(*(_references(f) for d in callers for f in d.glob("*.py")))
+    refs = [_references(f) for d in callers for f in d.glob("*.py")]
+    uses = set().union(*(u for u, _ in refs))
+    attributes = set().union(*(a for _, a in refs))
     unused = [qualified for path in sorted(PACKAGE.glob("*.py"))
-              for qualified, name in _definitions(path)
-              if name not in used and qualified not in ALLOWED]
+              for qualified, name, method in _definitions(path)
+              if name not in uses and not (method and name in attributes)
+              and qualified not in ALLOWED]
     assert unused == []

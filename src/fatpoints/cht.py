@@ -21,18 +21,19 @@ s + 1 full lines of a star, and the augmented variant that finishes with
 the line through two private points plus one line per leftover private
 point.  For a type (1, ..., s) the full lines are the s-point lines that
 :func:`fatpoints.kconfig.count_lines` returns, and the private point of
-one is its least point on no other full line.  The sequences serve the
-``bounds`` and ``reduce`` commands only; exact Hilbert values use the
-bounds of ``FatPointScheme.greedy_reduction``, which settle a value where
-f_v = F_v and pin its rank where they differ.
+one is its least point on no other full line; the line at a leftover
+private point is the first of a fixed pencil through it that meets no
+other point, so no seed enters.  The sequences serve the ``bounds`` and
+``reduce`` commands only; exact Hilbert values use the bounds of
+``FatPointScheme.greedy_reduction``, which settle a value where f_v = F_v
+and pin its rank where they differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
-from .geom import ProjLine, incident, line_through, random_point
+from .geom import ProjLine, incident, line_basis, line_through
 from .scheme import FatPointScheme, ReductionVector, reduction_vector
 from . import hilbert
 from . import kconfig as _kconfig
@@ -86,15 +87,16 @@ def bound_check(z: FatPointScheme, lines, t: int) -> BoundReport:
     return BoundReport(t, f, F, exact, f == F)
 
 
-def peeling_sequence(x, m: int, strategy: str, seed: int = 0) -> list[ProjLine]:
+def peeling_sequence(x, m: int, strategy: str) -> list[ProjLine]:
     """A line sequence whose reduction of mX is complete.
 
     REPEAT_DESCENDING: the defining lines L_s .. L_1, m times over.
     STAR: the s + 1 full lines of a star configuration, ceil(m/2) passes.
     AUGMENTED: L_s .. L_1 repeated m - 1 times, then the line through two
-    private points and one line per private point left off it; needs the
-    case with exactly s full lines equal to the defining lines, and
-    m >= 2.
+    private points and, for each private point left off it in sorted
+    order, the first line of the pencil of :func:`line_basis` of its dual
+    line that meets no other point; needs the case with exactly s full
+    lines equal to the defining lines, and m >= 2.
     """
     if m < 1:
         raise ValueError("multiplicity must be positive")
@@ -105,7 +107,7 @@ def peeling_sequence(x, m: int, strategy: str, seed: int = 0) -> list[ProjLine]:
         full = _full_lines(x, "star", star=True)
         return sorted(full, reverse=True) * -(-m // 2)
     if strategy == AUGMENTED:
-        return _augmented_sequence(x, m, seed)
+        return _augmented_sequence(x, m)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -122,7 +124,7 @@ def _full_lines(x, strategy: str, star: bool) -> list[ProjLine]:
     return full
 
 
-def _augmented_sequence(x, m: int, seed: int) -> list[ProjLine]:
+def _augmented_sequence(x, m: int) -> list[ProjLine]:
     if m < 2:
         raise StrategyInapplicable("the augmented peeling needs m >= 2")
     full = _full_lines(x, "augmented", star=False)
@@ -130,7 +132,6 @@ def _augmented_sequence(x, m: int, seed: int) -> list[ProjLine]:
         raise StrategyInapplicable(
             "augmented peeling needs the full lines to be the defining lines"
         )
-    s = x.ktype.s
     points = x.points()
     privates = [
         min(p for p in points
@@ -139,19 +140,13 @@ def _augmented_sequence(x, m: int, seed: int) -> list[ProjLine]:
     ]
     h = line_through(privates[0], privates[1])
     off = sorted(p for p in privates if not incident(p, h))
-    rng = Random(seed)
     extras = []
-    for i, q in enumerate(off):
-        later = off[i + 1 :]
-        while True:
-            aux = random_point(rng, bound=max(50, 4 * s))
-            if aux == q:
-                continue
-            cand = line_through(q, aux)
-            if any(incident(qq, cand) for qq in later):
-                continue
-            if any(incident(pp, cand) for pp in points if pp != q):
-                continue
-            extras.append(cand)
-            break
+    for q in off:
+        # the lines u + k*v through q: each other point is on one of them
+        u, v = (b.coords for b in line_basis(ProjLine(q.coords)))
+        for k in range(len(points)):
+            cand = ProjLine(tuple(a + k * b for a, b in zip(u, v)))
+            if not any(incident(p, cand) for p in points if p != q):
+                extras.append(cand)
+                break
     return list(reversed(x.lines)) * (m - 1) + [h] + extras

@@ -5,17 +5,17 @@ reduce.  Configurations and schemes travel as UTF-8 JSON per the module
 wire formats, and a ``--lines`` file is a JSON array of coefficient
 triples; reports print as text mirroring the tabular displays used
 throughout the package, as JSON, or as CSV rows for batch sweeps.  Every
-subcommand is deterministic given its full parameter set including the
-seed, which bounds and reduce read for ``--strategy augmented`` only.
-``--m`` goes with ``--config`` (default 1); ``--coord-bound`` defaults to
-50 for ``generate`` and 20 for ``family``; no environment variable
-changes either.  Exit status: 0 on success, 1 when a validation or an
-asserted property fails, 2 on a usage error, raised before any input file
-is opened and with nothing on stdout: a multiplicity below 1 (``--m`` or
-the low end of ``verify --m-sweep``), ``verify`` with both or neither of
-``--m`` and ``--m-sweep``, ``count-lines --k`` below 2 (infinitely many
-lines meet the points in one point or none), ``hilbert --t-max`` below
-0, ``family --s`` below 2, a ``--type`` that is not increasing positive
+subcommand is deterministic given its full parameter set; only
+``generate`` and ``family`` take a seed.  ``--m`` goes with ``--config``
+(default 1); ``--coord-bound`` defaults to 50 for ``generate`` and 20
+for ``family``; no environment variable changes either.  Exit status:
+0 on success, 1 when a validation or an asserted property fails, 2 on a
+usage error, raised before any input file is opened and with nothing on
+stdout: a multiplicity below 1 (``--m`` or the low end of
+``verify --m-sweep``), ``verify`` with both or neither of ``--m`` and
+``--m-sweep``, ``count-lines --k`` below 2 (infinitely many lines meet
+the points in one point or none), ``hilbert --t-max`` below 0,
+``family --s`` below 2, a ``--type`` that is not increasing positive
 integers, ``generate --r`` on a type other than (1, ..., s) with s >= 2
 or outside 1 .. s + 1, ``--m`` with ``--scheme``, ``--strategy`` with
 ``--lines``, or ``bounds``/``reduce --scheme`` without ``--lines`` (a
@@ -145,7 +145,7 @@ def _inputs(args, peel: bool = False):
         return z, None
     if args.lines:
         return z, lines_from_json(_load_json(args.lines))
-    return z, cht.peeling_sequence(x, m, _STRATEGIES[args.strategy or "repeat"], seed=args.seed)
+    return z, cht.peeling_sequence(x, m, _STRATEGIES[args.strategy or "repeat"])
 
 
 def cmd_generate(args) -> int:
@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     seq = peel.add_mutually_exclusive_group()
     seq.add_argument("--lines", help="JSON file with a line sequence")
     seq.add_argument("--strategy", choices=list(_STRATEGIES), help="default repeat")
-    peel.add_argument("--seed", type=int, default=0)
 
     g = command("generate", cmd_generate, "emit a seeded random configuration")
     g.add_argument("--type", type=_ktype, required=True, help="comma-separated type, e.g. 1,2,3")

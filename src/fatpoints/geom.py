@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 from random import Random
 from typing import NamedTuple
 
@@ -41,9 +42,10 @@ def canonical_triple(triple) -> tuple[int, int, int]:
     Divides by ``gcd(a, b, c)``, negated when the first nonzero entry is
     negative, so that entry comes out positive.  Idempotent and invariant
     under scaling by nonzero integers; :class:`ProjPoint` and
-    :class:`ProjLine` construction goes through it.
+    :class:`ProjLine` construction goes through it.  A float or a string
+    entry is a TypeError (``operator.index``), never truncated.
     """
-    a, b, c = map(int, triple)
+    a, b, c = map(index, triple)
     g = gcd(a, b, c)
     if not g:
         raise ZeroTriple("homogeneous triple must not be (0, 0, 0)")
@@ -175,14 +177,6 @@ def incident(p: ProjPoint, l: ProjLine) -> bool:
     pa, pb, pc = p.coords
     la, lb, lc = l.coeffs
     return pa * la + pb * lb + pc * lc == 0
-
-
-def random_point(rng: Random, bound: int = 50) -> ProjPoint:
-    """A random point with coordinates sampled uniformly from [-bound, bound]."""
-    while True:
-        triple = tuple(rng.randint(-bound, bound) for _ in range(3))
-        if triple != (0, 0, 0):
-            return ProjPoint(triple)
 
 
 def random_line(rng: Random, bound: int = 50) -> ProjLine:

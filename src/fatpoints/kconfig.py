@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, index
 from random import Random
 
 from .geom import (
@@ -52,12 +52,12 @@ class GenerationFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class KType:
-    """A strictly increasing tuple of positive subset sizes."""
+    """A strictly increasing tuple of positive integer subset sizes."""
 
     d: tuple[int, ...]
 
     def __post_init__(self):
-        d = tuple(int(v) for v in self.d)
+        d = tuple(map(index, self.d))
         if not d:
             raise ValueError("a type needs at least one entry")
         if d[0] < 1 or any(a >= b for a, b in zip(d, d[1:])):

@@ -8,7 +8,8 @@ length of a type, the candidate-line shortlist, the consequence of a
 maximal defining line for the type, and the relabelling that moves the
 maximal defining lines into trailing positions.  Two readings of a fat
 point scheme that only the tests take, its multiplicity at a point and
-its degree on a line, live here too.
+its degree on a line, live here too, with :func:`random_point`, which
+draws the points of the randomized tests.
 
 The trichotomy oracle, :func:`classify_case`, sorts a type (1, ..., s)
 configuration by r, its number of s-point lines: the star (r = s + 1),
@@ -25,6 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
+from random import Random
 
 from fatpoints.geom import ProjLine, ProjPoint, incident, line_through, meet
 from fatpoints.kconfig import KConfiguration, KType, count_lines, validate
@@ -43,6 +45,14 @@ def multiplicity(z: FatPointScheme, p: ProjPoint) -> int:
 def line_degree(z: FatPointScheme, l: ProjLine) -> int:
     """Sum of multiplicities of the points of z incident to l."""
     return sum(m for p, m in z.entries if incident(p, l))
+
+
+def random_point(rng: Random, bound: int = 50) -> ProjPoint:
+    """A random point with coordinates sampled uniformly from [-bound, bound]."""
+    while True:
+        triple = tuple(rng.randint(-bound, bound) for _ in range(3))
+        if triple != (0, 0, 0):
+            return ProjPoint(triple)
 
 
 def tail_length(ktype: KType) -> int:

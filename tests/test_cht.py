@@ -23,12 +23,12 @@ from fatpoints.cht import (
     bound_check,
     peeling_sequence,
 )
-from fatpoints.geom import ProjLine, ProjPoint, incident, line_through, random_point
+from fatpoints.geom import ProjLine, ProjPoint, incident, line_through
 from fatpoints.hilbert import conditions_matrix, hilbert_value, regularity_index
 from fatpoints.kconfig import fatten, generate_with_line_count
 from fatpoints.linalg import bareiss_rank
 from fatpoints.scheme import FatPointScheme, ReductionVector, reduction_vector
-from lemmas import Case, TypeMismatch, classify_case
+from lemmas import Case, TypeMismatch, classify_case, random_point
 
 
 def _vec(values):
@@ -166,12 +166,38 @@ def test_star_and_augmented_peels_match_the_trichotomy_oracle(s):
                 continue
             h = line_through(tri.privates[x.lines[0]], tri.privates[x.lines[1]])
             off = sorted(p for p in tri.privates.values() if not incident(p, h))
-            seq = peeling_sequence(x, m, AUGMENTED, seed=m)
+            seq = peeling_sequence(x, m, AUGMENTED)
             head = list(reversed(x.lines)) * (m - 1) + [h]
             assert seq[: len(head)] == head and len(seq) == len(head) + len(off)
             # one line per private point off h, in order, through no other point
             for q, extra in zip(off, seq[len(head):]):
                 assert [p for p in x.points() if incident(p, extra)] == [q]
+
+
+def test_augmented_tail_is_seedless_and_private():
+    # Every configuration with exactly s full lines that generate_with_line_count
+    # makes for s = 3..7, seeds 0-5 and bounds 20 and 50 takes the augmented
+    # peel at m = 2..6.  The tail has one line per private point off h, each
+    # through that point alone, so it removes 1 and leaves the chain empty.
+    cases = 0
+    for s in range(3, 8):
+        for seed in range(6):
+            for bound in (20, 50):
+                x = generate_with_line_count(s, s, seed, bound)
+                privates = classify_case(x).privates
+                h = line_through(privates[x.lines[0]], privates[x.lines[1]])
+                off = sorted(p for p in privates.values() if not incident(p, h))
+                for m in range(2, 7):
+                    seq = peeling_sequence(x, m, AUGMENTED)
+                    assert peeling_sequence(x, m, AUGMENTED) == seq
+                    head = list(reversed(x.lines)) * (m - 1) + [h]
+                    assert seq[: len(head)] == head and len(seq) == len(head) + len(off)
+                    for q, extra in zip(off, seq[len(head):]):
+                        assert [p for p in x.points() if incident(p, extra)] == [q]
+                    v = reduction_vector(fatten(x, m), seq)
+                    assert v.complete and v.values[len(head):] == (1,) * len(off)
+                    cases += 1
+    assert cases == 300
 
 
 def test_f_le_F_everywhere():

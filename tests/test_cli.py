@@ -118,6 +118,18 @@ def test_verify_sweep(tmp_path, capsys):
     assert len(out) == 3
 
 
+def test_verify_fails_when_the_identity_fails(tmp_path, capsys, monkeypatch):
+    # a line count one too many breaks the asserted identity at m = m0 = 4
+    from fatpoints import verify
+
+    real = verify.count_lines
+    monkeypatch.setattr(verify, "count_lines", lambda x, k: (real(x, k)[0] + 1, None))
+    cfg = _write_config(tmp_path, config_123_one())
+    assert main(["verify", "--config", cfg, "--m", "4", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["matches"] is False
+    assert main(["verify", "--config", cfg, "--m-sweep", "1:4"]) == 1
+
+
 def test_family_cmd(capsys):
     rc = main(["family", "--s", "2", "--m", "3", "--seed", "0",
                "--format", "json"])
@@ -146,15 +158,34 @@ def test_reduce_text_and_json_agree(tmp_path, capsys):
     assert "complete = True" in text
 
 
+def _invalid_configs():
+    """One violation of each condition that kconfig.validate checks, keyed
+    by the message it prints."""
+    off, short, twice, repeat, shared = (kconfig_to_json(config_123_one()) for _ in range(5))
+    off["subsets"][0] = [["1", "0", "0"]]
+    short["subsets"].pop()
+    twice["lines"][2] = twice["lines"][1]
+    repeat["subsets"][2][1] = repeat["subsets"][2][0]
+    shared["subsets"][2][0] = shared["subsets"][1][0]
+    return {
+        "is off its line": off,
+        "expected 3 subsets and lines, got 2 and 3": short,
+        "defining lines are not pairwise distinct": twice,
+        "subset 3 repeats a point": repeat,
+        "subsets are not pairwise disjoint": shared,
+    }
+
+
 def test_invalid_config_exits_nonzero(tmp_path, capsys):
-    x = config_123_one()
-    data = kconfig_to_json(x)
-    data["subsets"][0] = [["1", "0", "0"]]  # off-line point
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    with pytest.raises(SystemExit) as err:
-        main(["count-lines", "--config", str(path)])
-    assert err.value.code == 1
+    for problem, data in _invalid_configs().items():
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as err:
+            main(["count-lines", "--config", str(path)])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert problem in captured.err
 
 
 def test_usage_error_exit_code():
@@ -169,6 +200,18 @@ def test_generate_has_no_format_option(capsys):
         main(["generate", "--type", "1,2,3", "--format", "csv"])
     assert err.value.code == 2
     assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--t", "6"], ["reduce"]], ids=["bounds", "reduce"])
+def test_peels_take_no_seed(argv, tmp_path, capsys):
+    # the augmented tail is fixed, so a seed would change nothing
+    cfg = _write_config(tmp_path, config_1234())
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--config", cfg, "--m", "2", "--strategy", "augmented", "--seed", "1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "unrecognized arguments: --seed 1" in captured.err
 
 
 def test_csv_format(tmp_path, capsys):
@@ -203,16 +246,19 @@ def test_tiny_coordinate_bound_is_an_error(argv, capsys):
     "command, flag, data",
     [("hilbert", "--scheme", []),
      ("hilbert", "--scheme", {"points": 5, "mults": []}),
-     ("count-lines", "--config", {"type": [1, 2], "subsets": 3, "lines": []})],
-    ids=["scheme-array", "points-number", "subsets-number"],
+     ("count-lines", "--config", {"type": [1, 2], "subsets": 3, "lines": []}),
+     ("hilbert", "--scheme", {"points": [["1", "0"]], "mults": [1]}),
+     ("hilbert", "--scheme", {"points": [["1", "0", "0"], ["0", "1", "0"]], "mults": [1]})],
+    ids=["scheme-array", "points-number", "subsets-number", "pair", "points-over-mults"],
 )
 def test_malformed_json_is_an_error(command, flag, data, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     argv = [command, flag, str(path)] + (["--t-max", "3"] if command == "hilbert" else [])
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -271,7 +317,7 @@ _M_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("m", ["0", "-1"])
+@pytest.mark.parametrize("m", ["0", "-1", "abc"])
 @pytest.mark.parametrize("command", sorted(_M_COMMANDS))
 def test_multiplicity_below_one_is_a_usage_error(command, m, tmp_path, capsys):
     cfg = _write_config(tmp_path, config_1345())
@@ -279,9 +325,10 @@ def test_multiplicity_below_one_is_a_usage_error(command, m, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv + ["--m", m])
     assert err.value.code == 2
-    stderr = capsys.readouterr().err
-    assert "argument --m: expected an integer >= 1" in stderr
-    assert "Traceback" not in stderr
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --m: expected an integer >= 1" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_verify_m_with_m_sweep_is_a_usage_error(tmp_path, capsys):

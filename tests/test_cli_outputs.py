@@ -38,6 +38,7 @@ COMMANDS = (
     "verify --config c --m 2",
     "reduce --config a --m 2",
     "reduce --config s --m 2 --strategy star",
+    "reduce --config c --m 2 --strategy augmented",
     "family --s 2 --m 3 --seed 0 --coord-bound 20",
     "family --s 3 --m 4 --seed 1 --coord-bound 20",
 )
@@ -123,6 +124,14 @@ DIGESTS = {
         "2017a4bc1694e31ae4b0e72e05b0dc6489255211abb888efb39911fd438681a6",
     "reduce --config s --m 2 --strategy star --format csv":
         "9e2621b91da222e0cd0b9ede952ec6d088e39fada482f12974b001991f66c130",
+    # Recorded when the augmented tail became the first line of a fixed
+    # pencil through each leftover private point.
+    "reduce --config c --m 2 --strategy augmented --format text":
+        "9316b8a7539f8abc697c12f93d1841611979a6c831b2347ecdc59e756c083574",
+    "reduce --config c --m 2 --strategy augmented --format json":
+        "6ca3a88917df406923e02edbfc75418b68950825fc0013fdea3036fd47defdbe",
+    "reduce --config c --m 2 --strategy augmented --format csv":
+        "974221d7444722a96c166aae36e11572af4d411c35f2339bc6cf267f5c8b3254",
     "family --s 2 --m 3 --seed 0 --coord-bound 20 --format text":
         "ad46c9a4ae70218369c6d5a39e350c4232f29fdfb3b783a7a6c7cbd3c816cc1b",
     "family --s 2 --m 3 --seed 0 --coord-bound 20 --format json":

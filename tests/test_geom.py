@@ -1,6 +1,7 @@
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from fatpoints.geom import (
     point_from_json,
     triple_to_json,
 )
+from fatpoints.kconfig import KType
 
 
 def test_canonicalize_gcd():
@@ -40,6 +42,19 @@ def test_zero_triple_rejected():
         canonical_triple((0, 0, 0))
     with pytest.raises(ZeroTriple):
         ProjPoint((0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ProjPoint((0.5, 1, 1)), lambda: ProjPoint((1.9, 2, 3)),
+     lambda: ProjLine(("7", 1, 1)), lambda: KType((1.5, 3))],
+    ids=["half", "truncated", "string", "type"],
+)
+def test_value_types_take_exact_integers_only(make):
+    with pytest.raises(TypeError):
+        make()
+    assert ProjPoint((np.int64(2), 4, 6)).coords == (1, 2, 3)
+    assert KType((np.int64(1), 3)).d == (1, 3)
 
 
 def test_line_through_axes():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import LADDER, config_123_one, config_1234, config_1345, ladder_degrees
 from fatpoints import cli, hilbert, linalg
-from fatpoints.geom import ProjPoint, random_point
+from fatpoints.geom import ProjPoint
 from fatpoints.linalg import _ELIM_PRIMES
 from fatpoints.hilbert import (
     EmptyScheme,
@@ -22,6 +22,7 @@ from fatpoints.hilbert import (
 from fatpoints.kconfig import KType, fatten, generate_generic
 from fatpoints.scheme import FatPointScheme, reduction_vector
 from fatpoints.verify import hilbert_family
+from lemmas import random_point
 
 
 def test_conditions_matrix_simple_point():

@@ -6,10 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import (
-    config_123_exact,
     config_123_one,
-    config_123_star,
-    config_123_two,
     config_1234,
     config_1345,
     config_13456,

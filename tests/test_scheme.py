@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import config_1234, config_1345, full_corpus
 from fatpoints.cht import REPEAT_DESCENDING, peeling_sequence
-from fatpoints.geom import ProjLine, ProjPoint, line_through, random_line, random_point
+from fatpoints.geom import ProjLine, ProjPoint, line_through, random_line
 from fatpoints.kconfig import fatten
 from fatpoints.scheme import (
     DuplicatePoint,
@@ -19,7 +19,7 @@ from fatpoints.scheme import (
     scheme_from_json,
     scheme_to_json,
 )
-from lemmas import line_degree, multiplicity
+from lemmas import line_degree, multiplicity, random_point
 
 
 def test_from_points_walkthrough_degree():

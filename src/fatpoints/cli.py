@@ -4,7 +4,8 @@ Subcommands: generate, hilbert, bounds, count-lines, verify, family,
 reduce.  Configurations and schemes travel as UTF-8 JSON per the module
 wire formats, and a ``--lines`` file is a JSON array of coefficient
 triples; reports print as text mirroring the tabular displays used
-throughout the package, as JSON, or as CSV rows for batch sweeps.  Every
+throughout the package, or as JSON, the one machine format: a
+``verify --m-sweep`` prints one JSON array of its reports.  Every
 subcommand is deterministic given its full parameter set; only
 ``generate`` and ``family`` take a seed.  ``--m`` goes with ``--config``
 (default 1); ``--coord-bound`` defaults to 50 for ``generate`` and 20
@@ -15,20 +16,17 @@ stdout: a multiplicity below 1 (``--m`` or the low end of
 ``verify --m-sweep``), ``verify`` with both or neither of ``--m`` and
 ``--m-sweep``, ``count-lines --k`` below 2 (infinitely many lines meet
 the points in one point or none), ``hilbert --t-max`` below 0,
-``family --s`` below 2, a ``--type`` that is not increasing positive
-integers, ``generate --r`` on a type other than (1, ..., s) with s >= 2
-or outside 1 .. s + 1, ``--m`` with ``--scheme``, ``--strategy`` with
-``--lines``, or ``bounds``/``reduce --scheme`` without ``--lines`` (a
-scheme has no defining lines to peel).
+``family --s`` below 2, a ``--coord-bound`` below 0, a ``--type`` that
+is not increasing positive integers, ``generate --r`` on a type other
+than (1, ..., s) with s >= 2 or outside 1 .. s + 1, ``--m`` with
+``--scheme``, ``--strategy`` with ``--lines``, or ``bounds``/``reduce
+--scheme`` without ``--lines`` (a scheme has no defining lines to peel).
 
 Report wire format, owned by this module alone: a report dataclass
 becomes a JSON object with one key per field, named after the field
 except ``ktype`` (``"type"``) and ``delta_value`` (``"delta"``).  Nested
-dataclasses become objects, tuples become arrays and map keys become
-strings.  JSON output sorts the keys; CSV output keeps the field order,
-one header row and one value row, with nested objects flattened to
-dotted keys (``infeasible.1``) and the ``str`` of each array item joined
-by spaces.
+dataclasses become objects, tuples and lists become arrays and map keys
+become strings.  JSON output sorts the keys.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import io
 import json
 import sys
 
@@ -76,34 +73,13 @@ def _wire(value):
 
 
 def _emit(args, report, text: str) -> None:
-    """Print ``report`` (a report dataclass or JSON-ready dict) in the
-    requested format; ``text`` is its text rendering."""
+    """Print ``report`` (a report dataclass, a JSON-ready dict or a list of
+    reports) as JSON under ``--format json``, else its text rendering
+    ``text``."""
     if args.format == "json":
         print(json.dumps(_wire(report), indent=2, sort_keys=True))
-    elif args.format == "csv":
-        import csv
-
-        flat = _flatten(_wire(report))
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(flat.keys())
-        writer.writerow(flat.values())
-        print(buf.getvalue(), end="")
     else:
         print(text)
-
-
-def _flatten(payload: dict, prefix: str = "") -> dict:
-    out = {}
-    for key, value in payload.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            out.update(_flatten(value, name + "."))
-        elif isinstance(value, list):
-            out[name] = " ".join(str(v) for v in value)
-        else:
-            out[name] = value
-    return out
 
 
 def _ktype(text: str) -> kconfig.KType:
@@ -170,7 +146,10 @@ def cmd_generate(args) -> int:
 def cmd_hilbert(args) -> int:
     z, _ = _inputs(args)
     table = hilbert.hilbert_table(z, args.t_max)
-    _emit(args, table, table.arrow_display())
+    text = " ".join(str(v) for v in table.values)
+    if table.stabilized_at is not None:
+        text += " →"
+    _emit(args, table, text)
     return 0
 
 
@@ -198,19 +177,16 @@ def cmd_count_lines(args) -> int:
 def cmd_verify(args) -> int:
     x = _load_config(args)
     ms = [args.m] if args.m_sweep is None else args.m_sweep
-    status = 0
-    for m in ms:
-        report = verify.verify_main(x, m, include_ri=args.ri)
+    reports = [verify.verify_main(x, m, include_ri=args.ri) for m in ms]
+    lines = []
+    for m, report in zip(ms, reports):
         verdict = "MATCH" if report.matches else "MISMATCH"
         note = "" if report.asserted else " (informational: m below threshold)"
-        text = (
-            f"m={m} delta={report.delta_value} lines={report.line_count} "
-            f"{verdict}{note}"
+        lines.append(
+            f"m={m} delta={report.delta_value} lines={report.line_count} {verdict}{note}"
         )
-        _emit(args, report, text)
-        if report.asserted and not report.matches:
-            status = 1
-    return status
+    _emit(args, reports if args.m_sweep else reports[0], "\n".join(lines))
+    return int(any(report.asserted and not report.matches for report in reports))
 
 
 def _sweep(text: str) -> list[int]:
@@ -308,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     fmt = parent()
-    fmt.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    fmt.add_argument("--format", choices=["text", "json"], default="text")
     config = parent()
     config.add_argument("--config", required=True)
     source = parent()
@@ -325,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--type", type=_ktype, required=True, help="comma-separated type, e.g. 1,2,3")
     g.add_argument("--r", type=int, help="exact number of maximal lines (types (1,...,s) only)")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--coord-bound", type=int, default=50)
+    g.add_argument("--coord-bound", type=_at_least(0), default=50)
     g.add_argument("--output", "-o", default=None)
 
     h = command("hilbert", cmd_hilbert, "Hilbert table of a scheme", fmt, source)
@@ -349,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--s", type=_at_least(2), required=True)
     f.add_argument("--m", type=_at_least(1), required=True)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--coord-bound", type=int, default=20)
+    f.add_argument("--coord-bound", type=_at_least(0), default=20)
 
     command("reduce", cmd_reduce, "print the full residual chain", fmt, source, peel)
     return parser

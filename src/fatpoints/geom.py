@@ -179,7 +179,7 @@ def incident(p: ProjPoint, l: ProjLine) -> bool:
     return pa * la + pb * lb + pc * lc == 0
 
 
-def random_line(rng: Random, bound: int = 50) -> ProjLine:
+def random_line(rng: Random, bound: int) -> ProjLine:
     """A random line with coefficients sampled uniformly from [-bound, bound]."""
     while True:
         triple = tuple(rng.randint(-bound, bound) for _ in range(3))
@@ -197,9 +197,7 @@ def line_basis(l: ProjLine) -> tuple[ProjPoint, ProjPoint]:
     return ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0))
 
 
-def random_combination(
-    b1: ProjPoint, b2: ProjPoint, rng: Random, bound: int = 50
-) -> ProjPoint:
+def random_combination(b1: ProjPoint, b2: ProjPoint, rng: Random, bound: int) -> ProjPoint:
     """A random point on the line through b1 and b2 (a :func:`line_basis`):
     u*b1 + v*b2 for u, v drawn uniformly from [-bound, bound], redrawn
     while both are zero."""

@@ -192,13 +192,6 @@ class HilbertTable:
     deltas: tuple[int, ...]
     stabilized_at: int | None
 
-    def arrow_display(self) -> str:
-        """One-line rendering like ``1 3 6 10 15 18 18 ->``."""
-        body = " ".join(str(v) for v in self.values)
-        if self.stabilized_at is not None:
-            return body + " →"
-        return body
-
 
 def hilbert_table(z: FatPointScheme, t_max: int) -> HilbertTable:
     """H(0..t_max) by :func:`hilbert_value` up to the first value deg Z."""

@@ -49,6 +49,9 @@ def test_hilbert_text_display(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out.strip()
     assert out == "1 3 6 10 15 18 18 →"
+    # the arrow marks a table that reached deg Z = 18; at t <= 4 it has not
+    assert main(["hilbert", "--config", cfg, "--m", "2", "--t-max", "4"]) == 0
+    assert capsys.readouterr().out == "1 3 6 10 15\n"
 
 
 def test_hilbert_json_matches_text(tmp_path, capsys):
@@ -116,6 +119,16 @@ def test_verify_sweep(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 3
+
+
+def test_verify_json_sweep_is_one_array(tmp_path, capsys):
+    cfg = _write_config(tmp_path, config_123_one())
+    assert main(["verify", "--config", cfg, "--m-sweep", "2:4", "--ri", "--format", "json"]) == 0
+    sweep = json.loads(capsys.readouterr().out)
+    assert isinstance(sweep, list) and len(sweep) == 3
+    for m, report in zip(range(2, 5), sweep):
+        assert main(["verify", "--config", cfg, "--m", str(m), "--ri", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == report
 
 
 def test_verify_fails_when_the_identity_fails(tmp_path, capsys, monkeypatch):
@@ -197,9 +210,9 @@ def test_usage_error_exit_code():
 def test_generate_has_no_format_option(capsys):
     # generate always writes JSON; a --format it would ignore is refused.
     with pytest.raises(SystemExit) as err:
-        main(["generate", "--type", "1,2,3", "--format", "csv"])
+        main(["generate", "--type", "1,2,3", "--format", "json"])
     assert err.value.code == 2
-    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["bounds", "--t", "6"], ["reduce"]], ids=["bounds", "reduce"])
@@ -214,12 +227,21 @@ def test_peels_take_no_seed(argv, tmp_path, capsys):
     assert "unrecognized arguments: --seed 1" in captured.err
 
 
-def test_csv_format(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    ["hilbert --config CFG --t-max 3", "bounds --config CFG --t 3", "count-lines --config CFG",
+     "verify --config CFG --m 2", "family --s 2 --m 3", "reduce --config CFG"],
+    ids=lambda argv: argv.split()[0],
+)
+def test_csv_is_not_a_format(argv, tmp_path, capsys):
+    # JSON is the one machine format
     cfg = _write_config(tmp_path, config_1345())
-    main(["bounds", "--config", cfg, "--m", "2", "--t", "8", "--format", "csv"])
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].split(",") == ["t", "f_lower", "F_upper", "exact", "tight"]
-    assert lines[1].split(",") == ["8", "36", "36", "36", "True"]
+    with pytest.raises(SystemExit) as err:
+        main([cfg if a == "CFG" else a for a in argv.split()] + ["--format", "csv"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "argument --format: invalid choice: 'csv'" in captured.err
 
 
 def test_generation_failure_is_an_error_not_a_traceback(capsys):
@@ -421,11 +443,14 @@ def test_bounds_loads_the_configuration_once(tmp_path, monkeypatch, capsys):
      ("generate --type 1,2,3 --r 0 -o missing/out.json", ["--r"]),
      ("generate --type 1,2,3 --r 5 -o missing/out.json", ["--r"]),
      ("generate --type 1 --r 1 -o missing/out.json", ["--r", "--type"]),
-     ("family --s 1 --m 2", ["--s"])],
+     ("family --s 1 --m 2", ["--s"]),
+     ("generate --type 1,2,3 --coord-bound -3 -o missing/out.json", ["--coord-bound"]),
+     ("family --s 2 --m 3 --coord-bound -3", ["--coord-bound"])],
     ids=["hilbert-m-scheme", "bounds-m-scheme", "reduce-m-scheme",
          "bounds-strategy-lines", "reduce-strategy-lines", "bounds-scheme-no-lines",
          "reduce-scheme-no-lines", "type-decreasing", "type-letters", "r-on-1-3",
-         "t-max-negative", "r-zero", "r-above-star", "r-on-1", "family-s-one"],
+         "t-max-negative", "r-zero", "r-above-star", "r-on-1", "family-s-one",
+         "generate-coord-bound-negative", "family-coord-bound-negative"],
 )
 def test_flag_clashes_are_usage_errors(argv, flags, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -108,7 +108,6 @@ def test_counterexample_table():
     tab = hilbert_table(z, 6)
     assert tab.values == (1, 3, 6, 10, 15, 18, 18)
     assert tab.stabilized_at == 5
-    assert tab.arrow_display() == "1 3 6 10 15 18 18 →"
 
 
 def test_four_line_value():

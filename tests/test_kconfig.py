@@ -139,6 +139,33 @@ def test_generate_generic_refuses_a_bound_too_small_for_one_line(dvec, bound, dr
     assert draws == []
 
 
+def test_generate_generic_fills_a_line_at_the_bound(draws):
+    # bound 1 reaches exactly 4 points on a line, so d_s = 4 is feasible
+    x = generate_generic(KType((4,)), seed=0, bound=1)
+    assert validate(x) == [] and len(x.points()) == 4
+    assert draws
+
+
+# Bound 1 has (3**3 - 1) // 2 = 13 lines.  A type (1..s) configuration
+# needs s of them, or s + 1 for the star (r = s + 1).
+@pytest.mark.parametrize("s, r", [(12, 13), (13, 10)], ids=["star", "r-below-s"])
+def test_generate_with_line_count_passes_the_line_guard_at_its_limit(s, r, monkeypatch):
+    def no_lines(rng, count, bound):
+        raise GenerationFailed("no lines drawn")
+
+    # skip the search, which takes seconds to fail at this bound
+    monkeypatch.setattr(kconfig, "_general_position_lines", no_lines)
+    with pytest.raises(GenerationFailed, match=f"no type .* configuration with r={r} found"):
+        generate_with_line_count(s, r, 0, bound=1)
+
+
+@pytest.mark.parametrize("s, r", [(13, 14), (14, 11)], ids=["star", "r-below-s"])
+def test_generate_with_line_count_refuses_one_line_too_many(s, r, draws):
+    with pytest.raises(GenerationFailed, match="coordinate bound 1 has too few lines"):
+        generate_with_line_count(s, r, 0, bound=1)
+    assert draws == []
+
+
 def test_generate_with_line_count_refuses_too_many_generic_points(draws):
     # For r <= s the last line needs s - r + 1 generic points; bound 1
     # reaches at most 4 on a line and bound 2 at most 8, so (s, r) = (5, 1)

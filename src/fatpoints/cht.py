@@ -67,7 +67,7 @@ class BoundReport:
     t: int
     f_lower: int
     F_upper: int
-    exact: int | None
+    exact: int
     tight: bool
 
 
@@ -117,8 +117,8 @@ def _full_lines(x, strategy: str, star: bool) -> list[ProjLine]:
     s = x.ktype.s
     if x.ktype.ds != s or s < 2:
         raise StrategyInapplicable(f"{strategy} peeling needs type (1, ..., s)")
-    r, full = _kconfig.count_lines(x, s)
-    if r != s + star:
+    full = _kconfig.count_lines(x, s)
+    if len(full) != s + star:
         wanted = "s + 1" if star else "exactly s"
         raise StrategyInapplicable(f"{strategy} peeling needs {wanted} full lines")
     return full

@@ -21,6 +21,8 @@ is not increasing positive integers, ``generate --r`` on a type other
 than (1, ..., s) with s >= 2 or outside 1 .. s + 1, ``--m`` with
 ``--scheme``, ``--strategy`` with ``--lines``, or ``bounds``/``reduce
 --scheme`` without ``--lines`` (a scheme has no defining lines to peel).
+``verify --ri`` is accepted and ignored: every report carries ``ri``,
+and the benchmark's ``perfbench/workloads.py`` still passes the flag.
 
 Report wire format, owned by this module alone: a report dataclass
 becomes a JSON object with one key per field, named after the field
@@ -167,9 +169,9 @@ def cmd_bounds(args) -> int:
 def cmd_count_lines(args) -> int:
     x = _load_config(args)
     k = args.k if args.k is not None else x.ktype.ds
-    count, lines = kconfig.count_lines(x, k)
-    payload = {"k": k, "count": count, "lines": lines_to_json(lines)}
-    text = f"{count} line(s) with exactly {k} points"
+    lines = kconfig.count_lines(x, k)
+    payload = {"k": k, "count": len(lines), "lines": lines_to_json(lines)}
+    text = f"{len(lines)} line(s) with exactly {k} points"
     _emit(args, payload, text)
     return 0
 
@@ -177,7 +179,7 @@ def cmd_count_lines(args) -> int:
 def cmd_verify(args) -> int:
     x = _load_config(args)
     ms = [args.m] if args.m_sweep is None else args.m_sweep
-    reports = [verify.verify_main(x, m, include_ri=args.ri) for m in ms]
+    reports = [verify.verify_main(x, m) for m in ms]
     lines = []
     for m, report in zip(ms, reports):
         verdict = "MATCH" if report.matches else "MISMATCH"
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     ms = v.add_mutually_exclusive_group(required=True)
     ms.add_argument("--m", type=_at_least(1))
     ms.add_argument("--m-sweep", type=_sweep, help="inclusive range lo:hi")
-    v.add_argument("--ri", action="store_true", help="include the regularity index")
+    v.add_argument("--ri", action="store_true", help="ignored: ri is always reported")
 
     f = command("family", cmd_family, "Hilbert functions across feasible line counts", fmt)
     f.add_argument("--s", type=_at_least(2), required=True)

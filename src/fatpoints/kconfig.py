@@ -162,7 +162,7 @@ def fatten(x: KConfiguration, m: int) -> FatPointScheme:
     return z
 
 
-def count_lines(x: KConfiguration, k: int) -> tuple[int, list[ProjLine]]:
+def count_lines(x: KConfiguration, k: int) -> list[ProjLine]:
     """The lines meeting X in exactly k >= 2 points, sorted by coefficients.
 
     Reads :attr:`KConfiguration.pair_lines`: every line through two of the
@@ -178,8 +178,7 @@ def count_lines(x: KConfiguration, k: int) -> tuple[int, list[ProjLine]]:
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}: infinitely many lines "
                          "meet the points in fewer than two")
-    found = [line_from_canonical(key) for key, on in zip(keys, members) if len(on) == k]
-    return len(found), found
+    return [line_from_canonical(key) for key, on in zip(keys, members) if len(on) == k]
 
 
 # --- generators ------------------------------------------------------------
@@ -365,7 +364,7 @@ def generate_with_line_count(s: int, r: int, seed: int, bound: int = 50) -> KCon
 
     return _first_accepted(
         build,
-        lambda x: count_lines(x, s)[0] == r,
+        lambda x: len(count_lines(x, s)) == r,
         f"no type {ktype.d} configuration with r={r} found",
     )
 

@@ -8,7 +8,7 @@ threshold m0 (2 when d_s > s, s + 1 when d_s = s).  Below the threshold
 the identity can fail and reports record the mismatch without asserting.
 
 The paper's companion statements are read off the fields of the same
-:class:`VerificationReport`, computed with ``include_ri``:
+:class:`VerificationReport`:
 
 - the regularity index of mX is m*d_s - 1: ``ri`` equals t* = m*d_s - 1;
 - when ``ri`` equals t*, H(t*) = deg, so ``delta_value`` is the last
@@ -74,24 +74,22 @@ class VerificationReport:
     matches: bool
     asserted: bool
     reduced_delta: int
-    ri: int | None
+    ri: int
 
 
-def verify_main(x: KConfiguration, m: int, include_ri: bool = False) -> VerificationReport:
+def verify_main(x: KConfiguration, m: int) -> VerificationReport:
     """Compare the first difference at m*d_s - 1 with the line count.
 
     The match is asserted by callers only when m >= m0; below that the
     report is informational (the identity genuinely fails for some
     configurations there).
 
-    Both values come from :func:`hilbert.hilbert_value`.  With
-    ``include_ri`` the regularity index ri is computed first, and when
-    ri <= t* the value H(t*) = deg is read off it: H is nondecreasing and
-    H(ri) = deg is exact, so H(t*) is not computed again.  The values rest
-    on the Cooper-Harbourne-Teitler bounds f_v <= H <= F_v of the scheme's
-    greedy reduction vector, or on a conditions-matrix rank where they
-    differ, and the line count on :func:`kconfig.count_lines`; never on
-    the identity being checked.
+    Both values come from :func:`hilbert.hilbert_value`.  The walk for ri
+    starts at its floor t*, so when ri <= t* the H(t*) = deg it read is
+    not computed again.  The values rest on the Cooper-Harbourne-Teitler
+    bounds f_v <= H <= F_v of the scheme's greedy reduction vector, or on
+    a conditions-matrix rank where they differ, and the line count on
+    :func:`kconfig.count_lines`; never on the identity being checked.
     """
     if x.ktype.is_single_point():
         raise SinglePointType("verification needs at least two points")
@@ -100,11 +98,11 @@ def verify_main(x: KConfiguration, m: int, include_ri: bool = False) -> Verifica
     ds = x.ktype.ds
     z = fatten(x, m)
     t_star = m * ds - 1
-    ri = hilbert.regularity_index(z) if include_ri else None
-    upper = z.degree() if include_ri and ri <= t_star else hilbert.hilbert_value(z, t_star)
+    ri = hilbert.regularity_index(z)
+    upper = z.degree() if ri <= t_star else hilbert.hilbert_value(z, t_star)
     lower = hilbert.hilbert_value(z, t_star - 1)
     delta = upper - lower
-    count, _ = count_lines(x, ds)
+    count = len(count_lines(x, ds))
     threshold = m0(x.ktype)
     reduced = fatten(x, 1)
     h_reduced = hilbert.hilbert_value(reduced, ds - 1)

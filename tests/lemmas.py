@@ -192,7 +192,8 @@ def classify_case(x: KConfiguration) -> Trichotomy:
         raise TypeMismatch("classification applies to types (1, 2, ..., s), s >= 2")
     s = x.ktype.s
     points = set(x.points())
-    r, full = count_lines(x, s)
+    full = count_lines(x, s)
+    r = len(full)
     if r == s + 1:
         meets = {meet(a, b) for a, b in combinations(full, 2)}
         if meets != points:

@@ -123,12 +123,28 @@ def test_verify_sweep(tmp_path, capsys):
 
 def test_verify_json_sweep_is_one_array(tmp_path, capsys):
     cfg = _write_config(tmp_path, config_123_one())
-    assert main(["verify", "--config", cfg, "--m-sweep", "2:4", "--ri", "--format", "json"]) == 0
+    assert main(["verify", "--config", cfg, "--m-sweep", "2:4", "--format", "json"]) == 0
     sweep = json.loads(capsys.readouterr().out)
     assert isinstance(sweep, list) and len(sweep) == 3
     for m, report in zip(range(2, 5), sweep):
-        assert main(["verify", "--config", cfg, "--m", str(m), "--ri", "--format", "json"]) == 0
+        assert main(["verify", "--config", cfg, "--m", str(m), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == report
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("ms", [["--m", "4"], ["--m-sweep", "1:4"]])
+def test_verify_ri_flag_is_ignored(ms, fmt, tmp_path, capsys):
+    # every report carries ri; --ri still parses and changes no byte
+    cfg = _write_config(tmp_path, config_123_one())
+    outs = []
+    for ri in ([], ["--ri"]):
+        assert main(["verify", "--config", cfg, *ms, *ri, "--format", fmt]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    if fmt == "json":
+        reports = json.loads(outs[0])
+        for report in reports if isinstance(reports, list) else [reports]:
+            assert report["ri"] == 3 * report["m"] - 1
 
 
 def test_verify_fails_when_the_identity_fails(tmp_path, capsys, monkeypatch):
@@ -136,7 +152,7 @@ def test_verify_fails_when_the_identity_fails(tmp_path, capsys, monkeypatch):
     from fatpoints import verify
 
     real = verify.count_lines
-    monkeypatch.setattr(verify, "count_lines", lambda x, k: (real(x, k)[0] + 1, None))
+    monkeypatch.setattr(verify, "count_lines", lambda x, k: real(x, k) + [None])
     cfg = _write_config(tmp_path, config_123_one())
     assert main(["verify", "--config", cfg, "--m", "4", "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out)["matches"] is False
@@ -575,7 +591,7 @@ seen = {"after_import": "numpy" in sys.modules}
 cfg = os.path.join(tempfile.mkdtemp(), "cfg.json")
 codes = [main(["generate", "--type", "1,2,3", "--seed", "0", "-o", cfg])]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes.append(main(["verify", "--config", cfg, "--m", "4", "--ri"]))
+    codes.append(main(["verify", "--config", cfg, "--m", "4"]))
     codes.append(main(["family", "--s", "3", "--m", "4"]))
 seen["after_commands"] = "numpy" in sys.modules
 seen["eager"] = ["fatpoints.linalg" in sys.modules, "fatpoints.hilbert" in sys.modules]
@@ -614,7 +630,7 @@ cfg = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["family", "--s", "3", "--m", "4", "--format", "json"]),
              main(["generate", "--type", "1,2,3", "--seed", "0", "-o", cfg]),
-             main(["verify", "--config", cfg, "--m", "4", "--ri", "--format", "json"])]
+             main(["verify", "--config", cfg, "--m", "4", "--format", "json"])]
 unused = ["_hashlib", "hashlib", "csv", "fractions", "decimal", "numpy"]
 print(json.dumps({"codes": codes, "loaded": [m for m in unused if m in sys.modules]}))
 """

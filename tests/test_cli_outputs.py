@@ -90,8 +90,9 @@ DIGESTS = {
         "1eae471bdf7483b3611a456d7ff1a28da2c5bc9f801b12da03e94d8850b2d7e4",
     "verify --config c --m 2 --format text":
         "74ed9c8e51683d0178eefc889bb04b6f92e659296cdbbba9993e4c4080d0ccb2",
+    # Recorded when every report came to carry its regularity index.
     "verify --config c --m 2 --format json":
-        "d3c01960773a785102d1b2652bc25c839f28ef1f4c8c4700271d1d1fe97b40b7",
+        "714ac249872a214f98f5892805f3290da149efe7b953a3c900e5ae303ff34ce1",
     "reduce --config a --m 2 --format text":
         "bdb8b488cb9007736e8cbe0acd454bd3c8596533702deb23634243771259efe4",
     "reduce --config a --m 2 --format json":

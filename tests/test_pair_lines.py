@@ -48,7 +48,7 @@ def _fresh(x):
 @pytest.mark.parametrize("m", [1, 2, 5])
 def test_verify_main_enumerates_pairs_once(m, pair_line_calls):
     x = _fresh(config_1345())
-    verify_main(x, m, include_ri=True)
+    verify_main(x, m)
     assert pair_line_calls == [len(x.points())]
 
 
@@ -57,8 +57,7 @@ def test_cli_m_sweep_enumerates_pairs_once(tmp_path, capsys, pair_line_calls):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(kconfig_to_json(x)))
     pair_line_calls.clear()
-    rc = cli.main(["verify", "--config", str(cfg), "--m-sweep", "1:6", "--ri",
-                   "--format", "json"])
+    rc = cli.main(["verify", "--config", str(cfg), "--m-sweep", "1:6", "--format", "json"])
     assert rc == 0
     assert capsys.readouterr().out.count('"config_id"') == 6
     assert pair_line_calls == [15]
@@ -87,7 +86,7 @@ def test_generators_enumerate_no_pairs(pair_line_calls):
 
 def test_count_lines_and_schemes_share_the_map(pair_line_calls):
     x = _fresh(config_1345())
-    count, _ = kconfig.count_lines(x, 5)
+    count = len(kconfig.count_lines(x, 5))
     z1, z2 = fatten(x, 1), fatten(x, 3)
     assert z1.pair_lines is z2.pair_lines is x.pair_lines
     assert x.points() is x.points()  # sorted once per configuration
@@ -100,7 +99,7 @@ def test_count_lines_and_schemes_share_the_map(pair_line_calls):
 
 def test_returned_lines_are_canonical_proj_lines():
     x = _fresh(config_1345())
-    _, counted = kconfig.count_lines(x, 5)
+    counted = kconfig.count_lines(x, 5)
     chosen = fatten(x, 3).greedy_reduction.lines
     for l in (*counted, *chosen):
         assert type(l) is ProjLine and l == ProjLine(l.coeffs)

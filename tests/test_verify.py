@@ -69,7 +69,7 @@ def test_reduced_bound_consecutive_type():
         (config_123_one(), 1),
         (config_123_star(), 4),
     ]:
-        rep = verify_main(x, 4, include_ri=True)
+        rep = verify_main(x, 4)
         assert rep.reduced_delta == 3 == tail_length(x.ktype)
         assert rep.line_count == expected_count <= rep.reduced_delta + 1
         assert _support_value(x) == 6 == sum(x.ktype.d)
@@ -77,7 +77,7 @@ def test_reduced_bound_consecutive_type():
 
 def test_reduced_bound_walkthrough_type():
     x = config_1345()
-    rep = verify_main(x, 2, include_ri=True)
+    rep = verify_main(x, 2)
     assert rep.reduced_delta == 3 == tail_length(x.ktype)
     assert rep.line_count == 3 <= rep.reduced_delta + 1
     assert _support_value(x) == 13 == sum(x.ktype.d)
@@ -85,20 +85,20 @@ def test_reduced_bound_walkthrough_type():
 
 def test_reduced_bound_sparse_type():
     x = generate_generic(KType((2, 5)), seed=3, bound=15)
-    rep = verify_main(x, 2, include_ri=True)
+    rep = verify_main(x, 2)
     assert rep.reduced_delta == 1 == tail_length(x.ktype)
     assert rep.line_count <= rep.reduced_delta + 1 == 2
     assert _support_value(x) == 7 == sum(x.ktype.d)
 
 
 def test_verify_regularity_small():
-    rep = verify_main(config_123_one(), 4, include_ri=True)
+    rep = verify_main(config_123_one(), 4)
     assert rep.ri == 11 == 4 * 3 - 1
 
 
 def test_verify_regularity_threshold():
     # below m0 = s + 1 the report records the values without asserting
-    rep = verify_main(config_123_one(), 3, include_ri=True)
+    rep = verify_main(config_123_one(), 3)
     assert rep.m0 == 4 and rep.asserted is False
 
 
@@ -111,20 +111,20 @@ def test_verify_regularity_single_point():
 
 def test_verify_last_nonzero_walkthrough():
     # ri = t*, so H(t*) = deg and delta_value is the last nonzero difference
-    rep = verify_main(config_1345(), 2, include_ri=True)
+    rep = verify_main(config_1345(), 2)
     assert rep.ri == 9 == 2 * 5 - 1
     assert rep.delta_value == 3 == rep.line_count
 
 
 def test_verify_last_nonzero_counterexample_resolves():
-    rep = verify_main(config_123_one(), 4, include_ri=True)
+    rep = verify_main(config_123_one(), 4)
     assert rep.ri == 11 == 4 * 3 - 1
     assert rep.delta_value == 1 == rep.line_count
 
 
 def test_verify_last_nonzero_small_star():
     x = generate_with_line_count(2, 3, seed=0, bound=12)
-    rep = verify_main(x, 3, include_ri=True)
+    rep = verify_main(x, 3)
     assert rep.ri == 5 == 3 * 2 - 1
     assert rep.delta_value == 3 == rep.line_count
 
@@ -172,10 +172,35 @@ def test_verify_main_reuses_ri_for_the_top_value(monkeypatch):
 
     monkeypatch.setattr(hilbert, "conditions_matrix", spy_matrix)
     monkeypatch.setattr(hilbert, "hilbert_value", spy_value)
-    rep = verify_main(x, m, include_ri=True)
+    rep = verify_main(x, m)
     assert rep.ri == t_star and degrees.count(t_star) <= 1
     assert valued.count(t_star) == 1
-    assert rep.delta_value == verify_main(x, m).delta_value == 1
+    assert rep.delta_value == 1
+
+
+@pytest.mark.parametrize(
+    "dvec, m",
+    [*LADDER, *((dvec, m0(KType(dvec)) - 1) for dvec, _ in LADDER)],
+)
+def test_verify_main_reads_four_hilbert_values(dvec, m, monkeypatch):
+    # The regularity walk starts at its floor t* and reads H(t*) = deg
+    # there, so the report takes H(t*) from it; then H(t* - 1) and the two
+    # support values.  A walk that started below t*, or an H(t*) computed
+    # again, would make a fifth call.
+    valued = []
+    real = hilbert.hilbert_value
+
+    def spy(z, t):
+        valued.append((z, t))
+        return real(z, t)
+
+    monkeypatch.setattr(hilbert, "hilbert_value", spy)
+    x = generate_generic(KType(dvec), seed=0, bound=50)
+    rep = verify_main(x, m)
+    z, support, ds = fatten(x, m), fatten(x, 1), dvec[-1]
+    t_star = m * ds - 1
+    assert valued == [(z, t_star), (z, t_star - 1), (support, ds - 1), (support, ds - 2)]
+    assert rep.ri == t_star
 
 
 @pytest.mark.parametrize("dvec, m", LADDER)
@@ -190,7 +215,7 @@ def test_verify_main_builds_no_matrix_on_ladder_rungs(dvec, m, monkeypatch):
 
     monkeypatch.setattr(hilbert, "conditions_matrix", spy)
     x = generate_generic(KType(dvec), seed=0, bound=50)
-    rep = verify_main(x, m, include_ri=True)
+    rep = verify_main(x, m)
     assert rep.matches and rep.ri == m * dvec[-1] - 1
     assert degrees == []
 
@@ -208,6 +233,6 @@ def test_verify_main_builds_no_large_exact_matrix(monkeypatch):
 
     monkeypatch.setattr(hilbert.ConditionsMatrix, "_cells", spy)
     x = generate_generic(KType((1, 2, 3, 4)), seed=0, bound=50)
-    rep = verify_main(x, 5, include_ri=True)
+    rep = verify_main(x, 5)
     assert rep.matches and rep.ri == 5 * 4 - 1
     assert built == []

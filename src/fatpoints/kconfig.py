@@ -151,10 +151,11 @@ def fatten(x: KConfiguration, m: int) -> FatPointScheme:
     The entries are built directly from :meth:`KConfiguration.points`,
     which are sorted and distinct, so no duplicate check runs.  The scheme
     takes over the configuration's :attr:`~KConfiguration.pair_lines`:
-    both index the same sorted point tuple.
+    both index the same sorted point tuple.  A ``bool`` is refused: it is
+    not a multiplicity, and JSON would carry it as ``true``.
     """
-    if m < 1:
-        raise ValueError("multiplicity must be positive")
+    if isinstance(m, bool) or m < 1:
+        raise ValueError("multiplicity must be a positive integer")
     points = x.points()
     z = FatPointScheme(tuple((p, m) for p in points))
     assert z.support() == points

@@ -53,7 +53,7 @@ class FatPointScheme:
             raise ValueError("points and multiplicities differ in length")
         seen = {}
         for p, m in zip(points, mults):
-            if not isinstance(m, int) or m < 1:
+            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise NonPositiveMultiplicity(f"multiplicity {m!r} for {p}")
             if p in seen:
                 raise DuplicatePoint(f"point {p} listed twice")

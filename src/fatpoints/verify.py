@@ -15,7 +15,9 @@ The paper's companion statements are read off the fields of the same
   nonzero first difference, and it equals ``line_count``;
 - the reduced-scheme bound: ``reduced_delta``, the first difference of the
   support's Hilbert function at d_s - 1, equals the tail length of the
-  type, and ``line_count`` is at most ``reduced_delta`` + 1.
+  type, and ``line_count`` is at most ``reduced_delta`` + 1.  It is the
+  m = 1 ``delta_value``, H_X(d_s - 1) - H_X(d_s - 2), read from the same
+  routine.
 
 Also covered: the family of pairwise distinct Hilbert functions obtained
 by sweeping the feasible maximal-line counts for type (1, ..., s).
@@ -77,6 +79,21 @@ class VerificationReport:
     ri: int
 
 
+def _top_difference(x: KConfiguration, m: int) -> tuple[int, int]:
+    """The first difference of H_mX at t* = m*d_s - 1, and ri of mX.
+
+    The walk for ri starts at its floor t*, so when ri <= t* the
+    H(t*) = deg it read is not computed again; H(t* - 1) is the one
+    other value read.  At m = 1 this is the support's first difference
+    H_X(d_s - 1) - H_X(d_s - 2).
+    """
+    z = fatten(x, m)
+    t_star = m * x.ktype.ds - 1
+    ri = hilbert.regularity_index(z)
+    upper = z.degree() if ri <= t_star else hilbert.hilbert_value(z, t_star)
+    return upper - hilbert.hilbert_value(z, t_star - 1), ri
+
+
 def verify_main(x: KConfiguration, m: int) -> VerificationReport:
     """Compare the first difference at m*d_s - 1 with the line count.
 
@@ -84,29 +101,21 @@ def verify_main(x: KConfiguration, m: int) -> VerificationReport:
     report is informational (the identity genuinely fails for some
     configurations there).
 
-    Both values come from :func:`hilbert.hilbert_value`.  The walk for ri
-    starts at its floor t*, so when ri <= t* the H(t*) = deg it read is
-    not computed again.  The values rest on the Cooper-Harbourne-Teitler
-    bounds f_v <= H <= F_v of the scheme's greedy reduction vector, or on
-    a conditions-matrix rank where they differ, and the line count on
-    :func:`kconfig.count_lines`; never on the identity being checked.
+    ``delta_value`` and ``ri`` come from one call of the difference
+    routine at m, and ``reduced_delta`` is that routine's ``delta_value``
+    at m = 1, H_X(d_s - 1) - H_X(d_s - 2): the same call when m = 1, one
+    more otherwise.  The values come from :func:`hilbert.hilbert_value`,
+    which rests on the Cooper-Harbourne-Teitler bounds f_v <= H <= F_v of
+    the scheme's greedy reduction vector, or on a conditions-matrix rank
+    where they differ, and the line count on :func:`kconfig.count_lines`;
+    never on the identity being checked.
     """
     if x.ktype.is_single_point():
         raise SinglePointType("verification needs at least two points")
-    if m < 1:
-        raise ValueError("multiplicity must be positive")
-    ds = x.ktype.ds
-    z = fatten(x, m)
-    t_star = m * ds - 1
-    ri = hilbert.regularity_index(z)
-    upper = z.degree() if ri <= t_star else hilbert.hilbert_value(z, t_star)
-    lower = hilbert.hilbert_value(z, t_star - 1)
-    delta = upper - lower
-    count = len(count_lines(x, ds))
+    delta, ri = _top_difference(x, m)
+    count = len(count_lines(x, x.ktype.ds))
     threshold = m0(x.ktype)
-    reduced = fatten(x, 1)
-    h_reduced = hilbert.hilbert_value(reduced, ds - 1)
-    red_delta = h_reduced - hilbert.hilbert_value(reduced, ds - 2)
+    red_delta = delta if m == 1 else _top_difference(x, 1)[0]
     return VerificationReport(
         config_id=config_id(x),
         ktype=x.ktype.d,

@@ -398,6 +398,12 @@ def test_fatten_degrees():
     assert fatten(config_1345(), 2).degree() == 39
 
 
+def test_fatten_refuses_bool_multiplicity():
+    # a report would carry "m": true
+    with pytest.raises(ValueError):
+        fatten(config_1345(), True)
+
+
 def test_json_round_trip():
     for x, _, _ in full_corpus():
         data = kconfig_to_json(x)

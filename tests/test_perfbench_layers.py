@@ -7,6 +7,9 @@ tracer is loaded from its file as it is; nothing in it is changed.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fatpoints
@@ -16,7 +19,8 @@ from fatpoints import hilbert
 from fatpoints.kconfig import fatten
 from fatpoints.verify import verify_main
 
-_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_SPANS = _ROOT / "perfbench" / "spans.py"
 _spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
 spans = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(spans)
@@ -32,6 +36,24 @@ def _layer_functions():
 def test_every_traced_layer_resolves():
     for (mod, name), func in _layer_functions().items():
         assert callable(func), f"fatpoints.{mod}.{name} is gone"
+
+
+def test_package_import_loads_every_traced_module():
+    # perfbench/run.py imports fatpoints and fatpoints.cli, and the tracer
+    # then reads every traced module from sys.modules.  This suite imports
+    # them all itself, so only a fresh interpreter shows a module that the
+    # package no longer imports (a lazy import would crash --trace 1).
+    modules = sorted({mod for _, mod, _ in spans.LAYERS})
+    code = (
+        "import sys, fatpoints, fatpoints.cli\n"
+        "print(*(m for m in sys.argv[1:] if 'fatpoints.' + m not in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run(
+        [sys.executable, "-c", code, *modules],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.split() == []
 
 
 def test_tracer_records_and_restores():

@@ -44,6 +44,14 @@ def test_from_points_errors():
         FatPointScheme.from_points([p], [0])
 
 
+def test_from_points_refuses_bool_multiplicity():
+    # True is an int to isinstance, but JSON would write it as true, which
+    # scheme_from_json refuses
+    p, q = ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0))
+    with pytest.raises(NonPositiveMultiplicity):
+        FatPointScheme.from_points([p, q], [True, 2])
+
+
 def test_line_degree_walkthrough():
     x = config_1345()
     z = fatten(x, 2)

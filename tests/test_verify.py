@@ -1,3 +1,4 @@
+from functools import cached_property
 from math import comb
 
 import pytest
@@ -8,9 +9,11 @@ from corpus import (
     config_123_star,
     config_1234,
     config_1345,
+    full_corpus,
 )
 from fatpoints import hilbert
 from fatpoints.kconfig import KType, fatten, generate_generic, generate_with_line_count
+from fatpoints.scheme import FatPointScheme
 from fatpoints.verify import (
     MultiplicityBelowThreshold,
     SinglePointType,
@@ -185,22 +188,60 @@ def test_verify_main_reuses_ri_for_the_top_value(monkeypatch):
 def test_verify_main_reads_four_hilbert_values(dvec, m, monkeypatch):
     # The regularity walk starts at its floor t* and reads H(t*) = deg
     # there, so the report takes H(t*) from it; then H(t* - 1) and the two
-    # support values.  A walk that started below t*, or an H(t*) computed
-    # again, would make a fifth call.
-    valued = []
-    real = hilbert.hilbert_value
+    # support values, read by the same routine at m = 1.  A walk that
+    # started below t*, or an H(t*) computed again, would make a fifth
+    # call.  At m = 1 (the (1,3,4,5) and (3,5,7,9) rungs below m0 = 2) the
+    # scheme is the support, so its two values are the reduced ones too:
+    # two calls and one greedy peel.
+    valued, peeled = [], []
+    real_value = hilbert.hilbert_value
+    real_peel = FatPointScheme.greedy_reduction.func
 
-    def spy(z, t):
+    def spy_value(z, t):
         valued.append((z, t))
-        return real(z, t)
+        return real_value(z, t)
 
-    monkeypatch.setattr(hilbert, "hilbert_value", spy)
+    def spy_peel(z):
+        peeled.append(z)
+        return real_peel(z)
+
+    peel = cached_property(spy_peel)
+    peel.__set_name__(FatPointScheme, "greedy_reduction")
+    monkeypatch.setattr(hilbert, "hilbert_value", spy_value)
+    monkeypatch.setattr(FatPointScheme, "greedy_reduction", peel)
     x = generate_generic(KType(dvec), seed=0, bound=50)
     rep = verify_main(x, m)
     z, support, ds = fatten(x, m), fatten(x, 1), dvec[-1]
     t_star = m * ds - 1
-    assert valued == [(z, t_star), (z, t_star - 1), (support, ds - 1), (support, ds - 2)]
+    if m == 1:
+        assert valued == [(support, ds - 1), (support, ds - 2)]
+        assert peeled == [support]
+        assert rep.reduced_delta == rep.delta_value
+    else:
+        assert valued == [(z, t_star), (z, t_star - 1), (support, ds - 1), (support, ds - 2)]
+        assert peeled == [z, support]
     assert rep.ri == t_star
+
+
+def _differential_cases():
+    for i, (x, _, _) in enumerate(full_corpus()):
+        yield pytest.param(x, id=f"corpus{i}-{x.ktype.d}")
+    for dvec, _ in LADDER:
+        for seed in (0, 2):
+            x = generate_generic(KType(dvec), seed=seed, bound=50)
+            yield pytest.param(x, id=f"{dvec}-seed{seed}")
+
+
+@pytest.mark.parametrize("x", _differential_cases())
+def test_reduced_delta_is_the_m1_delta(x):
+    # The reduced-scheme value of every report is the m = 1 report's
+    # delta_value, and both equal H_X(d_s - 1) - H_X(d_s - 2) read directly.
+    support, ds = fatten(x, 1), x.ktype.ds
+    direct = hilbert.hilbert_value(support, ds - 1)
+    direct -= hilbert.hilbert_value(support, ds - 2)
+    assert verify_main(x, 1).delta_value == direct
+    for m in range(1, m0(x.ktype) + 2):
+        assert verify_main(x, m).reduced_delta == direct
 
 
 @pytest.mark.parametrize("dvec, m", LADDER)

@@ -6,7 +6,8 @@ the output is one JSON record: ``s``, the wall seconds of the ``main`` call
 inside the child; ``process_s``, the child's wall seconds from spawn to
 exit, which take in the interpreter start, the imports and anything
 ``main`` loads on its first call; the number of ``linalg.rank`` calls and
-of the span certificates and Bareiss runs that ``linalg`` started; and the
+of the span certificates and Bareiss runs that ``linalg`` started;
+``values``, the number of ``hilbert.hilbert_value`` calls; and the
 sha256 of the command's standard output (equal hashes mean byte-identical
 output); and ``peak_rss_mb``, the child's peak resident memory (its
 ``ru_maxrss`` from ``os.wait4``).  A ``cold`` command runs as a bare
@@ -93,9 +94,9 @@ def _sha256(text: str) -> str:
 
 
 def _run_one(argv: list[str]) -> dict:
-    from fatpoints import cli, linalg
+    from fatpoints import cli, hilbert, linalg
 
-    counts = {"ranks": 0, "certificates": 0, "bareiss": 0}
+    counts = {"ranks": 0, "values": 0, "certificates": 0, "bareiss": 0}
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -105,6 +106,7 @@ def _run_one(argv: list[str]) -> dict:
         return wrapper
 
     linalg.rank = counted("ranks", linalg.rank)
+    hilbert.hilbert_value = counted("values", hilbert.hilbert_value)
     linalg._span_certificate = counted("certificates", linalg._span_certificate)
     linalg.bareiss_rank = counted("bareiss", linalg.bareiss_rank)
     out = io.StringIO()

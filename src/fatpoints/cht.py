@@ -51,9 +51,10 @@ class StrategyInapplicable(ValueError):
     """Raised when a peeling strategy does not fit the configuration."""
 
 
-REPEAT_DESCENDING = "repeat_descending"
+REPEAT_DESCENDING = "repeat"
 STAR = "star"
 AUGMENTED = "augmented"
+STRATEGIES = (REPEAT_DESCENDING, STAR, AUGMENTED)
 
 
 def F_upper(v: ReductionVector, t: int) -> int:

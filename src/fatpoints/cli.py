@@ -5,7 +5,8 @@ reduce.  Configurations and schemes travel as UTF-8 JSON per the module
 wire formats, and a ``--lines`` file is a JSON array of coefficient
 triples; reports print as text mirroring the tabular displays used
 throughout the package, or as JSON, the one machine format: a
-``verify --m-sweep`` prints one JSON array of its reports.  Every
+``verify --m-sweep`` prints one JSON array of its reports, made in one
+pass that reads each value of the configuration alone once.  Every
 subcommand is deterministic given its full parameter set; only
 ``generate`` and ``family`` take a seed.  ``--m`` goes with ``--config``
 (default 1); ``--coord-bound`` defaults to 50 for ``generate`` and 20
@@ -102,9 +103,6 @@ def _load_config(args) -> kconfig.KConfiguration:
     return x
 
 
-_STRATEGIES = {"repeat": cht.REPEAT_DESCENDING, "star": cht.STAR, "augmented": cht.AUGMENTED}
-
-
 def _inputs(args, peel: bool = False):
     """The scheme of ``--config``/``--m`` or ``--scheme`` and, if ``peel``,
     its lines: ``--lines``, or ``--strategy`` on the configuration, which is
@@ -123,7 +121,7 @@ def _inputs(args, peel: bool = False):
         return z, None
     if args.lines:
         return z, lines_from_json(_load_json(args.lines))
-    return z, cht.peeling_sequence(x, m, _STRATEGIES[args.strategy or "repeat"])
+    return z, cht.peeling_sequence(x, m, args.strategy or cht.REPEAT_DESCENDING)
 
 
 def cmd_generate(args) -> int:
@@ -177,9 +175,8 @@ def cmd_count_lines(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    x = _load_config(args)
     ms = [args.m] if args.m_sweep is None else args.m_sweep
-    reports = [verify.verify_main(x, m) for m in ms]
+    reports = verify.verify_main(_load_config(args), ms)
     lines = []
     for m, report in zip(ms, reports):
         verdict = "MATCH" if report.matches else "MISMATCH"
@@ -297,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     peel = parent()
     seq = peel.add_mutually_exclusive_group()
     seq.add_argument("--lines", help="JSON file with a line sequence")
-    seq.add_argument("--strategy", choices=list(_STRATEGIES), help="default repeat")
+    seq.add_argument("--strategy", choices=cht.STRATEGIES, help="default repeat")
 
     g = command("generate", cmd_generate, "emit a seeded random configuration")
     g.add_argument("--type", type=_ktype, required=True, help="comma-separated type, e.g. 1,2,3")

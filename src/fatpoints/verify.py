@@ -17,7 +17,7 @@ The paper's companion statements are read off the fields of the same
   support's Hilbert function at d_s - 1, equals the tail length of the
   type, and ``line_count`` is at most ``reduced_delta`` + 1.  It is the
   m = 1 ``delta_value``, H_X(d_s - 1) - H_X(d_s - 2), read from the same
-  routine.
+  routine.  A sweep over m reads it, and every value of X alone, once.
 
 Also covered: the family of pairwise distinct Hilbert functions obtained
 by sweeping the feasible maximal-line counts for type (1, ..., s).
@@ -26,6 +26,7 @@ by sweeping the feasible maximal-line counts for type (1, ..., s).
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
 
@@ -94,40 +95,41 @@ def _top_difference(x: KConfiguration, m: int) -> tuple[int, int]:
     return upper - hilbert.hilbert_value(z, t_star - 1), ri
 
 
-def verify_main(x: KConfiguration, m: int) -> VerificationReport:
+def verify_main(x: KConfiguration, ms: Sequence[int]) -> list[VerificationReport]:
     """Compare the first difference at m*d_s - 1 with the line count.
 
-    The match is asserted by callers only when m >= m0; below that the
-    report is informational (the identity genuinely fails for some
-    configurations there).
+    One report per m of ``ms``, in order.  The match is asserted by callers
+    only when m >= m0; below that the report is informational (the identity
+    genuinely fails for some configurations there).
 
-    ``delta_value`` and ``ri`` come from one call of the difference
-    routine at m, and ``reduced_delta`` is that routine's ``delta_value``
-    at m = 1, H_X(d_s - 1) - H_X(d_s - 2): the same call when m = 1, one
-    more otherwise.  The values come from :func:`hilbert.hilbert_value`,
-    which rests on the Cooper-Harbourne-Teitler bounds f_v <= H <= F_v of
-    the scheme's greedy reduction vector, or on a conditions-matrix rank
-    where they differ, and the line count on :func:`kconfig.count_lines`;
-    never on the identity being checked.
+    The config id, line count and m0 depend on X alone and are read once.
+    The difference routine runs once per distinct m of ``ms``, in order,
+    then at m = 1 if ``ms`` lacks it: ``reduced_delta`` is its m = 1
+    ``delta_value``, H_X(d_s - 1) - H_X(d_s - 2).  The values come from
+    :func:`hilbert.hilbert_value`, which rests on the Cooper-Harbourne-Teitler
+    bounds f_v <= H <= F_v of the scheme's greedy reduction vector, or on a
+    conditions-matrix rank where they differ, and the line count on
+    :func:`kconfig.count_lines`; never on the identity being checked.
     """
     if x.ktype.is_single_point():
         raise SinglePointType("verification needs at least two points")
-    delta, ri = _top_difference(x, m)
-    count = len(count_lines(x, x.ktype.ds))
-    threshold = m0(x.ktype)
-    red_delta = delta if m == 1 else _top_difference(x, 1)[0]
-    return VerificationReport(
-        config_id=config_id(x),
-        ktype=x.ktype.d,
-        m=m,
-        delta_value=delta,
-        line_count=count,
-        m0=threshold,
-        matches=delta == count,
-        asserted=m >= threshold,
-        reduced_delta=red_delta,
-        ri=ri,
-    )
+    tops = {m: _top_difference(x, m) for m in dict.fromkeys((*ms, 1))}
+    ident, count, threshold = config_id(x), len(count_lines(x, x.ktype.ds)), m0(x.ktype)
+    return [
+        VerificationReport(
+            config_id=ident,
+            ktype=x.ktype.d,
+            m=m,
+            delta_value=tops[m][0],
+            line_count=count,
+            m0=threshold,
+            matches=tops[m][0] == count,
+            asserted=m >= threshold,
+            reduced_delta=tops[1][0],
+            ri=tops[m][1],
+        )
+        for m in ms
+    ]
 
 
 @dataclass(frozen=True)

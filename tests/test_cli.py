@@ -10,7 +10,7 @@ import pytest
 from corpus import LADDER, config_123_one, config_1234, config_1345
 from fatpoints.cli import main
 from fatpoints.kconfig import KType, generate_generic, kconfig_from_json, kconfig_to_json, validate
-from fatpoints.verify import config_id
+from fatpoints.verify import config_id, m0
 
 
 def _write_config(tmp_path, x, name="cfg.json"):
@@ -129,6 +129,22 @@ def test_verify_json_sweep_is_one_array(tmp_path, capsys):
     for m, report in zip(range(2, 5), sweep):
         assert main(["verify", "--config", cfg, "--m", str(m), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == report
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("dvec", [dvec for dvec, _ in LADDER])
+def test_verify_sweep_entries_are_the_single_m_reports(dvec, seed, tmp_path, capsys):
+    # one pass over m = 1 .. m0 + 1 reports what one call per m reports
+    x = generate_generic(KType(dvec), seed=seed, bound=50)
+    cfg = _write_config(tmp_path, x)
+    top = m0(x.ktype) + 1
+    assert main(["verify", "--config", cfg, "--m-sweep", f"1:{top}", "--format", "json"]) == 0
+    sweep = json.loads(capsys.readouterr().out)
+    singles = []
+    for m in range(1, top + 1):
+        assert main(["verify", "--config", cfg, "--m", str(m), "--format", "json"]) == 0
+        singles.append(json.loads(capsys.readouterr().out))
+    assert sweep == singles
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -48,7 +48,7 @@ def _fresh(x):
 @pytest.mark.parametrize("m", [1, 2, 5])
 def test_verify_main_enumerates_pairs_once(m, pair_line_calls):
     x = _fresh(config_1345())
-    verify_main(x, m)
+    verify_main(x, [m])[0]
     assert pair_line_calls == [len(x.points())]
 
 

@@ -84,7 +84,7 @@ def test_tracer_annotates_a_verify_pass():
     tracer = spans.Tracer()
     tracer.install(fatpoints)
     try:
-        rep = verify_main(config_1345(), 2)
+        rep = verify_main(config_1345(), [2])[0]
         # the verify pass is settled by f_v = F_v; this value ranks a matrix
         assert hilbert.hilbert_value(fatten(config_1345(), 2), 6) == 28
     finally:

@@ -1,3 +1,5 @@
+import json
+import sys
 from functools import cached_property
 from math import comb
 
@@ -11,7 +13,7 @@ from corpus import (
     config_1345,
     full_corpus,
 )
-from fatpoints import hilbert
+from fatpoints import cli, hilbert, kconfig, verify
 from fatpoints.kconfig import KType, fatten, generate_generic, generate_with_line_count
 from fatpoints.scheme import FatPointScheme
 from fatpoints.verify import (
@@ -33,32 +35,32 @@ def test_m0_values():
 
 
 def test_verify_main_walkthrough():
-    rep = verify_main(config_1345(), 2)
+    rep = verify_main(config_1345(), [2])[0]
     assert rep.delta_value == 3 and rep.line_count == 3
     assert rep.matches and rep.asserted
 
 
 def test_verify_main_below_threshold_mismatch():
-    rep = verify_main(config_123_one(), 2)
+    rep = verify_main(config_123_one(), [2])[0]
     assert rep.delta_value == 3 and rep.line_count == 1
     assert not rep.matches and not rep.asserted  # informational only
 
 
 def test_verify_main_at_threshold():
-    rep = verify_main(config_123_one(), 4)
+    rep = verify_main(config_123_one(), [4])[0]
     assert rep.delta_value == 1 and rep.line_count == 1
     assert rep.matches and rep.asserted
 
 
 def test_verify_main_four_line_shape():
-    rep = verify_main(config_1234(), 2)
+    rep = verify_main(config_1234(), [2])[0]
     assert rep.delta_value == 4 and rep.line_count == 4 and rep.matches
 
 
 def test_verify_main_single_point_refused():
     x = generate_generic(KType((1,)), seed=1)
     with pytest.raises(SinglePointType):
-        verify_main(x, 2)
+        verify_main(x, [2])[0]
 
 
 def _support_value(x):
@@ -72,7 +74,7 @@ def test_reduced_bound_consecutive_type():
         (config_123_one(), 1),
         (config_123_star(), 4),
     ]:
-        rep = verify_main(x, 4)
+        rep = verify_main(x, [4])[0]
         assert rep.reduced_delta == 3 == tail_length(x.ktype)
         assert rep.line_count == expected_count <= rep.reduced_delta + 1
         assert _support_value(x) == 6 == sum(x.ktype.d)
@@ -80,7 +82,7 @@ def test_reduced_bound_consecutive_type():
 
 def test_reduced_bound_walkthrough_type():
     x = config_1345()
-    rep = verify_main(x, 2)
+    rep = verify_main(x, [2])[0]
     assert rep.reduced_delta == 3 == tail_length(x.ktype)
     assert rep.line_count == 3 <= rep.reduced_delta + 1
     assert _support_value(x) == 13 == sum(x.ktype.d)
@@ -88,20 +90,20 @@ def test_reduced_bound_walkthrough_type():
 
 def test_reduced_bound_sparse_type():
     x = generate_generic(KType((2, 5)), seed=3, bound=15)
-    rep = verify_main(x, 2)
+    rep = verify_main(x, [2])[0]
     assert rep.reduced_delta == 1 == tail_length(x.ktype)
     assert rep.line_count <= rep.reduced_delta + 1 == 2
     assert _support_value(x) == 7 == sum(x.ktype.d)
 
 
 def test_verify_regularity_small():
-    rep = verify_main(config_123_one(), 4)
+    rep = verify_main(config_123_one(), [4])[0]
     assert rep.ri == 11 == 4 * 3 - 1
 
 
 def test_verify_regularity_threshold():
     # below m0 = s + 1 the report records the values without asserting
-    rep = verify_main(config_123_one(), 3)
+    rep = verify_main(config_123_one(), [3])[0]
     assert rep.m0 == 4 and rep.asserted is False
 
 
@@ -114,20 +116,20 @@ def test_verify_regularity_single_point():
 
 def test_verify_last_nonzero_walkthrough():
     # ri = t*, so H(t*) = deg and delta_value is the last nonzero difference
-    rep = verify_main(config_1345(), 2)
+    rep = verify_main(config_1345(), [2])[0]
     assert rep.ri == 9 == 2 * 5 - 1
     assert rep.delta_value == 3 == rep.line_count
 
 
 def test_verify_last_nonzero_counterexample_resolves():
-    rep = verify_main(config_123_one(), 4)
+    rep = verify_main(config_123_one(), [4])[0]
     assert rep.ri == 11 == 4 * 3 - 1
     assert rep.delta_value == 1 == rep.line_count
 
 
 def test_verify_last_nonzero_small_star():
     x = generate_with_line_count(2, 3, seed=0, bound=12)
-    rep = verify_main(x, 3)
+    rep = verify_main(x, [3])[0]
     assert rep.ri == 5 == 3 * 2 - 1
     assert rep.delta_value == 3 == rep.line_count
 
@@ -175,17 +177,57 @@ def test_verify_main_reuses_ri_for_the_top_value(monkeypatch):
 
     monkeypatch.setattr(hilbert, "conditions_matrix", spy_matrix)
     monkeypatch.setattr(hilbert, "hilbert_value", spy_value)
-    rep = verify_main(x, m)
+    rep = verify_main(x, [m])[0]
     assert rep.ri == t_star and degrees.count(t_star) <= 1
     assert valued.count(t_star) == 1
     assert rep.delta_value == 1
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """The calls made while a test runs: ``values`` holds the (scheme, t)
+    of each :func:`hilbert.hilbert_value`, ``peels`` the scheme of each
+    greedy peel, ``ids`` the configuration of each ``config_id`` and
+    ``counts`` the (configuration, k) of each ``count_lines``, the last
+    spied in every ``fatpoints`` module that holds it."""
+    calls = {"values": [], "peels": [], "ids": [], "counts": []}
+    real_value = hilbert.hilbert_value
+    real_peel = FatPointScheme.greedy_reduction.func
+    real_id = verify.config_id
+    real_count = kconfig.count_lines
+
+    def spy_value(z, t):
+        calls["values"].append((z, t))
+        return real_value(z, t)
+
+    def spy_peel(z):
+        calls["peels"].append(z)
+        return real_peel(z)
+
+    def spy_id(x):
+        calls["ids"].append(x)
+        return real_id(x)
+
+    def spy_count(x, k):
+        calls["counts"].append((x, k))
+        return real_count(x, k)
+
+    peel = cached_property(spy_peel)
+    peel.__set_name__(FatPointScheme, "greedy_reduction")
+    monkeypatch.setattr(hilbert, "hilbert_value", spy_value)
+    monkeypatch.setattr(FatPointScheme, "greedy_reduction", peel)
+    monkeypatch.setattr(verify, "config_id", spy_id)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fatpoints") and getattr(module, "count_lines", None) is real_count:
+            monkeypatch.setattr(module, "count_lines", spy_count)
+    return calls
 
 
 @pytest.mark.parametrize(
     "dvec, m",
     [*LADDER, *((dvec, m0(KType(dvec)) - 1) for dvec, _ in LADDER)],
 )
-def test_verify_main_reads_four_hilbert_values(dvec, m, monkeypatch):
+def test_verify_main_reads_four_hilbert_values(dvec, m, spied):
     # The regularity walk starts at its floor t* and reads H(t*) = deg
     # there, so the report takes H(t*) from it; then H(t* - 1) and the two
     # support values, read by the same routine at m = 1.  A walk that
@@ -193,24 +235,9 @@ def test_verify_main_reads_four_hilbert_values(dvec, m, monkeypatch):
     # call.  At m = 1 (the (1,3,4,5) and (3,5,7,9) rungs below m0 = 2) the
     # scheme is the support, so its two values are the reduced ones too:
     # two calls and one greedy peel.
-    valued, peeled = [], []
-    real_value = hilbert.hilbert_value
-    real_peel = FatPointScheme.greedy_reduction.func
-
-    def spy_value(z, t):
-        valued.append((z, t))
-        return real_value(z, t)
-
-    def spy_peel(z):
-        peeled.append(z)
-        return real_peel(z)
-
-    peel = cached_property(spy_peel)
-    peel.__set_name__(FatPointScheme, "greedy_reduction")
-    monkeypatch.setattr(hilbert, "hilbert_value", spy_value)
-    monkeypatch.setattr(FatPointScheme, "greedy_reduction", peel)
+    valued, peeled = spied["values"], spied["peels"]
     x = generate_generic(KType(dvec), seed=0, bound=50)
-    rep = verify_main(x, m)
+    rep = verify_main(x, [m])[0]
     z, support, ds = fatten(x, m), fatten(x, 1), dvec[-1]
     t_star = m * ds - 1
     if m == 1:
@@ -221,6 +248,25 @@ def test_verify_main_reads_four_hilbert_values(dvec, m, monkeypatch):
         assert valued == [(z, t_star), (z, t_star - 1), (support, ds - 1), (support, ds - 2)]
         assert peeled == [z, support]
     assert rep.ri == t_star
+
+
+def test_cli_sweep_reads_each_support_value_once(spied, tmp_path, capsys):
+    # verify --m-sweep 1:6 is one verification pass: one config id, one line
+    # count, and per m one greedy peel and the two values H_mX(t*),
+    # H_mX(t* - 1), the m = 1 pair being the support's reduced values.
+    x = generate_generic(KType((1, 2, 3, 4, 5)), seed=0, bound=50)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(kconfig.kconfig_to_json(x)))
+    for calls in spied.values():
+        calls.clear()
+    argv = ["verify", "--config", str(cfg), "--m-sweep", "1:6", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert [rep["m"] for rep in json.loads(capsys.readouterr().out)] == [1, 2, 3, 4, 5, 6]
+    assert spied["values"] == [
+        (fatten(x, m), t) for m in range(1, 7) for t in (5 * m - 1, 5 * m - 2)
+    ]
+    assert spied["peels"] == [fatten(x, m) for m in range(1, 7)]
+    assert spied["ids"] == [x] and spied["counts"] == [(x, 5)]
 
 
 def _differential_cases():
@@ -239,9 +285,9 @@ def test_reduced_delta_is_the_m1_delta(x):
     support, ds = fatten(x, 1), x.ktype.ds
     direct = hilbert.hilbert_value(support, ds - 1)
     direct -= hilbert.hilbert_value(support, ds - 2)
-    assert verify_main(x, 1).delta_value == direct
+    assert verify_main(x, [1])[0].delta_value == direct
     for m in range(1, m0(x.ktype) + 2):
-        assert verify_main(x, m).reduced_delta == direct
+        assert verify_main(x, [m])[0].reduced_delta == direct
 
 
 @pytest.mark.parametrize("dvec, m", LADDER)
@@ -256,7 +302,7 @@ def test_verify_main_builds_no_matrix_on_ladder_rungs(dvec, m, monkeypatch):
 
     monkeypatch.setattr(hilbert, "conditions_matrix", spy)
     x = generate_generic(KType(dvec), seed=0, bound=50)
-    rep = verify_main(x, m)
+    rep = verify_main(x, [m])[0]
     assert rep.matches and rep.ri == m * dvec[-1] - 1
     assert degrees == []
 
@@ -274,6 +320,6 @@ def test_verify_main_builds_no_large_exact_matrix(monkeypatch):
 
     monkeypatch.setattr(hilbert.ConditionsMatrix, "_cells", spy)
     x = generate_generic(KType((1, 2, 3, 4)), seed=0, bound=50)
-    rep = verify_main(x, 5)
+    rep = verify_main(x, [5])[0]
     assert rep.matches and rep.ri == 5 * 4 - 1
     assert built == []

@@ -3,8 +3,10 @@
 Subcommands: generate, hilbert, bounds, count-lines, verify, family,
 reduce.  Configurations and schemes travel as UTF-8 JSON per the module
 wire formats, and a ``--lines`` file is a JSON array of coefficient
-triples; reports print as text mirroring the tabular displays used
-throughout the package, or as JSON, the one machine format: a
+triples, and an integer argument takes their syntax: an optional ``-``,
+then ASCII digits (:func:`fatpoints.geom.json_int`).  Reports print as
+text mirroring the tabular displays used throughout the package, or as
+JSON, the one machine format: a
 ``verify --m-sweep`` prints one JSON array of its reports, made in one
 pass that reads each value of the configuration alone once.  Every
 subcommand is deterministic given its full parameter set; only
@@ -13,7 +15,8 @@ subcommand is deterministic given its full parameter set; only
 for ``family``; no environment variable changes either.  Exit status:
 0 on success, 1 when a validation or an asserted property fails, 2 on a
 usage error, raised before any input file is opened and with nothing on
-stdout: a multiplicity below 1 (``--m`` or the low end of
+stdout: an integer in another syntax (``1_0``, ``+3``, ``" 20"``), a
+multiplicity below 1 (``--m`` or the low end of
 ``verify --m-sweep``), ``verify`` with both or neither of ``--m`` and
 ``--m-sweep``, ``count-lines --k`` below 2 (infinitely many lines meet
 the points in one point or none), ``hilbert --t-max`` below 0,
@@ -48,7 +51,7 @@ from .scheme import (
     scheme_from_json,
     vector_of_chain,
 )
-from .geom import triple_to_json
+from .geom import json_int, triple_to_json
 
 
 def _load_json(path: str):
@@ -88,7 +91,7 @@ def _emit(args, report, text: str) -> None:
 def _ktype(text: str) -> kconfig.KType:
     """An argparse type for a type such as ``1,2,3`` (commas or spaces)."""
     try:
-        return kconfig.KType(tuple(int(v) for v in text.replace(",", " ").split()))
+        return kconfig.KType(tuple(json_int(v) for v in text.replace(",", " ").split()))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a type such as 1,2,3, got {text!r}") from None
 
@@ -189,25 +192,27 @@ def cmd_verify(args) -> int:
 
 
 def _sweep(text: str) -> list[int]:
-    """The multiplicities of a nonempty inclusive range lo:hi, lo >= 1."""
+    """The multiplicities of a nonempty range lo:hi of ASCII digits, lo >= 1."""
     lo, _, hi = text.partition(":")
-    if not (lo.isdigit() and hi.isdigit() and 1 <= int(lo) <= int(hi)):
+    if not (text.isascii() and lo.isdigit() and hi.isdigit() and 1 <= int(lo) <= int(hi)):
         raise argparse.ArgumentTypeError(
             f"expected a nonempty range lo:hi with lo >= 1, got {text!r}"
         )
     return list(range(int(lo), int(hi) + 1))
 
 
-def _at_least(low: int):
-    """An argparse type for an integer >= ``low``."""
+def _integer(low: int | None = None):
+    """An argparse type for an integer in the JSON wire syntax
+    (:func:`~fatpoints.geom.json_int`), at least ``low`` when given."""
+    wanted = "an integer" if low is None else f"an integer >= {low}"
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = json_int(text)
         except ValueError:
             value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if value is None or low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
         return value
 
     return parse
@@ -290,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = source.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", help="k-configuration JSON file")
     src.add_argument("--scheme", help="fat point scheme JSON file")
-    source.add_argument("--m", type=_at_least(1), help="multiplicity (with --config, default 1)")
+    source.add_argument("--m", type=_integer(1), help="multiplicity (with --config, default 1)")
     peel = parent()
     seq = peel.add_mutually_exclusive_group()
     seq.add_argument("--lines", help="JSON file with a line sequence")
@@ -298,33 +303,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = command("generate", cmd_generate, "emit a seeded random configuration")
     g.add_argument("--type", type=_ktype, required=True, help="comma-separated type, e.g. 1,2,3")
-    g.add_argument("--r", type=int, help="exact number of maximal lines (types (1,...,s) only)")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--coord-bound", type=_at_least(0), default=50)
+    g.add_argument("--r", type=_integer(), help="exact number of maximal lines (types (1,...,s) only)")
+    g.add_argument("--seed", type=_integer(), default=0)
+    g.add_argument("--coord-bound", type=_integer(0), default=50)
     g.add_argument("--output", "-o", default=None)
 
     h = command("hilbert", cmd_hilbert, "Hilbert table of a scheme", fmt, source)
-    h.add_argument("--t-max", type=_at_least(0), required=True)
+    h.add_argument("--t-max", type=_integer(0), required=True)
 
     b = command("bounds", cmd_bounds, "reduction-vector bounds vs the exact value",
                 fmt, source, peel)
-    b.add_argument("--t", type=int, required=True)
+    b.add_argument("--t", type=_integer(), required=True)
 
     c = command("count-lines", cmd_count_lines,
                 "count lines through exactly --k points (default d_s)", fmt, config)
-    c.add_argument("--k", type=_at_least(2), help="points on a line, at least 2")
+    c.add_argument("--k", type=_integer(2), help="points on a line, at least 2")
 
     v = command("verify", cmd_verify, "first difference vs line count", fmt, config)
     ms = v.add_mutually_exclusive_group(required=True)
-    ms.add_argument("--m", type=_at_least(1))
+    ms.add_argument("--m", type=_integer(1))
     ms.add_argument("--m-sweep", type=_sweep, help="inclusive range lo:hi")
     v.add_argument("--ri", action="store_true", help="ignored: ri is always reported")
 
     f = command("family", cmd_family, "Hilbert functions across feasible line counts", fmt)
-    f.add_argument("--s", type=_at_least(2), required=True)
-    f.add_argument("--m", type=_at_least(1), required=True)
-    f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--coord-bound", type=_at_least(0), default=20)
+    f.add_argument("--s", type=_integer(2), required=True)
+    f.add_argument("--m", type=_integer(1), required=True)
+    f.add_argument("--seed", type=_integer(), default=0)
+    f.add_argument("--coord-bound", type=_integer(0), default=20)
 
     command("reduce", cmd_reduce, "print the full residual chain", fmt, source, peel)
     return parser

@@ -278,7 +278,7 @@ def _points_per_line(bound: int) -> int:
     ) // 2
 
 
-def generate_generic(ktype: KType, seed: int, bound: int = 50) -> KConfiguration:
+def generate_generic(ktype: KType, seed: int, bound: int) -> KConfiguration:
     """A seeded random configuration of the given type.
 
     Points are placed by rejection sampling: each avoids the other
@@ -320,17 +320,16 @@ def _general_position_lines(rng: Random, count: int, bound: int) -> list[ProjLin
     raise GenerationFailed(f"no {count} lines in general position found")
 
 
-def generate_with_line_count(s: int, r: int, seed: int, bound: int = 50) -> KConfiguration:
+def generate_with_line_count(s: int, r: int, seed: int, bound: int) -> KConfiguration:
     """A type (1, ..., s) configuration with exactly r maximal lines.
 
-    Both start from lines in general position.  r = s + 1 is the star:
-    X_i is the meets of L_i with L_0, ..., L_{i-1} for s + 1 lines L_j.
-    For r <= s, X_i on one of the trailing r of s lines holds its meets
-    with the earlier trailing lines, and every X_i is topped up with
-    strongly generic points.  Up to 60 candidates are drawn until one is
-    valid and :func:`count_lines` finds r lines with s points.  For s = 2
-    every configuration consists of three non-collinear points whose pair
-    lines all carry two points, so only r = 3 exists.
+    From s lines in general position, s + 1 for the star (r = s + 1), the
+    last s are L_1, ..., L_s, and X_i holds the meets of L_i with the
+    earlier of the last r lines drawn, topped up with strongly generic
+    points; the star's X_i is its i meets alone.  Up to 60 candidates are
+    drawn until one is valid and :func:`count_lines` finds r lines with s
+    points.  For s = 2 every configuration consists of three non-collinear
+    points whose pair lines all carry two points, so only r = 3 exists.
     """
     if s < 2:
         raise ValueError("need s >= 2")
@@ -340,12 +339,12 @@ def generate_with_line_count(s: int, r: int, seed: int, bound: int = 50) -> KCon
         raise InfeasibleLineCount(
             "three non-collinear points always span three 2-point lines"
         )
-    # s lines, s + 1 for the star; a line is a nonzero coefficient triple up
-    # to sign, so the bound allows at most this many.
-    if s + (r == s + 1) > ((2 * bound + 1) ** 3 - 1) // 2:
+    # a line is a nonzero coefficient triple up to sign: this many fit the bound
+    count = s + (r == s + 1)
+    if count > ((2 * bound + 1) ** 3 - 1) // 2:
         raise GenerationFailed(f"coordinate bound {bound} has too few lines")
-    # For r <= s the last line holds r - 1 meets and s - r + 1 generic points.
-    if r <= s and s - r + 1 > _points_per_line(bound):
+    # The last line holds r - 1 meets and s - r + 1 generic points.
+    if s - r + 1 > _points_per_line(bound):
         raise GenerationFailed(
             f"coordinate bound {bound} is too small for {s - r + 1} generic "
             "points on a line"
@@ -354,14 +353,9 @@ def generate_with_line_count(s: int, r: int, seed: int, bound: int = 50) -> KCon
     rng = Random(f"line-count:{s}:{r}:{seed}")
 
     def build() -> KConfiguration:
-        lines = _general_position_lines(rng, s + (r == s + 1), bound)
-        if r == s + 1:  # meets only: no generic point, no spanned lines
-            subsets = [[meet(lines[i], m) for m in lines[:i]] for i in range(1, s + 1)]
-            return KConfiguration(ktype, subsets, lines[1:])
-        forced = [
-            [meet(l, lines[j]) for j in range(s - r, i)] for i, l in enumerate(lines)
-        ]
-        return _place_points(rng, ktype, lines, forced, bound)
+        lines = _general_position_lines(rng, count, bound)
+        forced = [[meet(l, m) for m in lines[count - r : i]] for i, l in enumerate(lines)]
+        return _place_points(rng, ktype, lines[-s:], forced[-s:], bound)
 
     return _first_accepted(
         build,

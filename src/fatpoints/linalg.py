@@ -370,35 +370,34 @@ def rank(rows, upper: int | None = None) -> int:
     :func:`_modp_eliminate`).  Each elimination is a lower bound: one
     that reaches the bound pins the rank, one above ``upper`` raises
     ``ValueError``, and the largest so far is the floor.  From the second
-    prime on, an elimination that reaches the floor sends the
-    higher-ranked of the last two eliminations (the earlier on a tie) to
-    :func:`_span_certificate`.  That proves the rank, or proves a row
-    outside the span of its pivot rows: the floor is then one more, and
-    primes that stay below it get no certificate.  A prime loses rank
-    only if it divides every nonzero maximal minor, and the primes
-    multiply to about 2**1510000; if they run out, ``ValueError``.
+    prime on, an elimination that reaches the floor goes to
+    :func:`_span_certificate` with its own pivots and prime.  That proves
+    the rank, or proves a row outside the span of its pivot rows: the
+    floor is then one more, and primes that stay below it get no
+    certificate.  A prime loses rank only if it divides every nonzero
+    maximal minor, and the primes multiply to about 2**1510000; if they
+    run out, ``ValueError``.
     """
     n = len(rows)
     if n == 0:
         return 0
-    floor, last = 0, None
+    floor = None
     for p in _primes():
         residues = _modp_matrix(rows, p)
         bound = min(n, residues.shape[1], n if upper is None else upper)
-        found = _modp_eliminate(residues, p), p
-        r = found[0][0]
+        r, piv_rows, piv_cols = _modp_eliminate(residues, p)
         if r > bound:
             raise ValueError(f"upper bound {upper} is below the mod-p rank {r}")
         if r == bound:
             return r
-        if last is not None and r >= floor:
-            (r, piv_rows, piv_cols), q = max(last, found, key=lambda f: f[0][0])
-            if _span_certificate(rows, piv_rows, piv_cols, q):
+        if floor is None:
+            floor = r
+        elif r >= floor:
+            if _span_certificate(rows, piv_rows, piv_cols, p):
                 return r
-            r += 1  # a row outside the span of r rows
-            if r == bound:
-                return r
-        floor, last = max(floor, r), found
+            floor = r + 1  # a row outside the span of r rows
+            if floor == bound:
+                return floor
     m = residues.shape[1]
     raise ValueError(f"no prime below 2**20 settles the rank of a {n}x{m} matrix")
 

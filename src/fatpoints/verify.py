@@ -157,7 +157,7 @@ class FamilyReport:
         return self.supports_ok and self.probe_ok and self.pairwise_distinct
 
 
-def hilbert_family(s: int, m: int, seed: int = 0, bound: int = 20) -> FamilyReport:
+def hilbert_family(s: int, m: int, seed: int, bound: int) -> FamilyReport:
     """One configuration per feasible maximal-line count r = 1 .. s+1.
 
     Checks that all supports share the Hilbert function

@@ -9,7 +9,8 @@ maximal defining line for the type, and the relabelling that moves the
 maximal defining lines into trailing positions.  Two readings of a fat
 point scheme that only the tests take, its multiplicity at a point and
 its degree on a line, live here too, with :func:`random_point`, which
-draws the points of the randomized tests.
+draws the points of the randomized tests, and :func:`star_configuration`,
+the star (r = s + 1) by a construction of its own.
 
 The trichotomy oracle, :func:`classify_case`, sorts a type (1, ..., s)
 configuration by r, its number of s-point lines: the star (r = s + 1),
@@ -30,6 +31,7 @@ from random import Random
 
 from fatpoints.geom import ProjLine, ProjPoint, incident, line_through, meet
 from fatpoints.kconfig import KConfiguration, KType, count_lines, validate
+from fatpoints.kconfig import _first_accepted, _general_position_lines
 from fatpoints.scheme import FatPointScheme
 
 
@@ -53,6 +55,25 @@ def random_point(rng: Random, bound: int = 50) -> ProjPoint:
         triple = tuple(rng.randint(-bound, bound) for _ in range(3))
         if triple != (0, 0, 0):
             return ProjPoint(triple)
+
+
+def star_configuration(s: int, seed: int, bound: int) -> KConfiguration:
+    """The star of type (1, ..., s) with its own construction: X_i is the
+    meets of L_i with L_0, ..., L_{i-1} for s + 1 lines L_j in general
+    position, and L_1, ..., L_s are the defining lines.  It draws the
+    random numbers that ``generate_with_line_count(s, s + 1, seed, bound)``
+    draws, so the two must return the same configuration."""
+    ktype = KType(tuple(range(1, s + 1)))
+    rng = Random(f"line-count:{s}:{s + 1}:{seed}")
+
+    def build() -> KConfiguration:
+        lines = _general_position_lines(rng, s + 1, bound)
+        subsets = [[meet(lines[i], m) for m in lines[:i]] for i in range(1, s + 1)]
+        return KConfiguration(ktype, subsets, lines[1:])
+
+    return _first_accepted(
+        build, lambda x: len(count_lines(x, s)) == s + 1, f"no star of type {ktype.d} found"
+    )
 
 
 def tail_length(ktype: KType) -> int:

@@ -493,6 +493,31 @@ def test_flag_clashes_are_usage_errors(argv, flags, tmp_path, monkeypatch, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["generate", "--type", "1_0"], "--type"),
+     (["generate", "--type", "1,+2"], "--type"),
+     (["generate", "--type", "1,2,3", "--seed", "1_0"], "--seed"),
+     (["generate", "--type", "1,2,3", "--r", " 2"], "--r"),
+     (["verify", "--config", "missing.json", "--m", "\u0661"], "--m"),
+     (["verify", "--config", "missing.json", "--m-sweep", "1:\u0662"], "--m-sweep"),
+     (["count-lines", "--config", "missing.json", "--k", "0x3"], "--k"),
+     (["bounds", "--config", "missing.json", "--t", "+3"], "--t"),
+     (["family", "--s", "+3", "--m", "4"], "--s"),
+     (["family", "--s", "3", "--m", "4", "--coord-bound", " 20"], "--coord-bound")],
+    ids=["type-underscore", "type-plus", "seed-underscore", "r-space", "m-arabic-indic",
+         "m-sweep-arabic-indic", "k-hex", "t-plus", "s-plus", "coord-bound-space"],
+)
+def test_integers_follow_the_json_syntax(argv, flag, tmp_path, monkeypatch, capsys):
+    # int() alone would read every one of these
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: expected " in err.splitlines()[-1], err
+    assert "Traceback" not in err
+
+
 def test_family_coord_bound_sources(monkeypatch, capsys):
     from fatpoints import verify
 

@@ -338,7 +338,7 @@ def test_sandwich_agrees_with_the_pinned_rank(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(hilbert, "hilbert_value", spy)
         for s, m in ((3, 4), (4, 5)):
-            hilbert_family(s, m, seed=0)
+            hilbert_family(s, m, seed=0, bound=20)
     cases += [(z, t) for _, z, t in ladder_degrees()]
     settled = 0
     for z, t in cases:

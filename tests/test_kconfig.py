@@ -39,6 +39,7 @@ from lemmas import (
     classify_case,
     line_count_consequence_holds,
     relabel_canonical,
+    star_configuration,
     tail_length,
 )
 
@@ -98,7 +99,7 @@ def test_generate_generic_counts():
 
 
 def test_generate_generic_single_point():
-    x = generate_generic(KType((1,)), seed=3)
+    x = generate_generic(KType((1,)), seed=3, bound=50)
     assert len(x.points()) == 1
     assert validate(x) == []
 
@@ -209,6 +210,16 @@ def test_generate_with_line_count_star():
     assert tri.case == Case.MANY
 
 
+@pytest.mark.parametrize("bound", [12, 20])
+@pytest.mark.parametrize("s", range(2, 9))
+def test_generate_with_line_count_star_matches_its_own_construction(s, bound):
+    # r = s + 1 goes through the forced meets like every other r: its X_i
+    # takes all i meets, so no generic point is drawn.
+    for seed in range(6):
+        x = generate_with_line_count(s, s + 1, seed=seed, bound=bound)
+        assert kconfig_to_json(x) == kconfig_to_json(star_configuration(s, seed, bound))
+
+
 def test_generate_with_line_count_exact_four():
     x = generate_with_line_count(4, 4, seed=1, bound=15)
     assert len(count_lines(x, 4)) == 4
@@ -265,9 +276,9 @@ def test_generate_generic_postconditions(dvec, seed, bound):
 
 def test_generate_with_line_count_range_errors():
     with pytest.raises(InvalidLineCount):
-        generate_with_line_count(3, 0, seed=0)
+        generate_with_line_count(3, 0, seed=0, bound=50)
     with pytest.raises(InvalidLineCount):
-        generate_with_line_count(3, 5, seed=0)
+        generate_with_line_count(3, 5, seed=0, bound=50)
 
 
 def test_count_lines_corpus():
@@ -284,7 +295,7 @@ def test_count_lines_refuses_k_below_two(k):
         count_lines(config_1345(), k)
     # fewer than two points keeps its own error
     with pytest.raises(ValueError, match="at least two points"):
-        count_lines(generate_generic(KType((1,)), seed=0), k)
+        count_lines(generate_generic(KType((1,)), seed=0, bound=50), k)
 
 
 def test_count_lines_walkthrough_identifies_lines():
@@ -318,7 +329,7 @@ def test_candidate_lines_contains_all_maximal():
 
 
 def test_candidate_lines_single_point_refused():
-    x = generate_generic(KType((1,)), seed=0)
+    x = generate_generic(KType((1,)), seed=0, bound=50)
     with pytest.raises(TypeMismatch):
         candidate_lines(x)
 

@@ -313,6 +313,33 @@ def test_certificate_on_ladder_matrices(z, t, transpose, monkeypatch):
     assert seen == [1, True]  # one kernel vector, on the smaller side
 
 
+def test_certificate_reads_the_elimination_in_hand(monkeypatch):
+    # Both primes find the same rank of an unpinned deficient rung: the
+    # second elimination goes to the certificate with its own pivots and
+    # prime, and the first is not kept for it.
+    _, z, t = next(ladder_degrees())  # (1, 2, 3)/4 at t* - 1
+    M = conditions_matrix(z, t)
+    eliminations, certified = [], []
+    real_eliminate, real_certificate = linalg._modp_eliminate, linalg._span_certificate
+
+    def eliminate(A, p):
+        eliminations.append((*real_eliminate(A, p), p))
+        return eliminations[-1][:3]
+
+    def certificate(rows, piv_rows, piv_cols, p):
+        certified.append((piv_rows, piv_cols, p))
+        return real_certificate(rows, piv_rows, piv_cols, p)
+
+    monkeypatch.setattr(linalg, "_modp_eliminate", eliminate)
+    monkeypatch.setattr(linalg, "_span_certificate", certificate)
+    monkeypatch.setattr(linalg, "bareiss_rank", _refuse)
+    deficient = min(len(M), len(M[0])) - 1
+    assert rank(M) == deficient
+    assert [e[0] for e in eliminations] == [deficient] * 2
+    assert certified == [eliminations[1][1:]]
+    assert certified[0][2] == _ELIM_PRIMES[1]
+
+
 def test_certificate_on_the_family_matrix(monkeypatch):
     # family --s 5 --m 6 --seed 0: at t = 21 the r = 5 member is the one
     # value no bound pins.  315 x 253 of rank 252: the right nullity is 1

@@ -64,7 +64,7 @@ def test_cli_m_sweep_enumerates_pairs_once(tmp_path, capsys, pair_line_calls):
 
 
 def test_family_enumerates_pairs_once_per_member(pair_line_calls):
-    report = hilbert_family(3, 4)
+    report = hilbert_family(3, 4, seed=0, bound=20)
     assert report.ok and len(report.members) == 4
     # generate_with_line_count confirms r with count_lines; that map is
     # the one the member's schemes use

@@ -58,7 +58,7 @@ def test_verify_main_four_line_shape():
 
 
 def test_verify_main_single_point_refused():
-    x = generate_generic(KType((1,)), seed=1)
+    x = generate_generic(KType((1,)), seed=1, bound=50)
     with pytest.raises(SinglePointType):
         verify_main(x, [2])[0]
 
@@ -109,7 +109,7 @@ def test_verify_regularity_threshold():
 
 def test_verify_regularity_single_point():
     # verify_main refuses one point; its regularity index is m - 1
-    x = generate_generic(KType((1,)), seed=1)
+    x = generate_generic(KType((1,)), seed=1, bound=50)
     for m in (1, 2, 5):
         assert hilbert.regularity_index(fatten(x, m)) == m - 1
 
@@ -135,7 +135,7 @@ def test_verify_last_nonzero_small_star():
 
 
 def test_family_s2_is_singleton():
-    rep = hilbert_family(2, 3, seed=0)
+    rep = hilbert_family(2, 3, seed=0, bound=20)
     assert [mem.r for mem in rep.members] == [3]
     assert set(rep.infeasible) == {1, 2}
     assert rep.supports_ok and rep.probe_ok and rep.pairwise_distinct
@@ -144,7 +144,7 @@ def test_family_s2_is_singleton():
 
 
 def test_family_s3_complete():
-    rep = hilbert_family(3, 4, seed=0)
+    rep = hilbert_family(3, 4, seed=0, bound=20)
     assert [mem.r for mem in rep.members] == [1, 2, 3, 4]
     assert rep.ok
     for mem in rep.members:
@@ -155,7 +155,7 @@ def test_family_s3_complete():
 
 def test_family_threshold():
     with pytest.raises(MultiplicityBelowThreshold):
-        hilbert_family(3, 3, seed=0)
+        hilbert_family(3, 3, seed=0, bound=20)
 
 
 def test_verify_main_reuses_ri_for_the_top_value(monkeypatch):

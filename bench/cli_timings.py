@@ -78,6 +78,17 @@ COMMANDS = {
     ),
     # bound 2 reaches 8 points on a line: refused before any draw
     "generate --type 9 --coord-bound 2": (None, "generate --type 9 --seed 0 --coord-bound 2"),
+    # the verify ladder's largest input: 24 generic points, each tested
+    # against its joins to the points placed before it
+    "generate --type 3,5,7,9 --coord-bound 50": (
+        None,
+        "generate --type 3,5,7,9 --seed 0 --coord-bound 50",
+    ),
+    # a star: every point is a forced meet, so no join is computed
+    "generate --type 1..6 --r 7 --coord-bound 20": (
+        None,
+        "generate --type 1,2,3,4,5,6 --r 7 --seed 0 --coord-bound 20",
+    ),
     "cold python -m fatpoints verify --ri (1..5)/6": (
         "1,2,3,4,5",
         "verify --config CONFIG --m 6 --ri --format json",

@@ -188,36 +188,28 @@ _MAX_TRIES = 4000
 
 
 def _strongly_generic_point(
-    rng: Random,
-    line: ProjLine,
-    other_lines,
-    existing: list[ProjPoint],
-    spanned: set[tuple[int, int, int]],
-    bound: int,
+    rng: Random, line: ProjLine, other_lines, existing: list[ProjPoint], bound: int
 ) -> ProjPoint:
     """A point on ``line`` avoiding the other lines, all existing points,
-    and every line spanned by two existing points (so it never becomes a
-    third point of an accidental line).  Pairs already collinear with
-    ``line`` span the line itself and are exempt.
+    and every line through two existing points but ``line`` itself (so it
+    never becomes a third point of an accidental line).
 
-    ``spanned`` holds the canonical coefficient triples of the lines
-    through two existing points; the caller (:func:`_place_points`) keeps
-    it up to date, so no pair is enumerated here.  A candidate is rejected
-    by its dot product with each forbidden triple.  The basis of ``line``
-    is taken once, before the rejection loop.
+    A candidate p lies on the line through two existing points q and q'
+    exactly when its joins p∨q and p∨q' are the same line.  So p is
+    rejected when two of its canonical joins to the existing points are
+    equal and that line is not ``line``: one cross product per existing
+    point, no pair enumerated.  The basis of ``line`` is taken once,
+    before the rejection loop.
     """
-    forbidden = {l.coeffs for l in other_lines}
-    forbidden.update(spanned)
-    forbidden.discard(line.coeffs)
     b1, b2 = line_basis(line)
     for _ in range(_MAX_TRIES):
         p = random_combination(b1, b2, rng, bound)
-        if p in existing:
+        if p in existing or any(incident(p, l) for l in other_lines):
             continue
-        x0, x1, x2 = p.coords
-        if any(x0 * a + x1 * b + x2 * c == 0 for a, b, c in forbidden):
-            continue
-        return p
+        joins = [canonical_triple(cross(p.coords, q.coords)) for q in existing]
+        off = [j for j in joins if j != line.coeffs]
+        if len(set(off)) == len(off):
+            return p
     raise GenerationFailed("could not place a generic point; raise the bound")
 
 
@@ -227,25 +219,19 @@ def _place_points(
     """The configuration with subset i on ``lines[i]``: first the points
     ``forced[i]``, then strongly generic points up to d_i.
 
-    The lines through two placed points are kept in one set of canonical
-    coefficient triples as points are added, so
-    :func:`_strongly_generic_point` enumerates no pair.  A forced point
-    that was already placed raises :class:`GenerationFailed`.
+    A generic point is refused when two of its joins to the points placed
+    before it are one line other than its own
+    (:func:`_strongly_generic_point`), so a configuration with no generic
+    point computes no join.  Forced points are taken as given: one that repeats
+    a placed point fails :func:`validate`.
     """
     subsets = []
     existing: list[ProjPoint] = []
-    spanned: set[tuple[int, int, int]] = set()
     for i, (line, di, meets) in enumerate(zip(lines, ktype.d, forced)):
         others = [l for j, l in enumerate(lines) if j != i]
-        for k in range(di):
-            if k < len(meets):
-                p = meets[k]
-                if p in existing:
-                    raise GenerationFailed("coincident meets")
-            else:
-                p = _strongly_generic_point(rng, line, others, existing, spanned, bound)
-            spanned.update(canonical_triple(cross(q.coords, p.coords)) for q in existing)
-            existing.append(p)
+        existing += meets
+        for _ in range(di - len(meets)):
+            existing.append(_strongly_generic_point(rng, line, others, existing, bound))
         subsets.append(existing[-di:])
     return KConfiguration(ktype, subsets, lines)
 
@@ -282,8 +268,9 @@ def generate_generic(ktype: KType, seed: int, bound: int) -> KConfiguration:
     """A seeded random configuration of the given type.
 
     Points are placed by rejection sampling: each avoids the other
-    defining lines and never becomes the third point of any previously
-    spanned line, so no accidental maximal lines appear.
+    defining lines and never becomes the third point of a line through two
+    earlier points, so every line through three or more of the points is
+    a defining line.
     """
     if ktype.ds > _points_per_line(bound):
         raise GenerationFailed(

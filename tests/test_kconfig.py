@@ -272,6 +272,10 @@ def test_generate_generic_postconditions(dvec, seed, bound):
     assert validate(x) == []
     if dvec != (1, 2):
         assert len(count_lines(x, dvec[-1])) == 1
+    # no accidental line: every line through three or more points is defining
+    keys, members, _ = x.pair_lines
+    defining = {l.coeffs for l in x.lines}
+    assert all(key in defining for key, on in zip(keys, members) if len(on) >= 3)
 
 
 def test_generate_with_line_count_range_errors():
@@ -433,8 +437,10 @@ def test_generators_deterministic():
 # sha256 of the sorted-key JSON of generated configurations, keyed by the
 # generator's arguments and the coordinate bound.  However the rejection
 # loops test a candidate, they must draw the same random numbers, so these
-# stay fixed.  The small bounds make candidates hit spanned lines, so a
-# forbidden set that misses one changes the output.
+# stay fixed.  The small bounds make candidates land on lines through two
+# placed points.  A candidate is refused when two of its joins to the placed
+# points are one line other than its own, so a test that misses such a
+# line changes the output.
 GENERIC_SHA256 = {
     ((1, 2, 3), 0, 50): "2ce212e7ac4a059dae7da30b6718d9a41b68513029681ace4516caa0b7542937",
     ((1, 2, 3), 1, 50): "6bb5261f5f478b8339135bb707d142e7c3016dc0780b58d8f340cdda57812dcc",

@@ -84,6 +84,22 @@ def test_generators_enumerate_no_pairs(pair_line_calls):
     assert pair_line_calls == []
 
 
+def test_star_builds_compute_no_join(monkeypatch):
+    # the star's points are all forced meets: no generic point is tested
+    # against its joins, and no line through two placed points is kept
+    calls = []
+    real = kconfig.cross
+
+    def spy(u, v):
+        calls.append((u, v))
+        return real(u, v)
+
+    monkeypatch.setattr(kconfig, "cross", spy)
+    for s in range(2, 7):
+        kconfig.generate_with_line_count(s, s + 1, 0, 20)
+    assert calls == []
+
+
 def test_count_lines_and_schemes_share_the_map(pair_line_calls):
     x = _fresh(config_1345())
     count = len(kconfig.count_lines(x, 5))

@@ -78,6 +78,12 @@ COMMANDS = {
     ),
     # bound 2 reaches 8 points on a line: refused before any draw
     "generate --type 9 --coord-bound 2": (None, "generate --type 9 --seed 0 --coord-bound 2"),
+    # a large bound: the guard counts the points of a line only up to the
+    # 3 it needs, so nothing before the first draw grows with the bound
+    "generate --type 1,2,3 --coord-bound 3000": (
+        None,
+        "generate --type 1,2,3 --seed 0 --coord-bound 3000",
+    ),
     # the verify ladder's largest input: 24 generic points, each tested
     # against its joins to the points placed before it
     "generate --type 3,5,7,9 --coord-bound 50": (

@@ -11,7 +11,7 @@ the passage to fat point schemes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 from operator import attrgetter, index
@@ -197,18 +197,21 @@ def _strongly_generic_point(
     A candidate p lies on the line through two existing points q and q'
     exactly when its joins p∨q and p∨q' are the same line.  So p is
     rejected when two of its canonical joins to the existing points are
-    equal and that line is not ``line``: one cross product per existing
-    point, no pair enumerated.  The basis of ``line`` is taken once,
-    before the rejection loop.
+    equal and that line is not ``line``: at most one cross product per
+    existing point, no pair enumerated, and the first repeat refuses p.
     """
     b1, b2 = line_basis(line)
     for _ in range(_MAX_TRIES):
         p = random_combination(b1, b2, rng, bound)
         if p in existing or any(incident(p, l) for l in other_lines):
             continue
-        joins = [canonical_triple(cross(p.coords, q.coords)) for q in existing]
-        off = [j for j in joins if j != line.coeffs]
-        if len(set(off)) == len(off):
+        seen = set()
+        for q in existing:
+            j = canonical_triple(cross(p.coords, q.coords))
+            if j in seen and j != line.coeffs:
+                break
+            seen.add(j)
+        else:
             return p
     raise GenerationFailed("could not place a generic point; raise the bound")
 
@@ -250,14 +253,14 @@ def _first_accepted(build, accept, failure: str) -> KConfiguration:
     raise GenerationFailed(failure)
 
 
-@cache
 def _points_per_line(bound: int) -> int:
     """The most points :func:`random_combination` reaches on one line.
 
     It draws u*b1 + v*b2 with |u|, |v| <= bound and (u, v) != 0, and two
     pairs give one point exactly when they are proportional.  So the count
     is that of the primitive pairs (gcd(u, v) = 1) up to sign: 4, 8, 16,
-    24 and 40 for bounds 1 to 5.  Memoized per bound.
+    24 and 40 for bounds 1 to 5.  Not memoized: callers pass min(bound, need),
+    the same test, since the count never falls and exceeds any bound >= 1.
     """
     return sum(
         gcd(u, v) == 1 for u in range(-bound, bound + 1) for v in range(-bound, bound + 1)
@@ -272,7 +275,7 @@ def generate_generic(ktype: KType, seed: int, bound: int) -> KConfiguration:
     earlier points, so every line through three or more of the points is
     a defining line.
     """
-    if ktype.ds > _points_per_line(bound):
+    if ktype.ds > _points_per_line(min(bound, ktype.ds)):
         raise GenerationFailed(
             f"coordinate bound {bound} is too small for {ktype.ds} points on a line"
         )
@@ -331,7 +334,7 @@ def generate_with_line_count(s: int, r: int, seed: int, bound: int) -> KConfigur
     if count > ((2 * bound + 1) ** 3 - 1) // 2:
         raise GenerationFailed(f"coordinate bound {bound} has too few lines")
     # The last line holds r - 1 meets and s - r + 1 generic points.
-    if s - r + 1 > _points_per_line(bound):
+    if s - r + 1 > _points_per_line(min(bound, s - r + 1)):
         raise GenerationFailed(
             f"coordinate bound {bound} is too small for {s - r + 1} generic "
             "points on a line"

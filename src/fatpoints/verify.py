@@ -158,14 +158,13 @@ class FamilyReport:
 
 
 def hilbert_family(s: int, m: int, seed: int, bound: int) -> FamilyReport:
-    """One configuration per feasible maximal-line count r = 1 .. s+1.
+    """One configuration per feasible maximal-line count r = 1 .. s+1, in r order.
 
     Checks that all supports share the Hilbert function
     min(C(t+2,2), C(s+1,2)), that the multiplicity-m values at m*s - 2
     equal deg - r, and that the resulting Hilbert functions are pairwise
-    distinct.  For s = 2 only r = 3 is feasible (three non-collinear
-    points always span three 2-point lines), so that family is a
-    singleton; infeasible counts are recorded with the reason.
+    distinct.  For s = 2 only r = 3 is feasible (see the generator), so
+    that family is a singleton; infeasible counts keep the reason.
     """
     if s < 2:
         raise ValueError("need s >= 2")
@@ -179,9 +178,7 @@ def hilbert_family(s: int, m: int, seed: int, bound: int) -> FamilyReport:
     expected_support = tuple(
         min(comb(t + 2, 2), support_cap) for t in range(s + 1)
     )
-    # the star first: its up-front check on the bound fails at once, where
-    # another r would first exhaust its rejection loops
-    for r in (s + 1, *range(1, s + 1)):
+    for r in range(1, s + 2):
         try:
             x = kconfig.generate_with_line_count(s, r, seed, bound)
         except InfeasibleLineCount as exc:
@@ -201,7 +198,6 @@ def hilbert_family(s: int, m: int, seed: int, bound: int) -> FamilyReport:
                 degree=z.degree(),
             )
         )
-    members.sort(key=lambda mem: mem.r)
     supports_ok = all(mem.support_values == expected_support for mem in members)
     probe_ok = all(mem.value_at_probe == mem.degree - mem.r for mem in members)
     seen = {mem.fat_values for mem in members}

@@ -203,6 +203,39 @@ def test_points_per_line_counts_the_distinct_sampled_points(bound):
     assert len(reached) == [0, 4, 8, 16, 24, 40][bound]
 
 
+def test_points_per_line_asked_at_the_need_is_the_same_test():
+    # The count never falls as the bound grows and is at least 2*bound + 2
+    # for bound >= 1, so min(bound, need) decides as the full bound does.
+    for b in range(1, 9):
+        assert kconfig._points_per_line(b) >= 2 * b + 2
+    for bound in range(9):
+        for need in range(41):
+            assert (need > kconfig._points_per_line(bound)) == (
+                need > kconfig._points_per_line(min(bound, need))
+            )
+
+
+@pytest.mark.parametrize(
+    "generate, need",
+    [(lambda: generate_generic(KType((1, 2, 3)), 0, 50), 3)]
+    + [(lambda r=r: generate_with_line_count(3, r, 0, 20), 4 - r) for r in range(1, 5)],
+    ids=["generic (1,2,3) bound 50"] + [f"line count s=3 r={r} bound 20" for r in range(1, 5)],
+)
+def test_bound_guards_count_only_up_to_the_need(monkeypatch, generate, need):
+    # The guards compare a need with the points per line: asking at a
+    # larger bound scans O(bound²) pairs for the same answer.
+    asked = []
+    real = kconfig._points_per_line
+
+    def spy(bound):
+        asked.append(bound)
+        return real(bound)
+
+    monkeypatch.setattr(kconfig, "_points_per_line", spy)
+    generate()
+    assert asked and max(asked) <= need
+
+
 def test_generate_with_line_count_star():
     x = generate_with_line_count(3, 4, seed=1, bound=15)
     assert len(count_lines(x, 3)) == 4

@@ -153,6 +153,23 @@ def test_family_s3_complete():
         assert mem.support_values == (1, 3, 6, 6)
 
 
+def test_family_draws_r_in_order_and_stops_at_the_first_refusal(monkeypatch):
+    # At bound 1 a line holds 4 points, so r = 1 (5 generic points on the
+    # last line) is refused up front; nothing is drawn for another r.
+    calls = []
+    real = kconfig.generate_with_line_count
+
+    def spy(s, r, seed, bound):
+        calls.append(r)
+        assert calls == [1], f"drawn out of r order: {calls}"
+        return real(s, r, seed, bound)
+
+    monkeypatch.setattr(kconfig, "generate_with_line_count", spy)
+    with pytest.raises(kconfig.GenerationFailed, match="too small for 5 generic"):
+        hilbert_family(5, 6, seed=0, bound=1)
+    assert calls == [1]
+
+
 def test_family_threshold():
     with pytest.raises(MultiplicityBelowThreshold):
         hilbert_family(3, 3, seed=0, bound=20)

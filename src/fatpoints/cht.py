@@ -144,7 +144,7 @@ def _augmented_sequence(x, m: int) -> list[ProjLine]:
     extras = []
     for q in off:
         # the lines u + k*v through q: each other point is on one of them
-        u, v = (b.coords for b in line_basis(ProjLine(q.coords)))
+        u, v = line_basis(ProjLine(q))
         for k in range(len(points)):
             cand = ProjLine(tuple(a + k * b for a, b in zip(u, v)))
             if not any(incident(p, cand) for p in points if p != q):

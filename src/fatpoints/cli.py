@@ -55,8 +55,13 @@ from .geom import json_int, triple_to_json
 
 
 def _load_json(path: str):
+    """The JSON value of the file; ValueError also for one nested deeper
+    than the decoder's recursion allows."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 # The report fields whose JSON key is not the field name.
@@ -246,7 +251,7 @@ def cmd_reduce(args) -> int:
             "line": triple_to_json(lines[step - 1]) if step else None,
             "removed": v.values[step - 1] if step else None,
             "points": {
-                "(" + ":".join(str(c) for c in p.coords) + ")": m
+                "(" + ":".join(map(str, p)) + ")": m
                 for p, m in scheme.entries
             },
         }

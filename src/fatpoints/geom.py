@@ -5,10 +5,12 @@ coordinates divided by their gcd, with the first nonzero coordinate
 positive.  Every projective point or line over Q has exactly one such
 representative, so equality and hashing are structural.  All operations
 are pure integer arithmetic; values are immutable and safe to share
-between threads.  The incidence of a point list with the lines through
-its pairs (:func:`lines_through_pairs`) keeps each line as its plain
-canonical triple; a :class:`ProjLine` is made only for a line a caller
-hands back (:func:`line_from_canonical`).
+between threads.  A :class:`ProjPoint` or :class:`ProjLine` *is* its
+canonical triple, a ``tuple`` subclass: it unpacks, hashes, compares and
+sorts as that triple.  So a point equals a line, or a plain tuple, with
+the same triple; no container of the package mixes them.  The incidence
+of a point list with the lines through its pairs
+(:func:`lines_through_pairs`) holds each of its lines as a :class:`ProjLine`.
 
 Rank computations downstream are unaffected by working over Q instead of
 an algebraically closed field: matrix ranks are invariant under field
@@ -17,7 +19,6 @@ extension, so rational coordinates are faithful in characteristic zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import index
 from random import Random
@@ -64,60 +65,48 @@ def cross(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, i
     )
 
 
-@dataclass(frozen=True, order=True)
-class ProjPoint:
+class _Triple(tuple):
+    """A canonical homogeneous triple (:func:`canonical_triple`)."""
+
+    __slots__ = ()
+
+    def __new__(cls, triple):
+        return tuple.__new__(cls, canonical_triple(triple))
+
+    def __repr__(self) -> str:
+        a, b, c = self
+        return f"{type(self).__name__}(({a}:{b}:{c}))"
+
+
+class ProjPoint(_Triple):
     """A point of the projective plane with canonical integer coordinates."""
 
-    coords: tuple[int, int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", canonical_triple(self.coords))
-
-    def __repr__(self) -> str:
-        a, b, c = self.coords
-        return f"ProjPoint(({a}:{b}:{c}))"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, order=True)
-class ProjLine:
+class ProjLine(_Triple):
     """A line a*x0 + b*x1 + c*x2 = 0 with canonical integer coefficients."""
 
-    coeffs: tuple[int, int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", canonical_triple(self.coeffs))
-
-    def __repr__(self) -> str:
-        a, b, c = self.coeffs
-        return f"ProjLine(({a}:{b}:{c}))"
+    __slots__ = ()
 
 
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """The unique line through two distinct points (cross product)."""
     if p == q:
         raise CoincidentPoints(f"no unique line through {p} twice")
-    return ProjLine(cross(p.coords, q.coords))
-
-
-def line_from_canonical(key: tuple[int, int, int]) -> ProjLine:
-    """The :class:`ProjLine` of a triple that is already canonical (a key
-    of :class:`PairLines`), built without running :func:`canonical_triple`
-    on it again."""
-    line = object.__new__(ProjLine)
-    object.__setattr__(line, "coeffs", key)
-    return line
+    return ProjLine(cross(p, q))
 
 
 class PairLines(NamedTuple):
-    """The lines through two of a point list, as plain integer data.
+    """The lines through two of a point list, with their incidences.
 
-    ``lines[k]`` is the canonical coefficient triple of line k (its
-    ``ProjLine.coeffs``), in increasing order; ``members[k]`` lists the
-    indices of the points on it, increasing; ``through[i]`` lists the
-    indices of the lines through point i, increasing.  Shared read-only.
+    ``lines[k]`` is line k, a :class:`ProjLine`, in increasing order;
+    ``members[k]`` lists the indices of the points on it, increasing;
+    ``through[i]`` lists the indices of the lines through point i,
+    increasing.  Shared read-only: callers hand the lines out as they are.
     """
 
-    lines: list[tuple[int, int, int]]
+    lines: list[ProjLine]
     members: list[list[int]]
     through: list[list[int]]
 
@@ -132,16 +121,15 @@ def lines_through_pairs(points) -> PairLines:
     :func:`canonical_triple`, keys a dict of member lists.  Pairs (i, j)
     come in lexicographic order, so a line is first met at its two lowest
     members and then through its lowest member with each later one; a pair
-    whose first point is not the line's lowest adds nothing.  No
-    :class:`ProjLine` is built: callers make one with
-    :func:`line_from_canonical` for each line they return.  Raises
+    whose first point is not the line's lowest adds nothing.  Each distinct
+    key, canonical already, becomes a :class:`ProjLine` once, after the
+    pairs, with no second :func:`canonical_triple` pass.  Raises
     :class:`CoincidentPoints` when two of the points are equal.
     """
-    coords = [p.coords for p in points]
     on: dict[tuple[int, int, int], list[int]] = {}
-    for i, (a1, b1, c1) in enumerate(coords):
-        for j in range(i + 1, len(coords)):
-            a2, b2, c2 = coords[j]
+    for i, (a1, b1, c1) in enumerate(points):
+        for j in range(i + 1, len(points)):
+            a2, b2, c2 = points[j]
             a = b1 * c2 - c1 * b2
             b = c1 * a2 - a1 * c2
             c = a1 * b2 - b1 * a2
@@ -156,12 +144,13 @@ def lines_through_pairs(points) -> PairLines:
                 on[key] = [i, j]
             elif idx[0] == i:
                 idx.append(j)
-    lines = sorted(on)
-    members = [on[key] for key in lines]
-    through: list[list[int]] = [[] for _ in coords]
+    keys = sorted(on)
+    members = [on[key] for key in keys]
+    through: list[list[int]] = [[] for _ in points]
     for k, idx in enumerate(members):
         for i in idx:
             through[i].append(k)
+    lines = [tuple.__new__(ProjLine, key) for key in keys]
     return PairLines(lines, members, through)
 
 
@@ -169,13 +158,13 @@ def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     """The unique intersection point of two distinct lines."""
     if l1 == l2:
         raise CoincidentLines(f"no unique meet of {l1} with itself")
-    return ProjPoint(cross(l1.coeffs, l2.coeffs))
+    return ProjPoint(cross(l1, l2))
 
 
 def incident(p: ProjPoint, l: ProjLine) -> bool:
     """Exact incidence test: the dot product vanishes."""
-    pa, pb, pc = p.coords
-    la, lb, lc = l.coeffs
+    pa, pb, pc = p
+    la, lb, lc = l
     return pa * la + pb * lb + pc * lc == 0
 
 
@@ -189,7 +178,7 @@ def random_line(rng: Random, bound: int) -> ProjLine:
 
 def line_basis(l: ProjLine) -> tuple[ProjPoint, ProjPoint]:
     """Two distinct points spanning the given line."""
-    a, b, c = l.coeffs
+    a, b, c = l
     if a != 0:
         return ProjPoint((-b, a, 0)), ProjPoint((-c, 0, a))
     if b != 0:
@@ -206,14 +195,13 @@ def random_combination(b1: ProjPoint, b2: ProjPoint, rng: Random, bound: int) ->
         v = rng.randint(-bound, bound)
         if u == 0 and v == 0:
             continue
-        triple = tuple(u * x + v * y for x, y in zip(b1.coords, b2.coords))
+        triple = tuple(u * x + v * y for x, y in zip(b1, b2))
         return ProjPoint(triple)
 
 
 # --- JSON wire format: arrays of three decimal-string integers -----------
 
-def triple_to_json(obj) -> list[str]:
-    triple = obj.coords if isinstance(obj, ProjPoint) else obj.coeffs
+def triple_to_json(triple) -> list[str]:
     return [str(v) for v in triple]
 
 

@@ -145,7 +145,7 @@ class ConditionsMatrix(Sequence):
                 stencils[order] = _stencil(t, order, p)
             S, shift, coefficients = stencils[order]
             X, Y, W = (np.array([pow(v, j, p) for j in range(t - order + 1)], dtype=dtype)
-                       for v in point.coords)
+                       for v in point)
             values = _mod(_mod(X[S[:, 0]] * Y[S[:, 1]], p) * W[S[:, 2]], p)
             blocks.append(_mod(coefficients * values[shift], p))
         return np.concatenate(blocks)

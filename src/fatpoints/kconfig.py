@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd
-from operator import attrgetter, index
+from operator import index
 from random import Random
 
 from .geom import (
@@ -24,7 +24,6 @@ from .geom import (
     canonical_triple,
     cross,
     incident,
-    line_from_canonical,
     line_from_json,
     line_basis,
     lines_through_pairs,
@@ -76,9 +75,6 @@ class KType:
         return self.d == (1,)
 
 
-_COORDS = attrgetter("coords")
-
-
 @dataclass(frozen=True)
 class KConfiguration:
     ktype: KType
@@ -86,11 +82,7 @@ class KConfiguration:
     lines: tuple[ProjLine, ...]
 
     def __post_init__(self):
-        # Sorted by coordinate triple: the order of ``sorted`` on points,
-        # with no ``ProjPoint.__lt__`` call per comparison.
-        object.__setattr__(
-            self, "subsets", tuple(tuple(sorted(s, key=_COORDS)) for s in self.subsets)
-        )
+        object.__setattr__(self, "subsets", tuple(tuple(sorted(s)) for s in self.subsets))
         object.__setattr__(self, "lines", tuple(self.lines))
 
     def points(self) -> tuple[ProjPoint, ...]:
@@ -98,7 +90,7 @@ class KConfiguration:
 
     @cached_property
     def _sorted_points(self) -> tuple[ProjPoint, ...]:
-        return tuple(sorted({p for sub in self.subsets for p in sub}, key=_COORDS))
+        return tuple(sorted({p for sub in self.subsets for p in sub}))
 
     @cached_property
     def pair_lines(self) -> PairLines:
@@ -168,18 +160,18 @@ def count_lines(x: KConfiguration, k: int) -> list[ProjLine]:
 
     Reads :attr:`KConfiguration.pair_lines`: every line through two of the
     points with the points on it, built once per configuration by
-    :func:`lines_through_pairs`, already in coefficient order.  A
-    :class:`ProjLine` is built only for each line returned.  Raises
+    :func:`lines_through_pairs`, already in coefficient order.  The
+    :class:`ProjLine` objects returned are those of that incidence.  Raises
     ValueError for fewer than two points, and for k < 2: infinitely many
     lines meet X in exactly one point, or in none.
     """
-    keys, members, _ = x.pair_lines
-    if not keys:  # fewer than two points
+    lines, members, _ = x.pair_lines
+    if not lines:  # fewer than two points
         raise ValueError("need at least two points to enumerate lines")
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}: infinitely many lines "
                          "meet the points in fewer than two")
-    return [line_from_canonical(key) for key, on in zip(keys, members) if len(on) == k]
+    return [line for line, on in zip(lines, members) if len(on) == k]
 
 
 # --- generators ------------------------------------------------------------
@@ -207,8 +199,8 @@ def _strongly_generic_point(
             continue
         seen = set()
         for q in existing:
-            j = canonical_triple(cross(p.coords, q.coords))
-            if j in seen and j != line.coeffs:
+            j = canonical_triple(cross(p, q))
+            if j in seen and j != line:
                 break
             seen.add(j)
         else:

@@ -17,7 +17,7 @@ from functools import cached_property
 from math import comb
 
 from .geom import PairLines, ProjLine, ProjPoint, incident
-from .geom import line_from_canonical, lines_through_pairs
+from .geom import lines_through_pairs
 from .geom import json_array, json_field, json_int
 from .geom import line_from_json, point_from_json, triple_to_json
 
@@ -30,12 +30,6 @@ class NonPositiveMultiplicity(ValueError):
     """Raised when a multiplicity is not a positive integer."""
 
 
-def _entry_key(entry: tuple[ProjPoint, int]) -> tuple:
-    """The order of ``sorted`` on (point, multiplicity) entries, read off
-    the coordinate triple, so no ``ProjPoint.__lt__`` runs."""
-    return entry[0].coords, entry[1]
-
-
 @dataclass(frozen=True)
 class FatPointScheme:
     """Immutable multiset of (point, multiplicity), keyed canonically."""
@@ -43,7 +37,7 @@ class FatPointScheme:
     entries: tuple[tuple[ProjPoint, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=_entry_key)))
+        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
 
     @classmethod
     def from_points(cls, points, mults) -> "FatPointScheme":
@@ -99,8 +93,8 @@ class FatPointScheme:
         coefficient order, the order of :attr:`pair_lines`).  Every point
         on it that still has a multiplicity loses one, and so does the
         weight of every line through that point.  The peel reads the
-        member and per-point line lists of :attr:`pair_lines` as they are
-        and builds a :class:`ProjLine` only for each line it chooses.  A
+        lines, member and per-point line lists of :attr:`pair_lines` as
+        they are, and hands out the chosen :class:`ProjLine` objects.  A
         single point of multiplicity m takes one line through it m times,
         so v = (m, m - 1, ..., 1) and f_v = F_v = H everywhere.
         """
@@ -108,18 +102,18 @@ class FatPointScheme:
         if not points:
             return None
         if len(points) == 1:
-            a, b, _ = points[0].coords
+            a, b, _ = points[0]
             line = ProjLine((b, -a, 0) if a or b else (1, 0, 0))
             m = self.entries[0][1]
             return ReductionVector(tuple(range(m, 0, -1)), (line,) * m, True)
-        keys, members, through = self.pair_lines
+        lines, members, through = self.pair_lines
         mult = [m for _, m in self.entries]
         weight = [sum(map(mult.__getitem__, idx)) for idx in members]
         values, chosen = [], []
         while any(mult):
             k = weight.index(max(weight))
             values.append(weight[k])
-            chosen.append(line_from_canonical(keys[k]))
+            chosen.append(lines[k])
             for i in members[k]:
                 if mult[i]:
                     mult[i] -= 1

@@ -296,19 +296,36 @@ def test_tiny_coordinate_bound_is_an_error(argv, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# nested past the JSON decoder's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize(
     "command, flag, data",
     [("hilbert", "--scheme", []),
      ("hilbert", "--scheme", {"points": 5, "mults": []}),
      ("count-lines", "--config", {"type": [1, 2], "subsets": 3, "lines": []}),
      ("hilbert", "--scheme", {"points": [["1", "0"]], "mults": [1]}),
-     ("hilbert", "--scheme", {"points": [["1", "0", "0"], ["0", "1", "0"]], "mults": [1]})],
-    ids=["scheme-array", "points-number", "subsets-number", "pair", "points-over-mults"],
+     ("hilbert", "--scheme", {"points": [["1", "0", "0"], ["0", "1", "0"]], "mults": [1]}),
+     ("verify", "--config", DEEP),
+     ("hilbert", "--scheme", DEEP),
+     ("reduce", "--lines", DEEP)],
+    ids=["scheme-array", "points-number", "subsets-number", "pair", "points-over-mults",
+         "deep-config", "deep-scheme", "deep-lines"],
 )
 def test_malformed_json_is_an_error(command, flag, data, tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    argv = [command, flag, str(path)] + (["--t-max", "3"] if command == "hilbert" else [])
+    # a string is the file text as is
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    argv = [command, flag, str(path)]
+    if command == "hilbert":
+        argv += ["--t-max", "3"]
+    elif command == "verify":
+        argv += ["--m", "2"]
+    elif command == "reduce":  # --lines peels a valid one-point scheme
+        scheme = tmp_path / "z.json"
+        scheme.write_text(json.dumps({"points": [["1", "0", "0"]], "mults": [1]}))
+        argv += ["--scheme", str(scheme)]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -14,7 +14,6 @@ from fatpoints.geom import (
     ZeroTriple,
     canonical_triple,
     incident,
-    line_from_canonical,
     line_from_json,
     line_through,
     lines_through_pairs,
@@ -53,7 +52,7 @@ def test_zero_triple_rejected():
 def test_value_types_take_exact_integers_only(make):
     with pytest.raises(TypeError):
         make()
-    assert ProjPoint((np.int64(2), 4, 6)).coords == (1, 2, 3)
+    assert ProjPoint((np.int64(2), 4, 6)) == (1, 2, 3)
     assert KType((np.int64(1), 3)).d == (1, 3)
 
 
@@ -195,11 +194,10 @@ def test_lines_through_pairs_matches_oracle(points):
     inc = lines_through_pairs(points)
     expected = _pair_lines_oracle(points)
     # the oracle's lines, each as its canonical triple, in coefficient order
-    assert inc.lines == sorted(l.coeffs for l in expected)
+    assert inc.lines == sorted(expected)
     assert inc.members == [sorted(expected[ProjLine(key)]) for key in inc.lines]
-    for key, idx in zip(inc.lines, inc.members):
-        l = line_from_canonical(key)
-        assert type(l) is ProjLine and l == ProjLine(key) and l.coeffs == key
+    for l, idx in zip(inc.lines, inc.members):
+        assert type(l) is ProjLine and l == ProjLine(l) and l == canonical_triple(l)
         assert idx == [i for i, p in enumerate(points) if incident(p, l)]
     # each point's lines: exactly those whose members hold it, in order
     assert len(inc.through) == len(points)
@@ -213,7 +211,7 @@ def test_lines_through_pairs_rejects_a_repeated_point(points, data):
         return
     p = data.draw(st.sampled_from(points))
     k = data.draw(st.integers(-5, 5).filter(bool))
-    scaled = ProjPoint(tuple(k * v for v in p.coords))
+    scaled = ProjPoint(tuple(k * v for v in p))
     where = data.draw(st.integers(0, len(points)))
     with pytest.raises(CoincidentPoints):
         lines_through_pairs(points[:where] + [scaled] + points[where:])

@@ -54,7 +54,7 @@ def _reference_rows(z, t):
 
     rows = []
     for point, mult in z.entries:
-        x, y, w = point.coords
+        x, y, w = point
         order = min(mult - 1, t)
         for a in range(order + 1):
             for b in range(order - a + 1):

@@ -307,7 +307,7 @@ def test_generate_generic_postconditions(dvec, seed, bound):
         assert len(count_lines(x, dvec[-1])) == 1
     # no accidental line: every line through three or more points is defining
     keys, members, _ = x.pair_lines
-    defining = {l.coeffs for l in x.lines}
+    defining = set(x.lines)
     assert all(key in defining for key, on in zip(keys, members) if len(on) >= 3)
 
 

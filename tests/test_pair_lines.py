@@ -118,9 +118,19 @@ def test_returned_lines_are_canonical_proj_lines():
     counted = kconfig.count_lines(x, 5)
     chosen = fatten(x, 3).greedy_reduction.lines
     for l in (*counted, *chosen):
-        assert type(l) is ProjLine and l == ProjLine(l.coeffs)
-        assert hash(l) == hash(ProjLine(l.coeffs))
+        assert type(l) is ProjLine and l == ProjLine(l)
+        assert hash(l) == hash(ProjLine(l))
     assert counted and chosen
+
+
+def test_count_lines_and_the_peel_hand_out_the_pair_lines_themselves():
+    x = _fresh(config_1345())
+    lines = x.pair_lines.lines
+    assert lines and all(type(l) is ProjLine for l in lines)
+    held = {id(l) for l in lines}
+    counted = kconfig.count_lines(x, 5)
+    chosen = fatten(x, 3).greedy_reduction.lines
+    assert counted and all(id(l) in held for l in (*counted, *chosen))
 
 
 def test_schemes_built_otherwise_compute_their_own_map(pair_line_calls):

@@ -123,7 +123,7 @@ def test_reduction_vector_augmented_shape():
 
 def _line_on(p):
     """A line through the point p."""
-    a, b, _ = p.coords
+    a, b, _ = p
     return ProjLine((b, -a, 0) if a or b else (1, 0, 0))
 
 
@@ -259,7 +259,7 @@ def _sorted_peel(z):
     sorted by their coefficients explicitly."""
     pts = z.support()
     candidates = sorted(
-        {line_through(p, q) for p, q in combinations(pts, 2)}, key=lambda l: l.coeffs
+        {line_through(p, q) for p, q in combinations(pts, 2)}, key=tuple
     )
     values, lines, cur = [], [], z
     while not cur.is_empty():

@@ -96,7 +96,7 @@ def _emit(args, report, text: str) -> None:
 def _ktype(text: str) -> kconfig.KType:
     """An argparse type for a type such as ``1,2,3`` (commas or spaces)."""
     try:
-        return kconfig.KType(tuple(json_int(v) for v in text.replace(",", " ").split()))
+        return kconfig.KType(json_int(v) for v in text.replace(",", " ").split())
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a type such as 1,2,3, got {text!r}") from None
 
@@ -136,7 +136,7 @@ def cmd_generate(args) -> int:
     s = args.type.s
     if args.r is None:
         x = kconfig.generate_generic(args.type, args.seed, args.coord_bound)
-    elif args.type.d != tuple(range(1, s + 1)) or s < 2:
+    elif args.type != tuple(range(1, s + 1)) or s < 2:
         args.usage_error("argument --r: applies to --type 1,2,...,s with s >= 2 only")
     elif not 1 <= args.r <= s + 1:
         args.usage_error(f"argument --r: expected 1 .. {s + 1} for this --type, got {args.r}")
@@ -252,7 +252,7 @@ def cmd_reduce(args) -> int:
             "removed": v.values[step - 1] if step else None,
             "points": {
                 "(" + ":".join(map(str, p)) + ")": m
-                for p, m in scheme.entries
+                for p, m in scheme
             },
         }
         steps.append(entry)

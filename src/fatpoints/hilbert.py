@@ -117,7 +117,7 @@ class ConditionsMatrix(Sequence):
 
     def __len__(self) -> int:
         t = self.degree
-        return sum(comb(min(m - 1, t) + 2, 2) for _, m in self.scheme.entries)
+        return sum(comb(min(m - 1, t) + 2, 2) for _, m in self.scheme)
 
     def __getitem__(self, i):
         return self._rows[i]
@@ -139,7 +139,7 @@ class ConditionsMatrix(Sequence):
         dtype = object if p is None else np.int64
         stencils = {}
         blocks = [np.zeros((0, comb(t + 2, 2)), dtype=dtype)]
-        for point, mult in self.scheme.entries:
+        for point, mult in self.scheme:
             order = min(mult - 1, t)
             if order not in stencils:
                 stencils[order] = _stencil(t, order, p)
@@ -176,7 +176,7 @@ def hilbert_value(z: FatPointScheme, t: int) -> int:
     single point.  Otherwise it is the rank of :func:`conditions_matrix`,
     pinned (see :func:`linalg.rank`) against F_v(t).
     """
-    if t < 0 or z.is_empty():
+    if t < 0 or not z:
         return 0
     lower, upper = z.greedy_reduction.sandwich(t)
     if lower == upper:
@@ -221,7 +221,7 @@ def regularity_floor(z: FatPointScheme) -> int:
     degree t too.  Z meets that line in a degree-w subscheme of the line,
     whose Hilbert function min(t + 1, w) first reaches w at t = w - 1.
     """
-    if z.is_empty():
+    if not z:
         raise EmptyScheme("the empty scheme has no regularity index")
     return z.greedy_reduction.values[0] - 1
 

@@ -49,30 +49,30 @@ class GenerationFailed(RuntimeError):
     """Rejection sampling exhausted its retry budget."""
 
 
-@dataclass(frozen=True)
-class KType:
-    """A strictly increasing tuple of positive integer subset sizes."""
+class KType(tuple):
+    """The type (d_1, ..., d_s), the strictly increasing tuple of positive
+    integer subset sizes, which it equals, hashes and prints as."""
 
-    d: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        d = tuple(map(index, self.d))
+    def __new__(cls, d):
+        d = tuple(map(index, d))
         if not d:
             raise ValueError("a type needs at least one entry")
         if d[0] < 1 or any(a >= b for a, b in zip(d, d[1:])):
             raise ValueError(f"type entries must satisfy 1 <= d_1 < ... < d_s: {d}")
-        object.__setattr__(self, "d", d)
+        return tuple.__new__(cls, d)
 
     @property
     def s(self) -> int:
-        return len(self.d)
+        return len(self)
 
     @property
     def ds(self) -> int:
-        return self.d[-1]
+        return self[-1]
 
     def is_single_point(self) -> bool:
-        return self.d == (1,)
+        return self == (1,)
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class KConfiguration:
 def validate(x: KConfiguration) -> list[str]:
     """All violations of the defining conditions; empty means valid."""
     problems = []
-    d = x.ktype.d
+    d = x.ktype
     s = x.ktype.s
     if len(x.subsets) != s or len(x.lines) != s:
         problems.append(
@@ -138,20 +138,20 @@ def validate(x: KConfiguration) -> list[str]:
 
 
 def fatten(x: KConfiguration, m: int) -> FatPointScheme:
-    """The homogeneous fat point scheme of multiplicity m on the points.
+    """The homogeneous fat point scheme of multiplicity m on the points:
+    the pairs (p, m) for p in :meth:`KConfiguration.points`, in that order.
 
-    The entries are built directly from :meth:`KConfiguration.points`,
-    which are sorted and distinct, so no duplicate check runs.  The scheme
-    takes over the configuration's :attr:`~KConfiguration.pair_lines`:
+    The points are sorted and distinct, so no duplicate check runs.  The
+    scheme takes over the configuration's :attr:`~KConfiguration.pair_lines`:
     both index the same sorted point tuple.  A ``bool`` is refused: it is
     not a multiplicity, and JSON would carry it as ``true``.
     """
     if isinstance(m, bool) or m < 1:
         raise ValueError("multiplicity must be a positive integer")
     points = x.points()
-    z = FatPointScheme(tuple((p, m) for p in points))
+    z = FatPointScheme((p, m) for p in points)
     assert z.support() == points
-    object.__setattr__(z, "pair_lines", x.pair_lines)
+    z.pair_lines = x.pair_lines
     return z
 
 
@@ -191,10 +191,15 @@ def _strongly_generic_point(
     rejected when two of its canonical joins to the existing points are
     equal and that line is not ``line``: at most one cross product per
     existing point, no pair enumerated, and the first repeat refuses p.
+    Refusal depends on p alone, so a repeated draw is skipped untested.
     """
     b1, b2 = line_basis(line)
+    drawn = set()
     for _ in range(_MAX_TRIES):
         p = random_combination(b1, b2, rng, bound)
+        if p in drawn:
+            continue
+        drawn.add(p)
         if p in existing or any(incident(p, l) for l in other_lines):
             continue
         seen = set()
@@ -222,7 +227,7 @@ def _place_points(
     """
     subsets = []
     existing: list[ProjPoint] = []
-    for i, (line, di, meets) in enumerate(zip(lines, ktype.d, forced)):
+    for i, (line, di, meets) in enumerate(zip(lines, ktype, forced)):
         others = [l for j, l in enumerate(lines) if j != i]
         existing += meets
         for _ in range(di - len(meets)):
@@ -271,7 +276,7 @@ def generate_generic(ktype: KType, seed: int, bound: int) -> KConfiguration:
         raise GenerationFailed(
             f"coordinate bound {bound} is too small for {ktype.ds} points on a line"
         )
-    rng = Random(f"generic:{ktype.d}:{seed}")
+    rng = Random(f"generic:{ktype}:{seed}")
 
     def build() -> KConfiguration:
         lines: list[ProjLine] = []
@@ -282,7 +287,7 @@ def generate_generic(ktype: KType, seed: int, bound: int) -> KConfiguration:
         return _place_points(rng, ktype, lines, [[]] * ktype.s, bound)
 
     return _first_accepted(
-        build, lambda x: True, f"no valid configuration of type {ktype.d} found"
+        build, lambda x: True, f"no valid configuration of type {ktype} found"
     )
 
 
@@ -331,7 +336,7 @@ def generate_with_line_count(s: int, r: int, seed: int, bound: int) -> KConfigur
             f"coordinate bound {bound} is too small for {s - r + 1} generic "
             "points on a line"
         )
-    ktype = KType(tuple(range(1, s + 1)))
+    ktype = KType(range(1, s + 1))
     rng = Random(f"line-count:{s}:{r}:{seed}")
 
     def build() -> KConfiguration:
@@ -342,7 +347,7 @@ def generate_with_line_count(s: int, r: int, seed: int, bound: int) -> KConfigur
     return _first_accepted(
         build,
         lambda x: len(count_lines(x, s)) == r,
-        f"no type {ktype.d} configuration with r={r} found",
+        f"no type {ktype} configuration with r={r} found",
     )
 
 
@@ -350,14 +355,14 @@ def generate_with_line_count(s: int, r: int, seed: int, bound: int) -> KConfigur
 
 def kconfig_to_json(x: KConfiguration) -> dict:
     return {
-        "type": list(x.ktype.d),
+        "type": list(x.ktype),
         "subsets": [[triple_to_json(p) for p in sub] for sub in x.subsets],
         "lines": [triple_to_json(l) for l in x.lines],
     }
 
 
 def kconfig_from_json(data: dict) -> KConfiguration:
-    ktype = KType(tuple(json_int(v) for v in json_field(data, "type")))
+    ktype = KType(json_int(v) for v in json_field(data, "type"))
     subsets = tuple(
         tuple(point_from_json(p) for p in json_array(sub, "a subset"))
         for sub in json_field(data, "subsets")

@@ -1,7 +1,8 @@
 """Fat point schemes in the projective plane.
 
-A scheme is a finite set of distinct points with positive multiplicities.
-Its degree is the number of linear conditions it imposes in large degree,
+A scheme is a finite set of distinct points with positive multiplicities,
+held as the tuple of its (point, multiplicity) pairs sorted by point.  Its
+degree is the number of linear conditions it imposes in large degree,
 ``sum of C(m_i + 1, 2)``.  Removing a line decrements the multiplicity of
 every point on it (the ideal-quotient residual for fat points), which is
 the whole computational content of reduction vectors.  Each scheme
@@ -30,14 +31,13 @@ class NonPositiveMultiplicity(ValueError):
     """Raised when a multiplicity is not a positive integer."""
 
 
-@dataclass(frozen=True)
-class FatPointScheme:
-    """Immutable multiset of (point, multiplicity), keyed canonically."""
+class FatPointScheme(tuple):
+    """The tuple of (point, multiplicity) pairs sorted by point, built from
+    pairs in any order.  No ``__slots__``: :attr:`pair_lines` and
+    :attr:`greedy_reduction` are cached in its instance dict."""
 
-    entries: tuple[tuple[ProjPoint, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+    def __new__(cls, entries):
+        return tuple.__new__(cls, sorted(entries))
 
     @classmethod
     def from_points(cls, points, mults) -> "FatPointScheme":
@@ -52,27 +52,24 @@ class FatPointScheme:
             if p in seen:
                 raise DuplicatePoint(f"point {p} listed twice")
             seen[p] = m
-        return cls(tuple(seen.items()))
+        return cls(seen.items())
 
     def support(self) -> tuple[ProjPoint, ...]:
-        return tuple(p for p, _ in self.entries)
+        return tuple(p for p, _ in self)
 
     def degree(self) -> int:
-        return sum(comb(m + 1, 2) for _, m in self.entries)
-
-    def is_empty(self) -> bool:
-        return not self.entries
+        return sum(comb(m + 1, 2) for _, m in self)
 
     def residual(self, l: ProjLine) -> "FatPointScheme":
         """Decrement every multiplicity on l by one, dropping zeros."""
         out = []
-        for p, m in self.entries:
+        for p, m in self:
             if incident(p, l):
                 if m > 1:
                     out.append((p, m - 1))
             else:
                 out.append((p, m))
-        return FatPointScheme(tuple(out))
+        return FatPointScheme(out)
 
     @cached_property
     def pair_lines(self) -> PairLines:
@@ -98,16 +95,14 @@ class FatPointScheme:
         single point of multiplicity m takes one line through it m times,
         so v = (m, m - 1, ..., 1) and f_v = F_v = H everywhere.
         """
-        points = self.support()
-        if not points:
+        if not self:
             return None
-        if len(points) == 1:
-            a, b, _ = points[0]
+        if len(self) == 1:
+            (a, b, _), m = self[0]
             line = ProjLine((b, -a, 0) if a or b else (1, 0, 0))
-            m = self.entries[0][1]
             return ReductionVector(tuple(range(m, 0, -1)), (line,) * m, True)
         lines, members, through = self.pair_lines
-        mult = [m for _, m in self.entries]
+        mult = [m for _, m in self]
         weight = [sum(map(mult.__getitem__, idx)) for idx in members]
         values, chosen = [], []
         while any(mult):
@@ -120,9 +115,6 @@ class FatPointScheme:
                     for j in through[i]:
                         weight[j] -= 1
         return ReductionVector(tuple(values), tuple(chosen), True)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -178,7 +170,7 @@ def vector_of_chain(chain: list[FatPointScheme], lines) -> ReductionVector:
     """
     degrees = [w.degree() for w in chain]
     values = tuple(a - b for a, b in zip(degrees, degrees[1:]))
-    return ReductionVector(values, tuple(lines), chain[-1].is_empty())
+    return ReductionVector(values, tuple(lines), not chain[-1])
 
 
 def residual_chain(z: FatPointScheme, lines) -> list[FatPointScheme]:
@@ -193,8 +185,8 @@ def residual_chain(z: FatPointScheme, lines) -> list[FatPointScheme]:
 
 def scheme_to_json(z: FatPointScheme) -> dict:
     return {
-        "points": [triple_to_json(p) for p, _ in z.entries],
-        "mults": [m for _, m in z.entries],
+        "points": [triple_to_json(p) for p, _ in z],
+        "mults": [m for _, m in z],
     }
 
 

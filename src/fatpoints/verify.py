@@ -118,7 +118,7 @@ def verify_main(x: KConfiguration, ms: Sequence[int]) -> list[VerificationReport
     return [
         VerificationReport(
             config_id=ident,
-            ktype=x.ktype.d,
+            ktype=x.ktype,
             m=m,
             delta_value=tops[m][0],
             line_count=count,

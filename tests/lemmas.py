@@ -41,12 +41,12 @@ class TypeMismatch(ValueError):
 
 def multiplicity(z: FatPointScheme, p: ProjPoint) -> int:
     """The multiplicity of z at p, 0 off its support."""
-    return dict(z.entries).get(p, 0)
+    return dict(z).get(p, 0)
 
 
 def line_degree(z: FatPointScheme, l: ProjLine) -> int:
     """Sum of multiplicities of the points of z incident to l."""
-    return sum(m for p, m in z.entries if incident(p, l))
+    return sum(m for p, m in z if incident(p, l))
 
 
 def random_point(rng: Random, bound: int = 50) -> ProjPoint:
@@ -72,13 +72,13 @@ def star_configuration(s: int, seed: int, bound: int) -> KConfiguration:
         return KConfiguration(ktype, subsets, lines[1:])
 
     return _first_accepted(
-        build, lambda x: len(count_lines(x, s)) == s + 1, f"no star of type {ktype.d} found"
+        build, lambda x: len(count_lines(x, s)) == s + 1, f"no star of type {ktype} found"
     )
 
 
 def tail_length(ktype: KType) -> int:
     """Number of consecutive integers ending the type vector."""
-    d = ktype.d
+    d = ktype
     t = 1
     while t < len(d) and d[-t - 1] == d[-t] - 1:
         t += 1
@@ -114,7 +114,7 @@ def candidate_lines(x: KConfiguration) -> list[ProjLine]:
 def line_count_consequence_holds(x: KConfiguration) -> bool:
     """If a defining line meets X in d_s points, the tail of the type is
     forced to be consecutive from that index on."""
-    d = x.ktype.d
+    d = x.ktype
     s = x.ktype.s
     points = x.points()
     for i in range(s):

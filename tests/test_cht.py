@@ -258,7 +258,7 @@ def _random_scheme(rng, max_pts=6, max_mult=3):
 def _random_complete_peeling(rng, z):
     lines = []
     cur = z
-    while not cur.is_empty():
+    while cur:
         target = rng.choice(cur.support())
         other = random_point(rng, 9)
         if other == target:

@@ -53,7 +53,7 @@ def test_value_types_take_exact_integers_only(make):
     with pytest.raises(TypeError):
         make()
     assert ProjPoint((np.int64(2), 4, 6)) == (1, 2, 3)
-    assert KType((np.int64(1), 3)).d == (1, 3)
+    assert KType((np.int64(1), 3)) == (1, 3)
 
 
 def test_line_through_axes():

@@ -53,7 +53,7 @@ def _reference_rows(z, t):
         return out
 
     rows = []
-    for point, mult in z.entries:
+    for point, mult in z:
         x, y, w = point
         order = min(mult - 1, t)
         for a in range(order + 1):

@@ -32,6 +32,7 @@ from fatpoints.kconfig import (
     kconfig_to_json,
     validate,
 )
+from fatpoints.scheme import FatPointScheme
 from lemmas import (
     Case,
     TypeMismatch,
@@ -450,6 +451,52 @@ def test_fatten_refuses_bool_multiplicity():
     # a report would carry "m": true
     with pytest.raises(ValueError):
         fatten(config_1345(), True)
+
+
+def test_scheme_and_type_are_their_tuples():
+    p, q = ProjPoint((1, 2, 3)), ProjPoint((0, 1, 5))
+    z = FatPointScheme([(p, 2), (q, 1)])
+    assert type(z) is FatPointScheme
+    assert z == ((q, 1), (p, 2)) and hash(z) == hash(((q, 1), (p, 2)))
+    x = config_1345()
+    for m in (1, 3):
+        y = fatten(x, m)
+        assert list(y) == [(p, m) for p in x.points()]
+        assert y.pair_lines is x.pair_lines
+    t = KType(range(1, 4))
+    assert type(t) is KType and t == (1, 2, 3)
+    # the generators seed on f"generic:{ktype}:{seed}"
+    assert f"{t}" == "(1, 2, 3)" and f"{KType((1,))}" == "(1,)"
+    assert KType((3, 5)).ds == 5
+    for bad in [(2, 2), ()]:
+        with pytest.raises(ValueError):
+            KType(bad)
+    with pytest.raises(TypeError):
+        KType((1.5, 3))
+
+
+def test_strongly_generic_point_tests_each_candidate_once(monkeypatch):
+    # At bound 1 the line z = 0 holds four candidates, (1:0:0), (0:1:0),
+    # (1:1:0) and (1:-1:0), and each lies on exactly one of the other lines,
+    # the k-th of them for the k-th candidate: 1 + 2 + 3 + 4 incidence tests.
+    line = ProjLine((0, 0, 1))
+    others = [ProjLine(l) for l in [(0, 1, 0), (1, 0, 0), (1, -1, 0), (1, 1, 0)]]
+    tested, draws = [], []
+
+    def counted_incident(p, l):
+        tested.append(p)
+        return incident(p, l)
+
+    def counted_draw(*args):
+        draws.append(random_combination(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(kconfig, "incident", counted_incident)
+    monkeypatch.setattr(kconfig, "random_combination", counted_draw)
+    with pytest.raises(GenerationFailed):
+        kconfig._strongly_generic_point(random.Random(0), line, others, [], 1)
+    assert len(draws) == kconfig._MAX_TRIES and len(set(draws)) == 4
+    assert len(tested) == 1 + 2 + 3 + 4 and set(tested) == set(draws)
 
 
 def test_json_round_trip():

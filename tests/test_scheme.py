@@ -33,7 +33,7 @@ def test_from_points_single_and_empty():
     for m in range(1, 7):
         assert FatPointScheme.from_points([p], [m]).degree() == m * (m + 1) // 2
     assert FatPointScheme.from_points([], []).degree() == 0
-    assert FatPointScheme.from_points([], []).is_empty()
+    assert not FatPointScheme.from_points([], [])
 
 
 def test_from_points_errors():
@@ -71,7 +71,7 @@ def test_residual_drops_and_removes():
     z1 = z.residual(l)
     assert multiplicity(z1, p) == 1
     assert multiplicity(z1, q) == 0
-    assert z1.residual(l).is_empty()
+    assert not z1.residual(l)
 
 
 def test_residual_chain_multiplicity_panels():
@@ -150,7 +150,7 @@ def _scheme_and_lines(draw):
     if lines:
         lines.append(draw(st.sampled_from(lines)))  # a repeated line
     if draw(st.booleans()):
-        lines += [_line_on(p) for p, m in z.entries for _ in range(m)]
+        lines += [_line_on(p) for p, m in z for _ in range(m)]
     lines += draw(some_lines)
     return z, lines
 
@@ -165,7 +165,7 @@ def test_reduction_vector_matches_the_explicit_walk(case):
     for l in lines:
         values.append(line_degree(cur, l))
         cur = cur.residual(l)
-    expected = ReductionVector(tuple(values), tuple(lines), cur.is_empty())
+    expected = ReductionVector(tuple(values), tuple(lines), not cur)
     assert reduction_vector(z, lines) == expected
 
 
@@ -188,7 +188,7 @@ def test_completeness_iff_total_degree():
         # peel lines through remaining points until empty
         lines = []
         cur = z
-        while not cur.is_empty():
+        while cur:
             target = cur.support()[0]
             other = random_point(rng, 9)
             if other == target:
@@ -262,7 +262,7 @@ def _sorted_peel(z):
         {line_through(p, q) for p, q in combinations(pts, 2)}, key=tuple
     )
     values, lines, cur = [], [], z
-    while not cur.is_empty():
+    while cur:
         line = max(candidates, key=lambda l: line_degree(cur, l))  # the first maximum
         values.append(line_degree(cur, line))
         lines.append(line)

@@ -77,7 +77,7 @@ def test_reduced_bound_consecutive_type():
         rep = verify_main(x, [4])[0]
         assert rep.reduced_delta == 3 == tail_length(x.ktype)
         assert rep.line_count == expected_count <= rep.reduced_delta + 1
-        assert _support_value(x) == 6 == sum(x.ktype.d)
+        assert _support_value(x) == 6 == sum(x.ktype)
 
 
 def test_reduced_bound_walkthrough_type():
@@ -85,7 +85,7 @@ def test_reduced_bound_walkthrough_type():
     rep = verify_main(x, [2])[0]
     assert rep.reduced_delta == 3 == tail_length(x.ktype)
     assert rep.line_count == 3 <= rep.reduced_delta + 1
-    assert _support_value(x) == 13 == sum(x.ktype.d)
+    assert _support_value(x) == 13 == sum(x.ktype)
 
 
 def test_reduced_bound_sparse_type():
@@ -93,7 +93,7 @@ def test_reduced_bound_sparse_type():
     rep = verify_main(x, [2])[0]
     assert rep.reduced_delta == 1 == tail_length(x.ktype)
     assert rep.line_count <= rep.reduced_delta + 1 == 2
-    assert _support_value(x) == 7 == sum(x.ktype.d)
+    assert _support_value(x) == 7 == sum(x.ktype)
 
 
 def test_verify_regularity_small():
@@ -288,7 +288,7 @@ def test_cli_sweep_reads_each_support_value_once(spied, tmp_path, capsys):
 
 def _differential_cases():
     for i, (x, _, _) in enumerate(full_corpus()):
-        yield pytest.param(x, id=f"corpus{i}-{x.ktype.d}")
+        yield pytest.param(x, id=f"corpus{i}-{x.ktype}")
     for dvec, _ in LADDER:
         for seed in (0, 2):
             x = generate_generic(KType(dvec), seed=seed, bound=50)

@@ -183,13 +183,6 @@ def residual_chain(z: FatPointScheme, lines) -> list[FatPointScheme]:
 
 # --- JSON wire format -----------------------------------------------------
 
-def scheme_to_json(z: FatPointScheme) -> dict:
-    return {
-        "points": [triple_to_json(p) for p, _ in z],
-        "mults": [m for _, m in z],
-    }
-
-
 def scheme_from_json(data: dict) -> FatPointScheme:
     points = [point_from_json(t) for t in json_field(data, "points")]
     mults = [json_int(m) for m in json_field(data, "mults")]

@@ -11,9 +11,13 @@ cleared to integers).
 ``LADDER`` lists the benchmark's ladder of generic configurations, and
 ``ladder_degrees`` the degrees t* - 1 and t* = m*d_s - 1 of each rung,
 where its conditions matrices are largest.
+
+``scheme_to_json`` writes a scheme in the format that
+``fatpoints.scheme.scheme_from_json`` reads, for the tests that write
+``--scheme`` files or round-trip that format.
 """
 
-from fatpoints.geom import ProjLine, ProjPoint
+from fatpoints.geom import ProjLine, ProjPoint, triple_to_json
 from fatpoints.kconfig import KConfiguration, KType, fatten, generate_generic
 
 # (type, multiplicity) of each rung of the benchmark ladder.
@@ -182,3 +186,12 @@ def full_corpus():
         (config_1234(), 4, 4),
         (config_13456(), 6, 2),
     ]
+
+
+def scheme_to_json(z):
+    """The ``--scheme`` JSON object of a scheme: its points and their
+    multiplicities, in the scheme's order."""
+    return {
+        "points": [triple_to_json(p) for p, _ in z],
+        "mults": [m for _, m in z],
+    }

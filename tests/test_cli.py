@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import LADDER, config_123_one, config_1234, config_1345
+from corpus import LADDER, config_123_one, config_1234, config_1345, scheme_to_json
 from fatpoints.cli import main
 from fatpoints.kconfig import KType, generate_generic, kconfig_from_json, kconfig_to_json, validate
 from fatpoints.verify import config_id, m0
@@ -419,7 +419,7 @@ def test_verify_m_with_m_sweep_is_a_usage_error(tmp_path, capsys):
 def test_bounds_and_reduce_read_lines(source, tmp_path, capsys):
     from fatpoints.cht import bound_check
     from fatpoints.kconfig import fatten
-    from fatpoints.scheme import lines_to_json, reduction_vector, scheme_to_json
+    from fatpoints.scheme import lines_to_json, reduction_vector
 
     x = config_1345()
     cfg = _write_config(tmp_path, x)

@@ -12,10 +12,11 @@ import json
 
 import pytest
 
-from corpus import config_123_one, config_123_star, config_1234, config_1345
+from corpus import (
+    config_123_one, config_123_star, config_1234, config_1345, scheme_to_json,
+)
 from fatpoints.cli import main
 from fatpoints.kconfig import fatten, kconfig_to_json
-from fatpoints.scheme import scheme_to_json
 
 CONFIGS = {
     "a": config_123_one,

@@ -18,10 +18,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fatpoints"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
-# The writer that pairs with ``scheme_from_json``: the wire format is
-# defined by both directions, though only the tests write schemes.
-ALLOWED = {"scheme.scheme_to_json"}
-
 
 def _module_aliases(tree) -> set[str]:
     """The package's module names and the names a file imports them under
@@ -38,8 +34,7 @@ def _module_aliases(tree) -> set[str]:
 def _references(path: Path) -> tuple[set[str], set[str]]:
     """(uses, attributes) of a file.  Uses are names read, string constants
     and attributes read off a module of the package; attributes are every
-    attribute name.  The imports of ``__init__.py`` are re-exports, and no
-    import is a use."""
+    attribute name.  No import is a use."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     modules = _module_aliases(tree)
     uses, attributes = set(), set()
@@ -77,6 +72,5 @@ def test_every_definition_has_a_caller_outside_the_tests():
     attributes = set().union(*(a for _, a in refs))
     unused = [qualified for path in sorted(PACKAGE.glob("*.py"))
               for qualified, name, method in _definitions(path)
-              if name not in uses and not (method and name in attributes)
-              and qualified not in ALLOWED]
+              if name not in uses and not (method and name in attributes)]
     assert unused == []

@@ -56,6 +56,27 @@ def test_package_import_loads_every_traced_module():
     assert run.stdout.split() == []
 
 
+def test_package_root_exports_nothing_and_loads_no_module():
+    # Each name has one import path, fatpoints.<module>.<name>: the package
+    # root re-exports nothing, so importing it, or one module, loads no
+    # other module of the package, and the root's one public attribute is
+    # the submodule that was imported.
+    code = (
+        "import importlib, sys\n"
+        "importlib.import_module(sys.argv[1])\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'fatpoints'))\n"
+        "print(*sorted(a for a in vars(sys.modules['fatpoints']) if a[0] != '_'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    for module, loaded, public in (("fatpoints", "fatpoints", ""),
+                                   ("fatpoints.geom", "fatpoints fatpoints.geom", "geom")):
+        run = subprocess.run(
+            [sys.executable, "-c", code, module],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert run.stdout.split("\n") == [loaded, public, ""]
+
+
 def test_tracer_records_and_restores():
     originals = _layer_functions()
     tracer = spans.Tracer()

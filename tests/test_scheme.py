@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import config_1234, config_1345, full_corpus
+from corpus import config_1234, config_1345, full_corpus, scheme_to_json
 from fatpoints.cht import REPEAT_DESCENDING, peeling_sequence
 from fatpoints.geom import ProjLine, ProjPoint, line_through, random_line
 from fatpoints.kconfig import fatten
@@ -17,7 +17,6 @@ from fatpoints.scheme import (
     reduction_vector,
     residual_chain,
     scheme_from_json,
-    scheme_to_json,
 )
 from lemmas import line_degree, multiplicity, random_point
 

@@ -39,18 +39,6 @@ from . import hilbert
 from . import kconfig as _kconfig
 
 
-class IncompleteReduction(ValueError):
-    """Raised when a bound is requested from an incomplete reduction."""
-
-
-class SandwichViolation(AssertionError):
-    """f <= H <= F failed; signals an implementation bug, not bad input."""
-
-
-class StrategyInapplicable(ValueError):
-    """Raised when a peeling strategy does not fit the configuration."""
-
-
 REPEAT_DESCENDING = "repeat"
 STAR = "star"
 AUGMENTED = "augmented"
@@ -59,7 +47,7 @@ STRATEGIES = (REPEAT_DESCENDING, STAR, AUGMENTED)
 
 def F_upper(v: ReductionVector, t: int) -> int:
     if not v.complete:
-        raise IncompleteReduction("upper bound requires a complete reduction")
+        raise ValueError("upper bound requires a complete reduction")
     return v.sandwich(t)[1]
 
 
@@ -76,13 +64,13 @@ def bound_check(z: FatPointScheme, lines, t: int) -> BoundReport:
     """Compute v, f, F and the exact value, asserting f <= H <= F."""
     v = reduction_vector(z, lines)
     if not v.complete:
-        raise IncompleteReduction(
+        raise ValueError(
             "the supplied line sequence does not reduce the scheme to empty"
         )
     f, F = v.sandwich(t)
     exact = hilbert.hilbert_value(z, t)
     if not f <= exact <= F:
-        raise SandwichViolation(
+        raise AssertionError(
             f"f={f}, H={exact}, F={F} at t={t}: bound machinery is broken"
         )
     return BoundReport(t, f, F, exact, f == F)
@@ -117,20 +105,20 @@ def _full_lines(x, strategy: str, star: bool) -> list[ProjLine]:
     s + 1 of them (the star) when ``star`` is true, exactly s otherwise."""
     s = x.ktype.s
     if x.ktype.ds != s or s < 2:
-        raise StrategyInapplicable(f"{strategy} peeling needs type (1, ..., s)")
+        raise ValueError(f"{strategy} peeling needs type (1, ..., s)")
     full = _kconfig.count_lines(x, s)
     if len(full) != s + star:
         wanted = "s + 1" if star else "exactly s"
-        raise StrategyInapplicable(f"{strategy} peeling needs {wanted} full lines")
+        raise ValueError(f"{strategy} peeling needs {wanted} full lines")
     return full
 
 
 def _augmented_sequence(x, m: int) -> list[ProjLine]:
     if m < 2:
-        raise StrategyInapplicable("the augmented peeling needs m >= 2")
+        raise ValueError("the augmented peeling needs m >= 2")
     full = _full_lines(x, "augmented", star=False)
     if set(full) != set(x.lines):
-        raise StrategyInapplicable(
+        raise ValueError(
             "augmented peeling needs the full lines to be the defining lines"
         )
     points = x.points()

@@ -28,6 +28,15 @@ than (1, ..., s) with s >= 2 or outside 1 .. s + 1, ``--m`` with
 ``verify --ri`` is accepted and ignored: every report carries ``ri``,
 and the benchmark's ``perfbench/workloads.py`` still passes the flag.
 
+The package raises four error types, one per decision a caller makes:
+``ValueError`` for bad input, ``kconfig.GenerationFailed`` when the
+sampler gives up, ``kconfig.InfeasibleLineCount`` (a ``ValueError``) when
+no configuration of the requested line count exists, and
+``AssertionError`` when a proven bound is broken, a bug in the package.
+The first three, and an ``OSError`` on a file, print one
+``error: <message>`` line to stderr and exit 1 with nothing on stdout;
+an ``AssertionError`` is not caught and ends in a traceback.
+
 Report wire format, owned by this module alone: a report dataclass
 becomes a JSON object with one key per field, named after the field
 except ``ktype`` (``"type"``) and ``delta_value`` (``"delta"``).  Nested

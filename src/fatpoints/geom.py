@@ -25,18 +25,6 @@ from random import Random
 from typing import NamedTuple
 
 
-class ZeroTriple(ValueError):
-    """Raised when all three homogeneous coordinates are zero."""
-
-
-class CoincidentPoints(ValueError):
-    """Raised when a line is requested through a single point."""
-
-
-class CoincidentLines(ValueError):
-    """Raised when the meet of a line with itself is requested."""
-
-
 def canonical_triple(triple) -> tuple[int, int, int]:
     """Return the canonical representative of a homogeneous triple.
 
@@ -49,7 +37,7 @@ def canonical_triple(triple) -> tuple[int, int, int]:
     a, b, c = map(index, triple)
     g = gcd(a, b, c)
     if not g:
-        raise ZeroTriple("homogeneous triple must not be (0, 0, 0)")
+        raise ValueError("homogeneous triple must not be (0, 0, 0)")
     if a < 0 or not a and (b < 0 or not b and c < 0):
         g = -g
     return (a // g, b // g, c // g)
@@ -93,7 +81,7 @@ class ProjLine(_Triple):
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """The unique line through two distinct points (cross product)."""
     if p == q:
-        raise CoincidentPoints(f"no unique line through {p} twice")
+        raise ValueError(f"no unique line through {p} twice")
     return ProjLine(cross(p, q))
 
 
@@ -124,7 +112,7 @@ def lines_through_pairs(points) -> PairLines:
     whose first point is not the line's lowest adds nothing.  Each distinct
     key, canonical already, becomes a :class:`ProjLine` once, after the
     pairs, with no second :func:`canonical_triple` pass.  Raises
-    :class:`CoincidentPoints` when two of the points are equal.
+    ValueError when two of the points are equal.
     """
     on: dict[tuple[int, int, int], list[int]] = {}
     for i, (a1, b1, c1) in enumerate(points):
@@ -135,7 +123,7 @@ def lines_through_pairs(points) -> PairLines:
             c = a1 * b2 - b1 * a2
             g = gcd(a, b, c)
             if not g:
-                raise CoincidentPoints(f"no unique line through {points[i]} twice")
+                raise ValueError(f"no unique line through {points[i]} twice")
             if a < 0 or not a and (b < 0 or not b and c < 0):
                 g = -g
             key = (a // g, b // g, c // g)
@@ -157,7 +145,7 @@ def lines_through_pairs(points) -> PairLines:
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     """The unique intersection point of two distinct lines."""
     if l1 == l2:
-        raise CoincidentLines(f"no unique meet of {l1} with itself")
+        raise ValueError(f"no unique meet of {l1} with itself")
     return ProjPoint(cross(l1, l2))
 
 

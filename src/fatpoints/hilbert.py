@@ -45,10 +45,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class EmptyScheme(ValueError):
-    """Raised when an operation requires a nonempty scheme."""
-
-
 def monomial_exponents(t: int) -> list[tuple[int, int, int]]:
     """Exponent triples of the degree-t monomials, in a fixed order."""
     return [(t - b - c, b, c) for b in range(t + 1) for c in range(t - b + 1)]
@@ -222,7 +218,7 @@ def regularity_floor(z: FatPointScheme) -> int:
     whose Hilbert function min(t + 1, w) first reaches w at t = w - 1.
     """
     if not z:
-        raise EmptyScheme("the empty scheme has no regularity index")
+        raise ValueError("the empty scheme has no regularity index")
     return z.greedy_reduction.values[0] - 1
 
 
@@ -232,7 +228,7 @@ def regularity_index(z: FatPointScheme) -> int:
     H is nondecreasing and :func:`regularity_floor` is a proven lower
     bound, so the walk t = floor, floor + 1, ... stops at the first exact
     :func:`hilbert_value` that reaches deg: that t is the regularity index.
-    The empty scheme has none: the floor raises :class:`EmptyScheme`.
+    The empty scheme has none: the floor raises ValueError.
     """
     t = regularity_floor(z)
     deg = z.degree()

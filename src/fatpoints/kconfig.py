@@ -37,10 +37,6 @@ from .geom import json_array, json_field, json_int
 from .scheme import FatPointScheme
 
 
-class InvalidLineCount(ValueError):
-    """Requested count of maximal lines is outside 1 .. s+1."""
-
-
 class InfeasibleLineCount(ValueError):
     """Requested count is in range but no such configuration exists."""
 
@@ -321,12 +317,12 @@ def generate_with_line_count(s: int, r: int, seed: int, bound: int) -> KConfigur
     if s < 2:
         raise ValueError("need s >= 2")
     if not 1 <= r <= s + 1:
-        raise InvalidLineCount(f"r must be within 1 .. {s + 1}, got {r}")
+        raise ValueError(f"r must be within 1 .. {s + 1}, got {r}")
     if s == 2 and r < 3:
         raise InfeasibleLineCount(
             "three non-collinear points always span three 2-point lines"
         )
-    # a line is a nonzero coefficient triple up to sign: this many fit the bound
+    # a line is a primitive coefficient triple up to sign: at most this many fit the bound
     count = s + (r == s + 1)
     if count > ((2 * bound + 1) ** 3 - 1) // 2:
         raise GenerationFailed(f"coordinate bound {bound} has too few lines")

@@ -23,14 +23,6 @@ from .geom import json_array, json_field, json_int
 from .geom import line_from_json, point_from_json, triple_to_json
 
 
-class DuplicatePoint(ValueError):
-    """Raised when the same canonical point is listed twice."""
-
-
-class NonPositiveMultiplicity(ValueError):
-    """Raised when a multiplicity is not a positive integer."""
-
-
 class FatPointScheme(tuple):
     """The tuple of (point, multiplicity) pairs sorted by point, built from
     pairs in any order.  No ``__slots__``: :attr:`pair_lines` and
@@ -48,9 +40,9 @@ class FatPointScheme(tuple):
         seen = {}
         for p, m in zip(points, mults):
             if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-                raise NonPositiveMultiplicity(f"multiplicity {m!r} for {p}")
+                raise ValueError(f"multiplicity {m!r} for {p}")
             if p in seen:
-                raise DuplicatePoint(f"point {p} listed twice")
+                raise ValueError(f"point {p} listed twice")
             seen[p] = m
         return cls(seen.items())
 

@@ -43,18 +43,10 @@ except ImportError:
         from hashlib import sha256
 
 
-class SinglePointType(ValueError):
-    """The operation excludes the one-point type (infinitely many lines)."""
-
-
-class MultiplicityBelowThreshold(ValueError):
-    """The requested multiplicity is below the theorem's threshold."""
-
-
 def m0(ktype: KType) -> int:
     """Threshold multiplicity: 2 when d_s > s, s + 1 when d_s = s."""
     if ktype.is_single_point():
-        raise SinglePointType("no threshold for a single point")
+        raise ValueError("no threshold for a single point")
     return 2 if ktype.ds > ktype.s else ktype.s + 1
 
 
@@ -112,7 +104,7 @@ def verify_main(x: KConfiguration, ms: Sequence[int]) -> list[VerificationReport
     :func:`kconfig.count_lines`; never on the identity being checked.
     """
     if x.ktype.is_single_point():
-        raise SinglePointType("verification needs at least two points")
+        raise ValueError("verification needs at least two points")
     tops = {m: _top_difference(x, m) for m in dict.fromkeys((*ms, 1))}
     ident, count, threshold = config_id(x), len(count_lines(x, x.ktype.ds)), m0(x.ktype)
     return [
@@ -169,7 +161,7 @@ def hilbert_family(s: int, m: int, seed: int, bound: int) -> FamilyReport:
     if s < 2:
         raise ValueError("need s >= 2")
     if m < s + 1:
-        raise MultiplicityBelowThreshold("the family statement needs m >= s + 1")
+        raise ValueError("the family statement needs m >= s + 1")
     members = []
     infeasible: dict[int, str] = {}
     probe_t = m * s - 2

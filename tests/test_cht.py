@@ -13,13 +13,12 @@ from corpus import (
     full_corpus,
     trichotomy_corpus,
 )
+from fatpoints import hilbert
 from fatpoints.cht import (
     AUGMENTED,
     REPEAT_DESCENDING,
     STAR,
     F_upper,
-    IncompleteReduction,
-    StrategyInapplicable,
     bound_check,
     peeling_sequence,
 )
@@ -59,7 +58,7 @@ def test_F_upper_single_point():
 
 def test_incomplete_reduction_rejected():
     v = ReductionVector((3,), (), complete=False)
-    with pytest.raises(IncompleteReduction):
+    with pytest.raises(ValueError, match="upper bound requires a complete reduction"):
         F_upper(v, 2)
 
 
@@ -87,8 +86,21 @@ def test_bound_check_empty():
 def test_bound_check_incomplete_lines():
     x = config_1345()
     z = fatten(x, 2)
-    with pytest.raises(IncompleteReduction):
+    with pytest.raises(ValueError, match="the supplied line sequence does not reduce"):
         bound_check(z, list(reversed(x.lines)), 8)
+
+
+def test_bound_check_refuses_a_value_outside_the_sandwich(monkeypatch):
+    # f <= H <= F is proven, so a value outside it is a bug in the package:
+    # an AssertionError, which no caller takes for bad input
+    x = config_1234()
+    z = fatten(x, 2)
+    lines = peeling_sequence(x, 2, REPEAT_DESCENDING)
+    for value in (24, 27):  # f = 25 and F = 26 at t = 6
+        monkeypatch.setattr(hilbert, "hilbert_value", lambda z, t, value=value: value)
+        with pytest.raises(AssertionError, match=(
+                f"^f=25, H={value}, F=26 at t=6: bound machinery is broken$")):
+            bound_check(z, lines, 6)
 
 
 def test_peeling_repeat_descending():
@@ -120,10 +132,10 @@ def test_peeling_star_completes():
 
 def test_peeling_strategy_errors():
     x = config_1345()
-    with pytest.raises(StrategyInapplicable):
+    with pytest.raises(ValueError, match=r"star peeling needs type \(1, \.\.\., s\)"):
         peeling_sequence(x, 2, STAR)
     x4 = config_1234()
-    with pytest.raises(StrategyInapplicable):
+    with pytest.raises(ValueError, match="the augmented peeling needs m >= 2"):
         peeling_sequence(x4, 1, AUGMENTED)
 
 
@@ -154,14 +166,14 @@ def test_star_and_augmented_peels_match_the_trichotomy_oracle(s):
                            for p in on) == 1
         for m in range(1, 6):
             if tri is None or tri.case != Case.MANY:
-                with pytest.raises(StrategyInapplicable):
+                with pytest.raises(ValueError, match="star peeling needs"):
                     peeling_sequence(x, m, STAR)
             else:
                 expected = sorted(tri.full_lines, reverse=True) * -(-m // 2)
                 assert peeling_sequence(x, m, STAR) == expected
             if (tri is None or tri.case != Case.EXACT or m < 2
                     or set(tri.full_lines) != set(x.lines)):
-                with pytest.raises(StrategyInapplicable):
+                with pytest.raises(ValueError, match="augmented peeling needs"):
                     peeling_sequence(x, m, AUGMENTED)
                 continue
             h = line_through(tri.privates[x.lines[0]], tri.privates[x.lines[1]])
@@ -301,7 +313,9 @@ def test_hilbert_upper_is_the_least_complete_bound(make):
         for strategy in (REPEAT_DESCENDING, STAR, AUGMENTED):
             try:
                 v = reduction_vector(z, peeling_sequence(x, m, strategy))
-            except StrategyInapplicable:
+            except ValueError as exc:
+                if "peeling needs" not in str(exc):
+                    raise
                 continue
             if v.complete:
                 vectors.append(v)

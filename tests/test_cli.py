@@ -367,6 +367,57 @@ def test_json_integers_are_ints_or_decimal_strings(data, bad, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: expected an integer, got {bad!r}\n"
 
 
+# The input files of the refusals below, by the name that stands for their
+# path in an argv.  TYPE1 is a one-point configuration, which has no line
+# through two points; C1345 has d_s > s, and C123_ONE one full line.
+_REFUSED_INPUTS = {
+    "TWICE": {"points": [["1", "2", "3"], ["2", "4", "6"]], "mults": [1, 2]},
+    "MULT0": {"points": [["1", "2", "3"]], "mults": [0]},
+    "ZERO_POINT": {"points": [["0", "0", "0"]], "mults": [1]},
+    "ZERO_SUBSET": {"type": [1], "subsets": [[["0", "0", "0"]]], "lines": [["1", "0", "0"]]},
+    "ZERO_LINE": [["0", "0", "0"]],
+    "NO_LINES": [],
+    "TYPE1": lambda: kconfig_to_json(generate_generic(KType((1,)), 1, 50)),
+    "C1345": lambda: kconfig_to_json(config_1345()),
+    "C123_ONE": lambda: kconfig_to_json(config_123_one()),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [("hilbert --t-max 3 --scheme TWICE", "point ProjPoint((1:2:3)) listed twice"),
+     ("hilbert --t-max 3 --scheme MULT0", "multiplicity 0 for ProjPoint((1:2:3))"),
+     ("hilbert --t-max 3 --scheme ZERO_POINT", "homogeneous triple must not be (0, 0, 0)"),
+     ("count-lines --config ZERO_SUBSET", "homogeneous triple must not be (0, 0, 0)"),
+     ("bounds --config C1345 --lines ZERO_LINE --t 2",
+      "homogeneous triple must not be (0, 0, 0)"),
+     ("bounds --config C1345 --lines NO_LINES --t 2",
+      "the supplied line sequence does not reduce the scheme to empty"),
+     ("verify --config TYPE1 --m 2", "verification needs at least two points"),
+     ("family --s 3 --m 2", "the family statement needs m >= s + 1"),
+     ("reduce --config TYPE1 --strategy star", "star peeling needs type (1, ..., s)"),
+     ("bounds --config C1345 --m 2 --t 3 --strategy star",
+      "star peeling needs type (1, ..., s)"),
+     ("bounds --config C123_ONE --m 2 --t 3 --strategy star",
+      "star peeling needs s + 1 full lines"),
+     ("reduce --config C123_ONE --m 2 --strategy augmented",
+      "augmented peeling needs exactly s full lines"),
+     ("reduce --config C123_ONE --strategy augmented", "the augmented peeling needs m >= 2")],
+    ids=["repeated-point", "multiplicity-zero", "zero-point", "zero-config-point",
+         "zero-line", "empty-lines", "verify-one-point", "family-below-threshold",
+         "star-on-one-point", "star-on-1345", "star-without-s+1-lines",
+         "augmented-without-s-lines", "augmented-m1"],
+)
+def test_refused_input_is_one_error_line(argv, message, tmp_path, capsys):
+    # each is a ValueError of the package: exit 1, its message, no traceback
+    names = {}
+    for name, data in _REFUSED_INPUTS.items():
+        names[name] = tmp_path / f"{name}.json"
+        names[name].write_text(json.dumps(data() if callable(data) else data))
+    code, out, err = _run_main([str(names.get(a, a)) for a in argv.split()], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("sweep", ["3", "5:3", "0:2"], ids=["no-colon", "empty", "zero"])
 def test_bad_sweep_is_a_usage_error(sweep, tmp_path, capsys):
     cfg = _write_config(tmp_path, config_123_one())

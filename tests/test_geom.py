@@ -6,12 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatpoints.geom import (
-    CoincidentLines,
-    CoincidentPoints,
     PairLines,
     ProjLine,
     ProjPoint,
-    ZeroTriple,
     canonical_triple,
     incident,
     line_from_json,
@@ -37,9 +34,9 @@ def test_canonicalize_identity():
 
 
 def test_zero_triple_rejected():
-    with pytest.raises(ZeroTriple):
+    with pytest.raises(ValueError, match=r"must not be \(0, 0, 0\)"):
         canonical_triple((0, 0, 0))
-    with pytest.raises(ZeroTriple):
+    with pytest.raises(ValueError, match=r"must not be \(0, 0, 0\)"):
         ProjPoint((0, 0, 0))
 
 
@@ -69,7 +66,7 @@ def test_line_through_cross_product():
 
 
 def test_line_through_coincident():
-    with pytest.raises(CoincidentPoints):
+    with pytest.raises(ValueError, match=r"no unique line through ProjPoint\(\(1:2:3\)\) twice"):
         line_through(ProjPoint((1, 2, 3)), ProjPoint((2, 4, 6)))
 
 
@@ -87,7 +84,7 @@ def test_meet_cross_product():
 
 
 def test_meet_coincident():
-    with pytest.raises(CoincidentLines):
+    with pytest.raises(ValueError, match=r"no unique meet of ProjLine\(\(1:0:0\)\) with itself"):
         meet(ProjLine((1, 0, 0)), ProjLine((-2, 0, 0)))
 
 
@@ -213,7 +210,7 @@ def test_lines_through_pairs_rejects_a_repeated_point(points, data):
     k = data.draw(st.integers(-5, 5).filter(bool))
     scaled = ProjPoint(tuple(k * v for v in p))
     where = data.draw(st.integers(0, len(points)))
-    with pytest.raises(CoincidentPoints):
+    with pytest.raises(ValueError, match="no unique line through .* twice"):
         lines_through_pairs(points[:where] + [scaled] + points[where:])
 
 
@@ -225,7 +222,7 @@ wide_triples = st.tuples(
 @given(wide_triples, st.one_of(small, huge).filter(bool))
 def test_canonical_triple_properties(triple, k):
     if not any(triple):
-        with pytest.raises(ZeroTriple):
+        with pytest.raises(ValueError, match=r"must not be \(0, 0, 0\)"):
             canonical_triple(triple)
         return
     once = canonical_triple(triple)

@@ -10,7 +10,11 @@ is valid, has the same lines through k points (the images of the old
 ones) and the same Hilbert function of every fattening, and ``verify_main``
 reports the same values, the config id aside.  This rests on no theorem
 about fat points: the two runs agree whatever the identity says, while
-their greedy peels, matrices and ranks differ.
+their greedy peels, matrices and ranks differ.  Nor does the CLI's stdout
+change where it prints no config id: ``hilbert --format json`` on a
+fattening and the text of ``count-lines``.  A scheme that is no fattening
+maps too: the residual of 2X by a defining line L, whose image is the
+residual of 2Y by cof(A) L, has the same Hilbert function.
 
 Relabelling a configuration without moving it, by shuffling the points of
 each subset and reordering the JSON keys, must not change even the config
@@ -99,6 +103,8 @@ def test_every_answer_survives_a_change_of_coordinates(name):
     ri = regularity_index(z)
     table = hilbert_table(z, ri)
     rng = Random(f"invariance:{name}")
+    residuals = [(l, z.residual(l)) for l in x.lines]
+    tables = [hilbert_table(r, regularity_index(r)) for _, r in residuals]
     for _ in range(MAPS_PER_INPUT):
         a = _random_map(rng)
         cof = _cofactors(a)
@@ -108,6 +114,10 @@ def test_every_answer_survives_a_change_of_coordinates(name):
         for k, found in lines.items():
             assert sorted(count_lines(y, k)) == sorted(ProjLine(_apply(cof, l)) for l in found)
         assert hilbert_table(fatten(y, 2), ri) == table
+        for (l, r), rtable in zip(residuals, tables):
+            image = fatten(y, 2).residual(ProjLine(_apply(cof, l)))
+            assert image == FatPointScheme((ProjPoint(_apply(a, p)), m) for p, m in r)
+            assert hilbert_table(image, rtable.stabilized_at) == rtable
 
 
 def _outputs(tmp_path, capsys, payloads, argv):
@@ -119,6 +129,19 @@ def _outputs(tmp_path, capsys, payloads, argv):
         path.write_text(json.dumps(payload))
         outputs.append((main([*argv, str(path)]), capsys.readouterr().out))
     return outputs
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_cli_stdout_survives_a_change_of_coordinates(name, tmp_path, capsys):
+    x = INPUTS[name]()
+    rng = Random(f"cli-invariance:{name}")
+    configs = [x] + [_image(x, _random_map(rng)) for _ in range(MAPS_PER_INPUT)]
+    payloads = [kconfig_to_json(y) for y in configs]
+    t_max = 2 * x.ktype.ds + 1
+    for argv in (["hilbert", "--m", "2", "--t-max", str(t_max), "--format", "json", "--config"],
+                 ["count-lines", "--config"], ["count-lines", "--k", "2", "--config"]):
+        first, *images = _outputs(tmp_path, capsys, payloads, argv)
+        assert first[0] == 0 and all(image == first for image in images), argv
 
 
 @pytest.mark.parametrize("name", INPUTS)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +17,11 @@ from corpus import (
 )
 from fatpoints import kconfig
 from fatpoints.geom import ProjLine, ProjPoint, incident, line_basis, line_through
-from fatpoints.geom import random_combination
+from fatpoints.geom import random_combination, random_line
 from fatpoints.hilbert import hilbert_table
 from fatpoints.kconfig import (
     GenerationFailed,
     InfeasibleLineCount,
-    InvalidLineCount,
     KConfiguration,
     KType,
     count_lines,
@@ -204,6 +204,18 @@ def test_points_per_line_counts_the_distinct_sampled_points(bound):
     assert len(reached) == [0, 4, 8, 16, 24, 40][bound]
 
 
+@pytest.mark.parametrize("bound", range(5))
+def test_line_guard_is_at_least_the_lines_a_bound_reaches(bound):
+    # random_line keeps a nonzero triple of [-bound, bound]^3 as its line, a
+    # primitive triple up to sign.  generate_with_line_count's guard counts
+    # every nonzero triple up to sign, ((2b+1)^3 - 1) // 2, so it is an upper
+    # bound on the lines: 13 of 13 at bound 1, but 49 of 62 at bound 2.
+    span = range(-bound, bound + 1)
+    reached = {random_line(_ScriptedRandom(t), bound) for t in product(span, repeat=3) if any(t)}
+    assert len(reached) <= ((2 * bound + 1) ** 3 - 1) // 2
+    assert len(reached) == [0, 13, 49, 145, 289][bound]
+
+
 def test_points_per_line_asked_at_the_need_is_the_same_test():
     # The count never falls as the bound grows and is at least 2*bound + 2
     # for bound >= 1, so min(bound, need) decides as the full bound does.
@@ -313,9 +325,9 @@ def test_generate_generic_postconditions(dvec, seed, bound):
 
 
 def test_generate_with_line_count_range_errors():
-    with pytest.raises(InvalidLineCount):
+    with pytest.raises(ValueError, match=r"r must be within 1 \.\. 4, got 0"):
         generate_with_line_count(3, 0, seed=0, bound=50)
-    with pytest.raises(InvalidLineCount):
+    with pytest.raises(ValueError, match=r"r must be within 1 \.\. 4, got 5"):
         generate_with_line_count(3, 5, seed=0, bound=50)
 
 

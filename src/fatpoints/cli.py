@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Subcommands: generate, hilbert, bounds, count-lines, verify, family,
-reduce.  Configurations and schemes travel as UTF-8 JSON per the module
-wire formats, and a ``--lines`` file is a JSON array of coefficient
-triples, and an integer argument takes their syntax: an optional ``-``,
-then ASCII digits (:func:`fatpoints.geom.json_int`).  Reports print as
-text mirroring the tabular displays used throughout the package, or as
-JSON, the one machine format: a
-``verify --m-sweep`` prints one JSON array of its reports, made in one
-pass that reads each value of the configuration alone once.  Every
+reduce.  Configurations, schemes, ``--lines`` files and JSON reports
+follow the wire format of :mod:`fatpoints.wire`, and an integer
+argument takes its integer syntax: an optional ``-``, then ASCII digits
+(:func:`fatpoints.wire.json_int`).  Reports print as text mirroring the
+tabular displays used throughout the package, or as JSON, the one
+machine format: a ``verify --m-sweep`` prints one JSON array of its
+reports, made in one pass that reads each value of the configuration
+alone once.  Every
 subcommand is deterministic given its full parameter set; only
 ``generate`` and ``family`` take a seed.  ``--m`` goes with ``--config``
 (default 1); ``--coord-bound`` defaults to 50 for ``generate`` and 20
@@ -36,68 +36,24 @@ no configuration of the requested line count exists, and
 The first three, and an ``OSError`` on a file, print one
 ``error: <message>`` line to stderr and exit 1 with nothing on stdout;
 an ``AssertionError`` is not caught and ends in a traceback.
-
-Report wire format, owned by this module alone: a report dataclass
-becomes a JSON object with one key per field, named after the field
-except ``ktype`` (``"type"``) and ``delta_value`` (``"delta"``).  Nested
-dataclasses become objects, tuples and lists become arrays and map keys
-become strings.  JSON output sorts the keys.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import json
 import sys
 
-from . import cht, hilbert, kconfig, verify
-from .scheme import (
-    lines_from_json,
-    lines_to_json,
-    residual_chain,
-    scheme_from_json,
-    vector_of_chain,
-)
-from .geom import json_int, triple_to_json
-
-
-def _load_json(path: str):
-    """The JSON value of the file; ValueError also for one nested deeper
-    than the decoder's recursion allows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-
-
-# The report fields whose JSON key is not the field name.
-_KEYS = {"ktype": "type", "delta_value": "delta"}
-
-
-def _wire(value):
-    """``value`` as JSON data: dataclass fields in declaration order under
-    their :data:`_KEYS` names, tuples as lists, map keys as strings."""
-    if value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, (tuple, list)):
-        return [v if isinstance(v, int) else _wire(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _wire(v) for k, v in value.items()}
-    return {
-        _KEYS.get(f.name, f.name): _wire(getattr(value, f.name))
-        for f in dataclasses.fields(value)
-    }
+from . import cht, hilbert, kconfig, verify, wire
+from .scheme import residual_chain, vector_of_chain
+from .wire import json_int
 
 
 def _emit(args, report, text: str) -> None:
-    """Print ``report`` (a report dataclass, a JSON-ready dict or a list of
-    reports) as JSON under ``--format json``, else its text rendering
-    ``text``."""
+    """Print ``report`` as JSON (:func:`wire.dumps`) under ``--format json``,
+    else its text rendering ``text``."""
     if args.format == "json":
-        print(json.dumps(_wire(report), indent=2, sort_keys=True))
+        print(wire.dumps(report))
     else:
         print(text)
 
@@ -111,7 +67,7 @@ def _ktype(text: str) -> kconfig.KType:
 
 
 def _load_config(args) -> kconfig.KConfiguration:
-    x = kconfig.kconfig_from_json(_load_json(args.config))
+    x = wire.kconfig_from_json(wire.load(args.config))
     problems = kconfig.validate(x)
     if problems:
         for p in problems:
@@ -130,14 +86,14 @@ def _inputs(args, peel: bool = False):
         args.usage_error("argument --scheme: needs --lines (a scheme has no lines to peel)")
     m = args.m or 1
     if args.scheme:
-        z = scheme_from_json(_load_json(args.scheme))
+        z = wire.scheme_from_json(wire.load(args.scheme))
     else:
         x = _load_config(args)
         z = kconfig.fatten(x, m)
     if not peel:
         return z, None
     if args.lines:
-        return z, lines_from_json(_load_json(args.lines))
+        return z, wire.lines_from_json(wire.load(args.lines))
     return z, cht.peeling_sequence(x, m, args.strategy or cht.REPEAT_DESCENDING)
 
 
@@ -151,7 +107,7 @@ def cmd_generate(args) -> int:
         args.usage_error(f"argument --r: expected 1 .. {s + 1} for this --type, got {args.r}")
     else:
         x = kconfig.generate_with_line_count(s, args.r, args.seed, args.coord_bound)
-    text = json.dumps(kconfig.kconfig_to_json(x), indent=2, sort_keys=True)
+    text = wire.dumps(wire.kconfig_to_json(x))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -185,7 +141,7 @@ def cmd_count_lines(args) -> int:
     x = _load_config(args)
     k = args.k if args.k is not None else x.ktype.ds
     lines = kconfig.count_lines(x, k)
-    payload = {"k": k, "count": len(lines), "lines": lines_to_json(lines)}
+    payload = {"k": k, "count": len(lines), "lines": wire.lines_to_json(lines)}
     text = f"{len(lines)} line(s) with exactly {k} points"
     _emit(args, payload, text)
     return 0
@@ -217,7 +173,7 @@ def _sweep(text: str) -> list[int]:
 
 def _integer(low: int | None = None):
     """An argparse type for an integer in the JSON wire syntax
-    (:func:`~fatpoints.geom.json_int`), at least ``low`` when given."""
+    (:func:`~fatpoints.wire.json_int`), at least ``low`` when given."""
     wanted = "an integer" if low is None else f"an integer >= {low}"
 
     def parse(text: str) -> int:
@@ -257,7 +213,7 @@ def cmd_reduce(args) -> int:
     for step, scheme in enumerate(chain):
         entry = {
             "step": step,
-            "line": triple_to_json(lines[step - 1]) if step else None,
+            "line": wire.triple_to_json(lines[step - 1]) if step else None,
             "removed": v.values[step - 1] if step else None,
             "points": {
                 "(" + ":".join(map(str, p)) + ")": m

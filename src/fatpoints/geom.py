@@ -185,51 +185,3 @@ def random_combination(b1: ProjPoint, b2: ProjPoint, rng: Random, bound: int) ->
             continue
         triple = tuple(u * x + v * y for x, y in zip(b1, b2))
         return ProjPoint(triple)
-
-
-# --- JSON wire format: arrays of three decimal-string integers -----------
-
-def triple_to_json(triple) -> list[str]:
-    return [str(v) for v in triple]
-
-
-def point_from_json(data) -> ProjPoint:
-    return ProjPoint(_triple_from_json(data))
-
-
-def line_from_json(data) -> ProjLine:
-    return ProjLine(_triple_from_json(data))
-
-
-def _triple_from_json(data) -> tuple[int, int, int]:
-    if not isinstance(data, (list, tuple)) or len(data) != 3:
-        raise ValueError(f"expected a triple of integers, got {data!r}")
-    return tuple(json_int(v) for v in data)
-
-
-def json_array(data, what: str) -> list:
-    """``data`` if it is a JSON array, else ValueError naming ``what``."""
-    if not isinstance(data, list):
-        raise ValueError(f"expected {what} as a JSON array, got {data!r}")
-    return data
-
-
-def json_field(data, key: str) -> list:
-    """The array under ``key`` of a JSON object, else ValueError."""
-    if not isinstance(data, dict):
-        raise ValueError(f"expected a JSON object with {key!r}, got {data!r}")
-    if key not in data:
-        raise ValueError(f"missing key {key!r} in the JSON object")
-    return json_array(data[key], repr(key))
-
-
-def json_int(value) -> int:
-    """A JSON integer, or a string of ASCII digits after an optional ``-``;
-    ``int`` alone would also read "1_0", " 1 ", "+1" and non-ASCII digits."""
-    if isinstance(value, str):
-        digits = value.removeprefix("-")
-        if digits.isascii() and digits.isdigit():
-            return int(value)
-    elif isinstance(value, int) and not isinstance(value, bool):  # JSON true is not 1
-        return value
-    raise ValueError(f"expected an integer, got {value!r}")

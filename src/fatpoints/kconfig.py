@@ -24,16 +24,12 @@ from .geom import (
     canonical_triple,
     cross,
     incident,
-    line_from_json,
     line_basis,
     lines_through_pairs,
     meet,
-    point_from_json,
     random_combination,
     random_line,
-    triple_to_json,
 )
-from .geom import json_array, json_field, json_int
 from .scheme import FatPointScheme
 
 
@@ -345,23 +341,3 @@ def generate_with_line_count(s: int, r: int, seed: int, bound: int) -> KConfigur
         lambda x: len(count_lines(x, s)) == r,
         f"no type {ktype} configuration with r={r} found",
     )
-
-
-# --- JSON wire format -------------------------------------------------------
-
-def kconfig_to_json(x: KConfiguration) -> dict:
-    return {
-        "type": list(x.ktype),
-        "subsets": [[triple_to_json(p) for p in sub] for sub in x.subsets],
-        "lines": [triple_to_json(l) for l in x.lines],
-    }
-
-
-def kconfig_from_json(data: dict) -> KConfiguration:
-    ktype = KType(json_int(v) for v in json_field(data, "type"))
-    subsets = tuple(
-        tuple(point_from_json(p) for p in json_array(sub, "a subset"))
-        for sub in json_field(data, "subsets")
-    )
-    lines = tuple(line_from_json(l) for l in json_field(data, "lines"))
-    return KConfiguration(ktype, subsets, lines)

@@ -19,8 +19,6 @@ from math import comb
 
 from .geom import PairLines, ProjLine, ProjPoint, incident
 from .geom import lines_through_pairs
-from .geom import json_array, json_field, json_int
-from .geom import line_from_json, point_from_json, triple_to_json
 
 
 class FatPointScheme(tuple):
@@ -171,19 +169,3 @@ def residual_chain(z: FatPointScheme, lines) -> list[FatPointScheme]:
     for l in lines:
         chain.append(chain[-1].residual(l))
     return chain
-
-
-# --- JSON wire format -----------------------------------------------------
-
-def scheme_from_json(data: dict) -> FatPointScheme:
-    points = [point_from_json(t) for t in json_field(data, "points")]
-    mults = [json_int(m) for m in json_field(data, "mults")]
-    return FatPointScheme.from_points(points, mults)
-
-
-def lines_from_json(data) -> list[ProjLine]:
-    return [line_from_json(t) for t in json_array(data, "lines")]
-
-
-def lines_to_json(lines) -> list[list[str]]:
-    return [triple_to_json(l) for l in lines]

@@ -25,22 +25,13 @@ by sweeping the feasible maximal-line counts for type (1, ..., s).
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
 
 from . import hilbert, kconfig
 from .kconfig import InfeasibleLineCount, KConfiguration, KType, count_lines, fatten
-
-# The interpreter's built-in SHA-256: hashlib would load OpenSSL's libcrypto.
-try:
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10-3.11
-    except ImportError:  # a build without the built-in SHA-2 module
-        from hashlib import sha256
+from .wire import config_id
 
 
 def m0(ktype: KType) -> int:
@@ -48,14 +39,6 @@ def m0(ktype: KType) -> int:
     if ktype.is_single_point():
         raise ValueError("no threshold for a single point")
     return 2 if ktype.ds > ktype.s else ktype.s + 1
-
-
-def config_id(x: KConfiguration) -> str:
-    """The first 12 hex digits of the SHA-256 of the sorted-key JSON of
-    :func:`kconfig.kconfig_to_json`.  Reports carry it, so the CLI output
-    digests of the test suite and ``perfbench/expected.json`` pin it."""
-    payload = json.dumps(kconfig.kconfig_to_json(x), sort_keys=True)
-    return sha256(payload.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

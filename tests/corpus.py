@@ -13,12 +13,13 @@ cleared to integers).
 where its conditions matrices are largest.
 
 ``scheme_to_json`` writes a scheme in the format that
-``fatpoints.scheme.scheme_from_json`` reads, for the tests that write
+``fatpoints.wire.scheme_from_json`` reads, for the tests that write
 ``--scheme`` files or round-trip that format.
 """
 
-from fatpoints.geom import ProjLine, ProjPoint, triple_to_json
+from fatpoints.geom import ProjLine, ProjPoint
 from fatpoints.kconfig import KConfiguration, KType, fatten, generate_generic
+from fatpoints.wire import triple_to_json
 
 # (type, multiplicity) of each rung of the benchmark ladder.
 LADDER = [((1, 2, 3), 4), ((1, 2, 3, 4), 5), ((1, 2, 3, 4, 5), 6),

@@ -16,7 +16,8 @@ from corpus import (
     config_123_one, config_123_star, config_1234, config_1345, scheme_to_json,
 )
 from fatpoints.cli import main
-from fatpoints.kconfig import fatten, kconfig_to_json
+from fatpoints.kconfig import fatten
+from fatpoints.wire import kconfig_to_json
 
 CONFIGS = {
     "a": config_123_one,

@@ -11,12 +11,9 @@ from fatpoints.geom import (
     ProjPoint,
     canonical_triple,
     incident,
-    line_from_json,
     line_through,
     lines_through_pairs,
     meet,
-    point_from_json,
-    triple_to_json,
 )
 from fatpoints.kconfig import KType
 
@@ -142,18 +139,6 @@ def test_join_meet_inverse(a, b):
         return
     p = meet(l1, l2)
     assert incident(p, l1) and incident(p, l2)
-
-
-def test_json_round_trip():
-    p = ProjPoint((10**40, -3, 7))
-    data = triple_to_json(p)
-    assert data == [str(10**40), "-3", "7"]
-    assert point_from_json(data) == p
-    l = ProjLine((0, -6, 4))
-    assert line_from_json(triple_to_json(l)) == l
-    # non-canonical input is canonicalized on read
-    assert point_from_json(["2", "4", "6"]) == ProjPoint((1, 2, 3))
-    assert line_from_json([0, -6, 4]) == ProjLine((0, 3, -2))
 
 
 # --- the pair-line kernel against a naive oracle ----------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import LADDER, config_123_one, config_1234, config_1345, ladder_degrees
-from fatpoints import cli, hilbert, linalg
+from fatpoints import hilbert, linalg, wire
 from fatpoints.geom import ProjPoint
 from fatpoints.linalg import _ELIM_PRIMES
 from fatpoints.hilbert import (
@@ -200,7 +200,7 @@ def test_regularity_index_empty():
 
 def test_table_json():
     tab = HilbertTable((1, 3, 3), (1, 2, 0), 1)
-    assert cli._wire(tab) == {"values": [1, 3, 3], "deltas": [1, 2, 0], "stabilized_at": 1}
+    assert wire._wire(tab) == {"values": [1, 3, 3], "deltas": [1, 2, 0], "stabilized_at": 1}
 
 
 def test_monomial_order_is_total_degree_consistent():

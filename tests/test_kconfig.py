@@ -28,11 +28,10 @@ from fatpoints.kconfig import (
     fatten,
     generate_generic,
     generate_with_line_count,
-    kconfig_from_json,
-    kconfig_to_json,
     validate,
 )
 from fatpoints.scheme import FatPointScheme
+from fatpoints.wire import kconfig_to_json
 from lemmas import (
     Case,
     TypeMismatch,
@@ -509,12 +508,6 @@ def test_strongly_generic_point_tests_each_candidate_once(monkeypatch):
         kconfig._strongly_generic_point(random.Random(0), line, others, [], 1)
     assert len(draws) == kconfig._MAX_TRIES and len(set(draws)) == 4
     assert len(tested) == 1 + 2 + 3 + 4 and set(tested) == set(draws)
-
-
-def test_json_round_trip():
-    for x, _, _ in full_corpus():
-        data = kconfig_to_json(x)
-        assert kconfig_from_json(data) == x
 
 
 def test_generators_deterministic():

@@ -13,7 +13,11 @@ that shares its name with another definition (``KType.s`` and a
 
 An exception class is a caller decision, so each one under ``src/`` is
 named in an ``except`` clause, or subclassed, outside the tests; one that
-is only raised and printed is a ``ValueError`` with its message."""
+is only raised and printed is a ``ValueError`` with its message.
+
+The JSON wire format has one home, ``wire.py``: no other module under
+``src/`` imports ``json`` or defines a function whose name ends in
+``_json``."""
 
 import ast
 import importlib
@@ -117,3 +121,24 @@ def test_every_exception_class_is_caught_outside_the_tests():
     classes = _exception_classes()
     assert "kconfig.GenerationFailed" in classes
     assert [c for c in classes if c.rpartition(".")[2] not in handled] == []
+
+
+def _json_holders(path: Path) -> list[str]:
+    """Each import of ``json`` and each function whose name ends in
+    ``_json`` in a file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names if a.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+            found.append(f"from {node.module} import")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.endswith("_json"):
+            found.append(f"def {node.name}")
+    return found
+
+
+def test_the_json_format_has_one_home():
+    holders = {path.stem: _json_holders(path) for path in sorted(PACKAGE.glob("*.py"))}
+    home = holders.pop("wire", None)
+    assert {module: found for module, found in holders.items() if found} == {}
+    assert home

@@ -15,14 +15,9 @@ import pytest
 from corpus import config_1345
 from fatpoints import cli, geom, kconfig
 from fatpoints.geom import ProjLine, meet
-from fatpoints.kconfig import (
-    KType,
-    fatten,
-    generate_generic,
-    kconfig_from_json,
-    kconfig_to_json,
-)
+from fatpoints.kconfig import KType, fatten, generate_generic
 from fatpoints.verify import hilbert_family, verify_main
+from fatpoints.wire import kconfig_from_json, kconfig_to_json
 
 
 @pytest.fixture

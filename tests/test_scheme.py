@@ -4,17 +4,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import config_1234, config_1345, full_corpus, scheme_to_json
+from corpus import config_1234, config_1345, full_corpus
 from fatpoints.cht import REPEAT_DESCENDING, peeling_sequence
 from fatpoints.geom import ProjLine, ProjPoint, line_through, random_line
 from fatpoints.kconfig import fatten
 from fatpoints.scheme import (
     FatPointScheme,
     ReductionVector,
-    lines_from_json,
     reduction_vector,
     residual_chain,
-    scheme_from_json,
 )
 from lemmas import line_degree, multiplicity, random_point
 
@@ -43,7 +41,7 @@ def test_from_points_errors():
 
 def test_from_points_refuses_bool_multiplicity():
     # True is an int to isinstance, but JSON would write it as true, which
-    # scheme_from_json refuses
+    # wire.scheme_from_json refuses
     p, q = ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0))
     with pytest.raises(ValueError, match=r"multiplicity True for ProjPoint\(\(1:0:0\)\)"):
         FatPointScheme.from_points([p, q], [True, 2])
@@ -230,15 +228,6 @@ def test_residual_never_increases_multiplicity():
         z1 = z.residual(random_line(rng, 9))
         for p in z.support():
             assert multiplicity(z1, p) <= multiplicity(z, p)
-
-
-def test_scheme_json_round_trip():
-    x = config_1345()
-    z = fatten(x, 2)
-    data = scheme_to_json(z)
-    assert scheme_from_json(data) == z
-    lines = lines_from_json([["0", "1", "0"], [1, -1, 0]])
-    assert lines == [ProjLine((0, 1, 0)), ProjLine((1, -1, 0))]
 
 
 def test_greedy_reduction_is_none_only_when_empty():

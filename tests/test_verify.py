@@ -13,7 +13,7 @@ from corpus import (
     config_1345,
     full_corpus,
 )
-from fatpoints import cli, hilbert, kconfig, verify
+from fatpoints import cli, hilbert, kconfig, verify, wire
 from fatpoints.kconfig import KType, fatten, generate_generic, generate_with_line_count
 from fatpoints.scheme import FatPointScheme
 from fatpoints.verify import hilbert_family, m0, verify_main
@@ -267,7 +267,7 @@ def test_cli_sweep_reads_each_support_value_once(spied, tmp_path, capsys):
     # H_mX(t* - 1), the m = 1 pair being the support's reduced values.
     x = generate_generic(KType((1, 2, 3, 4, 5)), seed=0, bound=50)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(kconfig.kconfig_to_json(x)))
+    cfg.write_text(json.dumps(wire.kconfig_to_json(x)))
     for calls in spied.values():
         calls.clear()
     argv = ["verify", "--config", str(cfg), "--m-sweep", "1:6", "--format", "json"]
